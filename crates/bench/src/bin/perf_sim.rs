@@ -1,20 +1,24 @@
-//! **Simulator performance trajectory** — times the per-tuple reference
-//! engine against the batched engine (`rod_sim::batched`) at
-//! production-volume rates and records the repo's persistent simulator
+//! **Simulator performance trajectory** — times the simulator's event
+//! engine (`rod_sim::batched`) in exact mode (`batch: None`, one tuple
+//! per batch) against the same engine with `BatchConfig::default()` at
+//! production-volume rates, and records the repo's persistent simulator
 //! perf baseline.
 //!
 //! Each grid cell fixes a workload (a map chain at a constant Poisson
-//! rate, or a bursty self-similar ON/OFF trace) and runs it on both
-//! engines over `repeats` repetitions, keeping median wall times. The
-//! headline column is `batch_speedup` — batched tuples/sec over
-//! reference tuples/sec on the same machine, so the number is a
-//! machine-relative ratio like `perf_planner`'s speedups and stays
-//! comparable across runner hardware.
+//! rate, or a bursty self-similar ON/OFF trace) and runs it in both
+//! modes over `repeats` repetitions, keeping median wall times. The
+//! `reference_*` columns are the exact-mode leg (the schema-v1 name
+//! dates from when a separate per-tuple engine filled them) and the
+//! `batched_*` columns the batched leg. The headline column is
+//! `batch_speedup` — batched tuples/sec over exact-mode tuples/sec on
+//! the same machine, so the number is a machine-relative ratio like
+//! `perf_planner`'s speedups and stays comparable across runner
+//! hardware.
 //!
-//! Every repetition cross-checks the engines: the batched run must see
-//! exactly the reference's arrival count (identical source RNG draws)
+//! Every repetition cross-checks the two legs: the batched run must see
+//! exactly the exact-mode arrival count (identical source RNG draws)
 //! and deliver the same tuples within a small horizon-edge tolerance —
-//! the perf numbers can never come from an engine that dropped work.
+//! the perf numbers can never come from a run that dropped work.
 //!
 //! Results go to `BENCH_sim.json` at the repo root (schema in
 //! `docs/benchmarks.md`). Flags, mirroring `perf_planner`:
@@ -80,8 +84,8 @@ const GRID: &[Cell] = &[
         quick: true,
         min_speedup: 0.0,
     },
-    // The acceptance cell: ≥ 1M tuples/s with a ≥10× floor on the
-    // batched engine's advantage.
+    // The acceptance cell: ≥ 1M tuples/s with a ≥10× floor on
+    // batching's advantage over exact mode.
     Cell {
         name: "chain_1m",
         load: Load::Constant { rate: 1e6 },
@@ -108,14 +112,14 @@ struct CellResult {
     /// Mean source rate (tuples/s) of the cell's workload.
     rate: f64,
     horizon_seconds: f64,
-    /// Source tuples generated within the horizon (identical on both
-    /// engines by construction).
+    /// Source tuples generated within the horizon (identical in both
+    /// modes by construction).
     tuples: u64,
     reference_seconds: f64,
     batched_seconds: f64,
     reference_tuples_per_sec: f64,
     batched_tuples_per_sec: f64,
-    /// The headline machine-relative ratio: batched over reference.
+    /// The headline machine-relative ratio: batched over exact mode.
     batch_speedup: f64,
     max_batch: usize,
     bucket_seconds: f64,
@@ -127,7 +131,7 @@ struct BenchFile {
     created_unix: u64,
     rustc: String,
     commit: String,
-    /// Logical cores of the recording machine (provenance; both engines
+    /// Logical cores of the recording machine (provenance; both legs
     /// are single-threaded, so the ratios do not depend on it).
     cores: usize,
     quick: bool,
@@ -228,10 +232,10 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     for _ in 0..repeats {
         let (ref_report, ref_s) = run_once(cell, None);
         let (bat_report, bat_s) = run_once(cell, Some(batch));
-        // The perf numbers must come from engines doing the same work.
+        // The perf numbers must come from legs doing the same work.
         assert_eq!(
             ref_report.tuples_in, bat_report.tuples_in,
-            "{}: engines disagree on the arrival count",
+            "{}: exact and batched legs disagree on the arrival count",
             cell.name
         );
         assert!(!ref_report.saturated && !bat_report.saturated);
@@ -379,9 +383,9 @@ fn main() {
             "cell",
             "rate",
             "tuples",
-            "ref s",
+            "exact s",
             "batch s",
-            "ref tps",
+            "exact tps",
             "batch tps",
             "speedup",
         ],

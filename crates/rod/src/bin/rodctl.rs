@@ -103,10 +103,10 @@ fn usage() -> String {
      \u{20}        (--rates r1,r2,... | --traces a.csv,b.csv,...)\n\
      \u{20}        [--outage NODE:START:END]... [--failover DETECTION_DELAY]\n\
      \u{20}        [--scheduling fifo|rr|lqf] [--op-queue-bound N]\n\
-     \u{20}        [--batch N] [--batch-bucket S] — batched engine, ≤N tuples\n\
-     \u{20}        per batch coalesced within S-second buckets (production\n\
-     \u{20}        volumes; identical counts, latency quantiles to within the\n\
-     \u{20}        bucket width; --batch 1 is byte-identical to per-tuple)\n\
+     \u{20}        [--batch N] [--batch-bucket S] — ≤N tuples per batch\n\
+     \u{20}        coalesced within S-second buckets (production volumes;\n\
+     \u{20}        identical counts, latency quantiles to within the bucket\n\
+     \u{20}        width; --batch 1 is the default exact mode)\n\
      \u{20}        [--trace-out FILE] [--metrics-interval T] [--threads N]\n\
      \u{20}        (--fault-tolerance is an alias for --failover)\n\
      trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]\n\
@@ -124,6 +124,14 @@ fn parse_rates(spec: &str, expected: usize) -> Result<Vec<f64>, String> {
             "--rates: expected {expected} values, got {}",
             rates.len()
         ));
+    }
+    for &rate in &rates {
+        if !rate.is_finite() {
+            return Err(format!("--rates: rate {rate} is not finite"));
+        }
+        if rate < 0.0 {
+            return Err(format!("--rates: rate {rate} is negative"));
+        }
     }
     Ok(rates)
 }
@@ -152,6 +160,37 @@ fn load_plan(flags: &Flags) -> Result<Allocation, String> {
     let path = flags.require("plan")?;
     let json = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))
+}
+
+/// Rejects a plan the simulator cannot run: one made for a graph with a
+/// different operator count, one that leaves an operator unplaced, or
+/// one that places an operator on a node the cluster does not have.
+fn check_plan_fits(
+    graph: &rod::core::QueryGraph,
+    plan: &Allocation,
+    cluster: &Cluster,
+) -> Result<(), String> {
+    if plan.num_operators() != graph.num_operators() {
+        return Err(format!(
+            "plan places {} operators but the graph has {} (is it a plan for another graph?)",
+            plan.num_operators(),
+            graph.num_operators()
+        ));
+    }
+    for j in 0..plan.num_operators() {
+        match plan.node_of(OperatorId(j)) {
+            None => return Err(format!("plan leaves operator {j} unplaced")),
+            Some(node) if node.index() >= cluster.num_nodes() => {
+                return Err(format!(
+                    "plan places operator {j} on node {}, but --nodes gives {} nodes",
+                    node.index(),
+                    cluster.num_nodes()
+                ))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
 }
 
 fn cmd_generate(flags: &Flags) -> Result<String, String> {
@@ -487,6 +526,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
     let plan = load_plan(flags)?;
+    check_plan_fits(&graph, &plan, &cluster)?;
     let threads = parse_threads(flags)?;
     if threads > 0 {
         // Sizes the planning pool used by failover-table precomputation
@@ -512,9 +552,6 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
             if cluster.num_nodes() < 2 {
                 return Err("--failover needs at least 2 nodes to back each other up".into());
             }
-            if !plan.is_complete() {
-                return Err("--failover needs a complete plan (every operator placed)".into());
-            }
             let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
             let table = FailoverTable::precompute(&model, &cluster, &plan);
             Some(FailoverConfig::new(table, delay))
@@ -527,8 +564,9 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
                 .map_err(|_| format!("--op-queue-bound: bad value '{v}'"))?,
         ),
     };
-    // --batch / --batch-bucket switch to the batched engine; either flag
-    // alone fills the other from BatchConfig's default.
+    // --batch / --batch-bucket coalesce tuples into batches (without
+    // them the run is exact); either flag alone fills the other from
+    // BatchConfig's default.
     let batch = match (flags.get("batch"), flags.get("batch-bucket")) {
         (None, None) => None,
         (max_batch, bucket) => {
@@ -598,8 +636,9 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
         batch,
         ..SimulationConfig::default()
     };
-    // Validate before constructing: Simulation::new enforces this with a
-    // panic; the CLI turns it into a real error message instead.
+    // Validate before constructing (horizon, warm-up, outages, failover,
+    // sampling, batch): Simulation::new enforces this with a panic; the
+    // CLI turns it into a real error message instead.
     config.validate(cluster.num_nodes())?;
     let had_outages = !config.outages.is_empty();
     let sim = Simulation::new(&graph, &plan, &cluster, sources, config);
@@ -770,6 +809,29 @@ mod tests {
         assert_eq!(parse_rates("1,2,3", 3).unwrap(), vec![1.0, 2.0, 3.0]);
         assert!(parse_rates("1,2", 3).is_err());
         assert!(parse_rates("1,x", 2).is_err());
+    }
+
+    // A NaN or infinite rate would make the simulator draw arrivals
+    // forever, so these inputs are tested through the parser only.
+    #[test]
+    fn parse_rates_rejects_nan() {
+        let err = parse_rates("nan,20", 2).unwrap_err();
+        assert_eq!(err, "--rates: rate NaN is not finite");
+    }
+
+    #[test]
+    fn parse_rates_rejects_infinities() {
+        for spec in ["inf,20", "20,-inf"] {
+            let err = parse_rates(spec, 2).unwrap_err();
+            assert!(err.contains("inf is not finite"), "{spec}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rates_rejects_negative_rates() {
+        let err = parse_rates("-5,20", 2).unwrap_err();
+        assert_eq!(err, "--rates: rate -5 is negative");
+        assert_eq!(parse_rates("0,20", 2).unwrap(), vec![0.0, 20.0]);
     }
 
     #[test]
@@ -1065,6 +1127,83 @@ mod tests {
         )
     }
 
+    /// The simulate flags for `graph_and_plan`'s pair on 2 nodes.
+    fn simulate_args(graph_path: &str, plan_path: &str, extra: &[&str]) -> Flags {
+        let mut args = strings(&[
+            "--graph", graph_path, "--plan", plan_path, "--nodes", "2", "--rates", "10,10",
+        ]);
+        args.extend(strings(extra));
+        Flags::parse(&args).unwrap()
+    }
+
+    #[test]
+    fn simulate_rejects_degenerate_horizons() {
+        let (dir, graph_path, plan_path) = graph_and_plan("badhorizon");
+        for bad in ["0", "-5", "nan", "inf"] {
+            let f = simulate_args(&graph_path, &plan_path, &["--horizon", bad]);
+            let err = cmd_simulate(&f).unwrap_err();
+            assert!(
+                err.starts_with("horizon must be finite and positive"),
+                "--horizon {bad}: {err}"
+            );
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `plan` next to `graph_and_plan`'s files and returns its path.
+    fn write_plan(dir: &std::path::Path, name: &str, plan: &Allocation) -> String {
+        let path = dir.join(name);
+        fs::write(&path, serde_json::to_string(plan).unwrap()).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn simulate_rejects_a_plan_for_another_graph() {
+        let (dir, graph_path, _) = graph_and_plan("othergraph");
+        let mut plan = Allocation::new(3, 2);
+        for j in 0..3 {
+            plan.assign(OperatorId(j), NodeId(0));
+        }
+        let plan_path = write_plan(&dir, "other.json", &plan);
+        let err = cmd_simulate(&simulate_args(&graph_path, &plan_path, &[])).unwrap_err();
+        assert!(
+            err.starts_with("plan places 3 operators but the graph has"),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_rejects_a_plan_for_a_larger_cluster() {
+        let (dir, graph_path, plan_path) = graph_and_plan("widerplan");
+        let ops = load_plan(&Flags::parse(&strings(&["--plan", &plan_path])).unwrap())
+            .unwrap()
+            .num_operators();
+        let mut plan = Allocation::new(ops, 4);
+        for j in 0..ops {
+            plan.assign(OperatorId(j), NodeId(j % 4));
+        }
+        let plan_path = write_plan(&dir, "four.json", &plan);
+        let err = cmd_simulate(&simulate_args(&graph_path, &plan_path, &[])).unwrap_err();
+        assert_eq!(
+            err,
+            "plan places operator 2 on node 2, but --nodes gives 2 nodes"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_rejects_an_incomplete_plan() {
+        let (dir, graph_path, plan_path) = graph_and_plan("partialplan");
+        let mut plan =
+            load_plan(&Flags::parse(&strings(&["--plan", &plan_path])).unwrap()).unwrap();
+        plan.unassign(OperatorId(1));
+        let plan_path = write_plan(&dir, "partial.json", &plan);
+        let err = cmd_simulate(&simulate_args(&graph_path, &plan_path, &[])).unwrap_err();
+        assert_eq!(err, "plan leaves operator 1 unplaced");
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn simulate_rejects_invalid_outages_with_real_errors() {
         let (dir, graph_path, plan_path) = graph_and_plan("badoutage");
@@ -1141,8 +1280,8 @@ mod tests {
             "5",
         ]);
         let per_tuple = cmd_simulate(&Flags::parse(&base).unwrap()).unwrap();
-        // The equivalence contract, end to end through the CLI: batch
-        // size 1 reproduces the per-tuple engine byte for byte.
+        // End to end through the CLI: batch size 1 is exact mode, the
+        // default run, byte for byte.
         let mut with_batch = base.clone();
         with_batch.extend(strings(&["--batch", "1", "--batch-bucket", "0.5"]));
         assert_eq!(

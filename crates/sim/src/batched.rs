@@ -1,34 +1,41 @@
-//! The batched event engine — the per-tuple reference engine's hot path
-//! rebuilt for production-volume traces (≥ 1M tuples/s).
+//! The simulator's event engine.
 //!
-//! The per-tuple engine in [`crate::engine`] pays several heap
-//! operations per tuple on an event queue holding one entry per source
-//! arrival; driving it with the `rod-traces` generators at realistic
-//! volumes bottlenecks the simulator itself. This module coalesces
-//! source emissions into per-(stream, time-bucket) tuple batches, each
-//! carried by a single [`EventKind::BatchArrival`] /
-//! [`EventKind::ServiceComplete`] event pair, and processes a whole
-//! batch's service in one queue transaction. Batch storage is pooled: a
-//! free list recycles `Vec<Tuple>` capacity instead of allocating per
-//! tuple.
+//! Tuples travel the dataflow in pooled batches: source arrivals are
+//! coalesced into per-(stream, time-bucket) batches, each carried by a
+//! single [`EventKind::SourceBatch`] / [`EventKind::ServiceComplete`]
+//! event pair, and a whole batch's service is one queue transaction.
+//! Batch storage is pooled: a free list recycles `Vec<Tuple>` capacity
+//! instead of allocating per tuple.
 //!
-//! ## Equivalence contract
+//! ## Exact mode and batching
 //!
-//! The per-tuple engine stays as the reference; this engine is an
-//! opt-in ([`crate::engine::SimulationConfig::batch`]) with a pinned
-//! contract (`tests/batched_equiv.rs`):
+//! [`crate::engine::SimulationConfig::batch`] `= None` runs the engine in
+//! **exact mode**, one tuple per batch — the discrete-event model with
+//! no approximation. `tests/golden_corpus.rs` pins its reports and JSONL
+//! traces byte for byte, and pins that `Some(BatchConfig { max_batch: 1,
+//! .. })` is the same run (the bucket cannot matter when every batch
+//! holds one tuple). In exact mode emissions are delivered per tuple,
+//! per consumer, so events fire at the same times in the same relative
+//! order as a per-tuple simulation, and all selectivity / reservoir
+//! draws happen in arrival order.
 //!
-//! * **batch size 1** — byte-identical [`SimReport`]s: arrivals are the
-//!   same RNG draws, every event fires at the same time in the same
-//!   relative order, and all selectivity / reservoir draws happen in
-//!   the same sequence;
-//! * **batch size > 1** — a tuple's processing may be deferred by at
-//!   most [`BatchConfig::bucket`] seconds (batches fire at their last
-//!   tuple's arrival time) and in-batch arrivals cannot interleave with
-//!   other nodes' completions, so counts driven purely by arrivals
-//!   (`tuples_in`, failovers, recoveries, migrations under a static
-//!   control plane) stay identical while selectivity-dependent counts
-//!   and latency quantiles agree within the bucket tolerance.
+//! With **batch size > 1** a tuple's processing may be deferred by at
+//! most [`BatchConfig::bucket`] seconds (batches fire at their last
+//! tuple's arrival time) and in-batch arrivals cannot interleave with
+//! other nodes' completions, so counts driven purely by arrivals
+//! (`tuples_in`, failovers, recoveries, migrations under a static
+//! control plane) stay identical to exact mode while selectivity-
+//! dependent counts and latency quantiles agree within the bucket
+//! tolerance (`tests/batched_equiv.rs`).
+//!
+//! ## Lazy source batches
+//!
+//! All arrival times are drawn before the event loop starts (so source
+//! draws never interleave with selectivity draws), but a source event
+//! only names its run of the per-input arrival-time vector. The pooled
+//! batch is filled when the event fires, so the pool holds live batches
+//! only — in exact mode that is the backlog, not one slot per source
+//! tuple of the whole run.
 //!
 //! ## Pooling invariants
 //!
@@ -50,8 +57,8 @@ use rod_geom::rng::{seeded_rng, Rng};
 use rod_geom::Percentiles;
 
 use crate::engine::{
-    bernoulli_emissions, record_latency, BatchConfig, FailoverConfig, MigrationChaos,
-    MigrationConfig, NetworkConfig, SchedulingPolicy, Simulation, LATENCY_STREAM_TAG,
+    BatchConfig, FailoverConfig, MigrationChaos, MigrationConfig, NetworkConfig, SchedulingPolicy,
+    Simulation,
 };
 use crate::events::{BatchId, EventKind, EventQueue, Tuple};
 use crate::report::{RecoveryRecord, SimReport, TimelineSample};
@@ -129,7 +136,7 @@ struct WorkBatch {
     len: usize,
 }
 
-/// Join window entry (mirrors the reference engine's).
+/// Join window entry: the time a tuple was inserted.
 #[derive(Clone, Copy, Debug)]
 struct WindowEntry {
     time: f64,
@@ -143,8 +150,6 @@ struct JoinState {
 /// Input buffered for an operator mid-migration.
 #[derive(Debug)]
 struct MigrationBuffer {
-    #[allow(dead_code)] // recorded at start; the completion event re-carries it
-    dest: NodeId,
     batches: Vec<WorkBatch>,
     /// Total tuples across `batches`.
     tuples: usize,
@@ -176,7 +181,7 @@ struct RecoveryState {
 }
 
 /// Mutable engine state, shared by the event handlers.
-struct BatchedRuntime<'a, S: TraceSink> {
+struct EngineState<'a, S: TraceSink> {
     graph: &'a QueryGraph,
     network: NetworkConfig,
     horizon: f64,
@@ -209,9 +214,9 @@ struct BatchedRuntime<'a, S: TraceSink> {
     queue: EventQueue,
     rng: Rng,
     pool: BatchPool,
-    /// Deliver per-tuple (batch size 1): reproduces the reference
-    /// engine's event order byte-for-byte even for multi-consumer
-    /// fan-out of multi-tuple emissions.
+    /// Exact mode (batch size 1): deliver per tuple, per consumer, so
+    /// multi-consumer fan-out of multi-tuple emissions keeps per-tuple
+    /// event order.
     strict: bool,
     queued_total: usize,
     peak_queue: usize,
@@ -219,8 +224,17 @@ struct BatchedRuntime<'a, S: TraceSink> {
     migrations: u64,
     migration_downtime: f64,
     timeline: Vec<TimelineSample>,
-    input_index: Vec<Option<usize>>,
+    /// Arrival times per system input, drawn before the loop starts;
+    /// source events name runs of these.
+    arrivals: Vec<Vec<f64>>,
+    /// Source arrivals per input since the last sample tick.
     window_arrivals: Vec<u64>,
+    tuples_out: u64,
+    /// Latency reservoir of post-warm-up sink departures.
+    latencies: Vec<f64>,
+    latency_rng: Rng,
+    latency_seen: u64,
+    max_latency_samples: usize,
     chaos: Option<MigrationChaos>,
     chaos_rng: Rng,
     mig_attempts: Vec<u32>,
@@ -229,10 +243,9 @@ struct BatchedRuntime<'a, S: TraceSink> {
     sink: &'a mut S,
 }
 
-impl<S: TraceSink> BatchedRuntime<'_, S> {
+impl<S: TraceSink> EngineState<'_, S> {
     /// Counts `count` shed tuples at one operator, with recovery-window
-    /// attribution and one trace record per tuple (as the reference
-    /// engine emits).
+    /// attribution and one trace record per tuple.
     fn shed_many(&mut self, op: OperatorId, now: f64, count: usize) {
         if count == 0 {
             return;
@@ -255,8 +268,8 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
 
     /// Routes a work batch to its operator's node queue or migration
     /// buffer, shedding the suffix that exceeds the per-operator bound
-    /// or the node shedding threshold (the batch analogue of the
-    /// reference's per-tuple accept-until-full behaviour).
+    /// or the node shedding threshold (per-tuple accept-until-full,
+    /// applied to a batch).
     fn enqueue_batch(&mut self, mut wb: WorkBatch, now: f64) {
         let op = wb.op.index();
         // Per-operator bound: accept the prefix that fits.
@@ -431,8 +444,7 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
     }
 
     /// Linear / variable-selectivity service: constant per-tuple cost,
-    /// one Bernoulli emission draw per tuple (in batch order, matching
-    /// the reference's per-dispatch draw sequence).
+    /// one Bernoulli emission draw per tuple, in batch order.
     fn emit_linear(&mut self, wb: WorkBatch, cost: f64, selectivity: f64, out: BatchId) -> f64 {
         let (input, out_vec) = self.pool.two(wb.batch, out);
         for tuple in input {
@@ -479,6 +491,84 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         (wb.len * pairs) as f64 * cost_per_pair
     }
 
+    /// Fires a source batch: fills a pooled slot with tuples
+    /// `first..first + len` of the input's arrival times and fans it out
+    /// to every consumer of the input stream (clones for all but the
+    /// last, which takes the original slot). Sources are external, so
+    /// delivery is local: the paper's communication model concerns
+    /// inter-operator arcs. An input nothing consumes is itself a sink.
+    fn source_batch(&mut self, input: usize, first: usize, len: usize, now: f64) {
+        let stream = self.graph.inputs()[input];
+        let births = &self.arrivals[input][first..first + len];
+        let batch = self.pool.alloc();
+        self.pool
+            .slot_mut(batch)
+            .extend(births.iter().map(|&birth| Tuple { birth }));
+        let ncons = self.consumers[stream.index()].len();
+        if ncons == 0 {
+            self.depart(stream, batch, now);
+            return;
+        }
+        self.window_arrivals[input] += len as u64;
+        if self.sink.enabled() {
+            for &birth in births {
+                self.sink.record(&TraceRecord::SourceArrival {
+                    time: birth,
+                    stream: stream.index(),
+                });
+            }
+        }
+        for ci in 0..ncons {
+            let (op, port) = self.consumers[stream.index()][ci];
+            let delivered = if ci + 1 == ncons {
+                batch
+            } else {
+                let copy = self.pool.alloc();
+                let (src, dst) = self.pool.two(batch, copy);
+                dst.extend_from_slice(src);
+                copy
+            };
+            self.enqueue_batch(
+                WorkBatch {
+                    op,
+                    port,
+                    batch: delivered,
+                    recv_overhead: 0.0,
+                    len,
+                },
+                now,
+            );
+        }
+    }
+
+    /// Records each tuple of a batch leaving the query network at a sink
+    /// stream (end-to-end latency into the reservoir after warm-up), then
+    /// releases the batch.
+    fn depart(&mut self, stream: StreamId, batch: BatchId, now: f64) {
+        for &tuple in self.pool.slot(batch) {
+            self.tuples_out += 1;
+            let latency = now - tuple.birth;
+            if self.sink.enabled() {
+                self.sink.record(&TraceRecord::SinkDeparture {
+                    time: now,
+                    stream: stream.index(),
+                    latency,
+                });
+            }
+            if now >= self.warmup {
+                self.latency_seen += 1;
+                record_latency(
+                    &mut self.latencies,
+                    &mut self.latency_rng,
+                    self.latency_seen,
+                    self.max_latency_samples,
+                    latency,
+                );
+            }
+        }
+        self.pool.release(batch);
+    }
+
     /// Handles a service completion: deliver the pending output batch,
     /// continue with the next queued batch.
     fn complete(&mut self, node: NodeId, now: f64) {
@@ -487,9 +577,8 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         self.nodes[node_idx].serving_len = 0;
         if let Some((stream, out)) = self.nodes[node_idx].pending.take() {
             if self.consumers[stream.index()].is_empty() {
-                // Sink: latency bookkeeping happens in the main loop.
                 self.queue
-                    .push(now, EventKind::BatchArrival { stream, batch: out });
+                    .push(now, EventKind::SinkBatch { stream, batch: out });
             } else if self.strict {
                 self.deliver_per_tuple(stream, out, node, now);
             } else {
@@ -536,14 +625,15 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
-    /// Strict (batch size 1) delivery: per emitted tuple, per consumer —
-    /// the exact event order of the reference engine, which interleaves
-    /// consumers within each emission.
+    /// Exact-mode (batch size 1) delivery: per emitted tuple, per
+    /// consumer — consumers interleave within each emission, as in a
+    /// per-tuple simulation.
     fn deliver_per_tuple(&mut self, stream: StreamId, out: BatchId, node: NodeId, now: f64) {
         let out_len = self.pool.slot(out).len();
+        let ncons = self.consumers[stream.index()].len();
         for ti in 0..out_len {
             let tuple = self.pool.slot(out)[ti];
-            for ci in 0..self.consumers[stream.index()].len() {
+            for ci in 0..ncons {
                 let (op, port) = self.consumers[stream.index()][ci];
                 let remote = self.host[op.index()] != node;
                 let delay = if remote { self.network.latency } else { 0.0 };
@@ -552,8 +642,16 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 } else {
                     0.0
                 };
-                let single = self.pool.alloc();
-                self.pool.slot_mut(single).push(tuple);
+                // The last delivery reuses the output slot, cut down to
+                // its last tuple; earlier ones take fresh pooled slots.
+                let single = if ti + 1 == out_len && ci + 1 == ncons {
+                    self.pool.slot_mut(out).drain(..ti);
+                    out
+                } else {
+                    let single = self.pool.alloc();
+                    self.pool.slot_mut(single).push(tuple);
+                    single
+                };
                 self.queue.push(
                     now + delay,
                     EventKind::BatchConsumerArrival {
@@ -565,11 +663,11 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 );
             }
         }
-        self.pool.release(out);
     }
 
-    /// The dynamic load manager's control tick (identical to the
-    /// reference: decisions depend only on busy-time windows).
+    /// The dynamic load manager's control tick: sample window
+    /// utilisations, possibly start one migration, reset the window.
+    /// Decisions depend only on busy-time windows.
     fn control_tick(&mut self, now: f64, config: &MigrationConfig) {
         let n = self.nodes.len();
         let utils: Vec<f64> = (0..n)
@@ -614,7 +712,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
 
     /// Freezes an operator, buffers its queued batches, and schedules
     /// resumption after the transfer downtime. The per-item downtime
-    /// term counts buffered *tuples*, as the reference does.
+    /// term counts buffered *tuples*. `failover = true` marks a
+    /// table-driven recovery move (counted separately from the load
+    /// manager's migrations).
     fn start_migration(
         &mut self,
         op: OperatorId,
@@ -647,11 +747,7 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 failover,
             });
         }
-        self.migrating[op.index()] = Some(MigrationBuffer {
-            dest,
-            batches,
-            tuples,
-        });
+        self.migrating[op.index()] = Some(MigrationBuffer { batches, tuples });
         if failover {
             self.failovers += 1;
             self.failover_in_flight += 1;
@@ -738,9 +834,10 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
-    /// Handles a detected node failure: table-driven failover of every
-    /// operator still hosted on the dead node (identical logic to the
-    /// reference engine).
+    /// Handles a detected node failure: move every operator still hosted
+    /// on the dead node to its table-designated backup (falling back to
+    /// the lowest-indexed live node when the table has no entry or the
+    /// backup is itself down). A no-op if the outage already ended.
     fn detect_failure(&mut self, node: NodeId, now: f64, fo: &FailoverConfig) {
         let idx = node.index();
         if !self.down[idx] {
@@ -797,11 +894,10 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
     }
 }
 
-/// Runs `sim` on the batched engine. Called from
-/// [`Simulation::run_with_sink`] when [`BatchConfig`] is set.
+/// Runs `sim` with batches framed by `bc` (`max_batch = 1` is exact
+/// mode). Called from [`Simulation::run_with_sink`].
 pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mut S) -> SimReport {
     let mut rng = seeded_rng(sim.config.seed);
-    let mut latency_rng = seeded_rng(sim.config.seed ^ LATENCY_STREAM_TAG);
     let graph = sim.graph;
     let horizon = sim.config.horizon;
     let warmup = sim.config.warmup;
@@ -809,30 +905,36 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
     let n = sim.cluster.num_nodes();
 
     let mut queue = EventQueue::new();
-    let mut pool = BatchPool::new();
-    let mut tuples_in = 0u64;
     // Batch source arrivals: consecutive tuples of one stream share a
     // batch while they fit the size cap and the same time bucket. The
     // batch fires at its *last* tuple's arrival time, so every tuple has
     // nominally arrived when the event pops (deferral ≤ bucket).
-    for (k, spec) in sim.sources.iter().enumerate() {
-        let stream = graph.inputs()[k];
-        let times = spec.arrivals(horizon, &mut rng);
-        tuples_in += times.len() as u64;
-        let mut i = 0;
-        while i < times.len() {
-            let bucket = (times[i] / bc.bucket).floor();
-            let id = pool.alloc();
-            let slot = pool.slot_mut(id);
-            while i < times.len()
-                && slot.len() < bc.max_batch
-                && (times[i] / bc.bucket).floor() == bucket
+    let arrivals: Vec<Vec<f64>> = sim
+        .sources
+        .iter()
+        .map(|spec| spec.arrivals(horizon, &mut rng))
+        .collect();
+    let tuples_in = arrivals.iter().map(|times| times.len() as u64).sum();
+    for (input, times) in arrivals.iter().enumerate() {
+        let mut first = 0;
+        while first < times.len() {
+            let bucket = (times[first] / bc.bucket).floor();
+            let mut end = first + 1;
+            while end < times.len()
+                && end - first < bc.max_batch
+                && (times[end] / bc.bucket).floor() == bucket
             {
-                slot.push(Tuple { birth: times[i] });
-                i += 1;
+                end += 1;
             }
-            let fire = slot.last().expect("non-empty batch").birth;
-            queue.push(fire, EventKind::BatchArrival { stream, batch: id });
+            queue.push(
+                times[end - 1],
+                EventKind::SourceBatch {
+                    input,
+                    first,
+                    len: end - first,
+                },
+            );
+            first = end;
         }
     }
     if let Some(mig) = &sim.config.migration {
@@ -856,7 +958,7 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         queue.push(time, kind);
     }
 
-    let mut rt = BatchedRuntime {
+    let mut rt = EngineState {
         graph,
         network: sim.config.network,
         horizon,
@@ -907,7 +1009,7 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         op_served: vec![0; m],
         queue,
         rng,
-        pool,
+        pool: BatchPool::new(),
         strict: bc.max_batch == 1,
         queued_total: 0,
         peak_queue: 0,
@@ -915,14 +1017,13 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         migrations: 0,
         migration_downtime: 0.0,
         timeline: Vec::new(),
-        input_index: {
-            let mut idx = vec![None; graph.num_streams()];
-            for (k, stream) in graph.inputs().iter().enumerate() {
-                idx[stream.index()] = Some(k);
-            }
-            idx
-        },
+        arrivals,
         window_arrivals: vec![0; graph.num_inputs()],
+        tuples_out: 0,
+        latencies: Vec::new(),
+        latency_rng: seeded_rng(sim.config.seed ^ LATENCY_STREAM_TAG),
+        latency_seen: 0,
+        max_latency_samples: sim.config.max_latency_samples,
         chaos: sim.config.migration_chaos.clone(),
         chaos_rng: seeded_rng(
             sim.config
@@ -946,9 +1047,6 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         });
     }
 
-    let mut tuples_out = 0u64;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut latency_seen = 0u64;
     let mut saturated = false;
     let mut end_time = horizon;
 
@@ -957,73 +1055,11 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
             break;
         }
         match event.kind {
-            EventKind::BatchArrival { stream, batch } => {
-                if rt.consumers[stream.index()].is_empty() {
-                    // Sink batch: record each tuple's departure.
-                    for ti in 0..rt.pool.slot(batch).len() {
-                        let tuple = rt.pool.slot(batch)[ti];
-                        tuples_out += 1;
-                        if rt.sink.enabled() {
-                            rt.sink.record(&TraceRecord::SinkDeparture {
-                                time: event.time,
-                                stream: stream.index(),
-                                latency: event.time - tuple.birth,
-                            });
-                        }
-                        if event.time >= warmup {
-                            latency_seen += 1;
-                            record_latency(
-                                &mut latencies,
-                                &mut latency_rng,
-                                latency_seen,
-                                sim.config.max_latency_samples,
-                                event.time - tuple.birth,
-                            );
-                        }
-                    }
-                    rt.pool.release(batch);
-                    continue;
-                }
-                // Source batch: fan out to every consumer (clones for
-                // all but the last, which takes the original slot).
-                let len = rt.pool.slot(batch).len();
-                if let Some(k) = rt.input_index[stream.index()] {
-                    rt.window_arrivals[k] += len as u64;
-                }
-                if rt.sink.enabled() {
-                    for ti in 0..len {
-                        let birth = rt.pool.slot(batch)[ti].birth;
-                        rt.sink.record(&TraceRecord::SourceArrival {
-                            time: birth,
-                            stream: stream.index(),
-                        });
-                    }
-                }
-                let ncons = rt.consumers[stream.index()].len();
-                for ci in 0..ncons {
-                    let (op, port) = rt.consumers[stream.index()][ci];
-                    let delivered = if ci + 1 == ncons {
-                        batch
-                    } else {
-                        let copy = rt.pool.alloc();
-                        let (src, dst) = rt.pool.two(batch, copy);
-                        dst.extend_from_slice(src);
-                        copy
-                    };
-                    rt.enqueue_batch(
-                        WorkBatch {
-                            op,
-                            port,
-                            batch: delivered,
-                            recv_overhead: 0.0,
-                            len,
-                        },
-                        event.time,
-                    );
-                }
-                if ncons == 0 {
-                    rt.pool.release(batch);
-                }
+            EventKind::SourceBatch { input, first, len } => {
+                rt.source_batch(input, first, len, event.time);
+            }
+            EventKind::SinkBatch { stream, batch } => {
+                rt.depart(stream, batch, event.time);
             }
             EventKind::BatchConsumerArrival {
                 op,
@@ -1042,9 +1078,6 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
                     },
                     event.time,
                 );
-            }
-            EventKind::StreamArrival { .. } | EventKind::ConsumerArrival { .. } => {
-                unreachable!("per-tuple events are only scheduled by the reference engine")
             }
             EventKind::ServiceComplete { node } => {
                 rt.complete(node, event.time);
@@ -1200,7 +1233,7 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         rt.sink.record(&TraceRecord::RunEnd {
             time: end_time,
             tuples_in,
-            tuples_out,
+            tuples_out: rt.tuples_out,
             tuples_processed: rt.tuples_processed,
             tuples_shed: rt.tuples_shed,
             saturated,
@@ -1232,9 +1265,9 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         measured_duration,
         utilisations,
         tuples_in,
-        tuples_out,
+        tuples_out: rt.tuples_out,
         tuples_processed: rt.tuples_processed,
-        latencies: Percentiles::from_samples(latencies),
+        latencies: Percentiles::from_samples(rt.latencies),
         peak_queue: rt.peak_queue,
         final_queue,
         saturated,
@@ -1251,6 +1284,38 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         recoveries: rt.recoveries,
         post_failure_max_utilisation,
         final_hosts: rt.host.iter().map(|h| h.index()).collect(),
+    }
+}
+
+/// XOR tag deriving the dedicated latency-reservoir RNG stream from the
+/// run seed ("latency"), mirroring the chaos stream: thinning draws must
+/// never perturb source arrivals or selectivity draws, so changing the
+/// sample cap cannot change the simulated trajectory.
+const LATENCY_STREAM_TAG: u64 = 0x006c_6174_656e_6379;
+
+/// Number of output tuples for one input tuple with (possibly > 1)
+/// selectivity `s`: `floor(s)` sure emissions plus a Bernoulli on the
+/// fractional part.
+fn bernoulli_emissions(selectivity: f64, rng: &mut Rng) -> u64 {
+    let whole = selectivity.floor();
+    let frac = selectivity - whole;
+    whole as u64 + u64::from(rng.gen::<f64>() < frac)
+}
+
+/// Seeded reservoir sampling (Algorithm R): each of the `seen` post-
+/// warmup sink tuples ends up in the bounded sample with equal
+/// probability `cap / seen`, so quantiles of the reservoir are unbiased
+/// estimates of the full-sample quantiles. Draws come from a dedicated
+/// RNG stream ([`LATENCY_STREAM_TAG`]) so thinning is invisible to the
+/// simulation itself.
+fn record_latency(samples: &mut Vec<f64>, rng: &mut Rng, seen: u64, cap: usize, value: f64) {
+    if samples.len() < cap {
+        samples.push(value);
+    } else {
+        let idx = rng.gen_range(0..seen);
+        if (idx as usize) < cap {
+            samples[idx as usize] = value;
+        }
     }
 }
 
@@ -1288,58 +1353,6 @@ mod tests {
         let (src, dst) = pool.two(b, a);
         dst.extend_from_slice(src);
         assert_eq!(pool.slot(a).len(), 2);
-    }
-
-    fn chain() -> QueryGraph {
-        let mut b = GraphBuilder::new();
-        let i = b.add_input();
-        let (_, s) = b
-            .add_operator(
-                "f",
-                rod_core::operator::OperatorKind::filter(0.001, 0.5),
-                &[i],
-            )
-            .unwrap();
-        b.add_operator(
-            "g",
-            rod_core::operator::OperatorKind::filter(0.002, 1.0),
-            &[s],
-        )
-        .unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn batch_size_one_is_byte_identical_to_reference() {
-        let graph = chain();
-        let cluster = Cluster::homogeneous(1, 1.0);
-        let mut alloc = Allocation::new(2, 1);
-        alloc.assign(OperatorId(0), NodeId(0));
-        alloc.assign(OperatorId(1), NodeId(0));
-        let run = |batch: Option<BatchConfig>| {
-            Simulation::new(
-                &graph,
-                &alloc,
-                &cluster,
-                vec![SourceSpec::ConstantRate(200.0)],
-                SimulationConfig {
-                    horizon: 20.0,
-                    warmup: 2.0,
-                    seed: 17,
-                    sample_interval: Some(1.0),
-                    batch,
-                    ..SimulationConfig::default()
-                },
-            )
-            .run()
-        };
-        let reference = serde_json::to_string(&run(None)).unwrap();
-        let batched = serde_json::to_string(&run(Some(BatchConfig {
-            max_batch: 1,
-            bucket: 0.5,
-        })))
-        .unwrap();
-        assert_eq!(reference, batched);
     }
 
     #[test]

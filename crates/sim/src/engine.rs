@@ -1,4 +1,5 @@
-//! The discrete-event simulation engine.
+//! The simulation model: run configuration and the [`Simulation`] entry
+//! point. The event loop itself lives in [`crate::batched`].
 //!
 //! Each node is a single-server queue: tuples queued at its hosted
 //! operators are served FIFO, each occupying the CPU for
@@ -14,25 +15,22 @@
 //! term) during which the operator's input is buffered. This is the
 //! reactive regime the paper's introduction argues cannot keep up with
 //! short-term bursts — now demonstrable against static ROD placements.
-
-use std::collections::VecDeque;
-
-use rand::Rng as _;
+//!
+//! A run is *exact* by default ([`SimulationConfig::batch`] `= None`):
+//! every tuple travels the dataflow as its own event. Opting into
+//! [`BatchConfig`] coalesces source arrivals into larger batches for
+//! production-volume traces.
 
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::graph::QueryGraph;
-use rod_core::ids::{NodeId, OperatorId, StreamId};
-use rod_core::operator::OperatorKind;
+use rod_core::ids::{NodeId, OperatorId};
 use rod_core::resilience::FailoverTable;
-use rod_geom::rng::{seeded_rng, Rng};
-use rod_geom::Percentiles;
 use serde::{Deserialize, Serialize};
 
-use crate::events::{EventKind, EventQueue, Tuple};
-use crate::report::{RecoveryRecord, SimReport, TimelineSample};
+use crate::report::SimReport;
 use crate::source::SourceSpec;
-use crate::trace::{NullSink, TraceRecord, TraceSink};
+use crate::trace::{NullSink, TraceSink};
 
 /// Network cost model (the §6.3 relaxation of "communication is free").
 #[derive(Clone, Copy, Debug)]
@@ -238,13 +236,13 @@ impl FailoverConfig {
     }
 }
 
-/// Opt-in for the batched event engine (see [`crate::batched`]): source
+/// Batching for the event engine (see [`crate::batched`]): source
 /// arrivals are coalesced into per-(stream, time-bucket) tuple batches
 /// and every batch travels the dataflow as a single event, with batch
-/// storage recycled through a free list. Batch size 1 reproduces the
-/// per-tuple reference engine byte-for-byte; larger batches trade at
-/// most `bucket` seconds of arrival-time fidelity for an order of
-/// magnitude in event-engine throughput.
+/// storage recycled through a free list. Batch size 1 is exact mode,
+/// the same run as `SimulationConfig::batch = None` whatever the bucket;
+/// larger batches trade at most `bucket` seconds of arrival-time
+/// fidelity for an order of magnitude in event-engine throughput.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Largest number of tuples carried by one batch (≥ 1).
@@ -288,9 +286,10 @@ impl BatchConfig {
 /// Run parameters.
 #[derive(Clone, Debug)]
 pub struct SimulationConfig {
-    /// Total simulated time.
+    /// Total simulated time (finite and positive).
     pub horizon: f64,
-    /// Prefix excluded from utilisation / latency measurement.
+    /// Prefix excluded from utilisation / latency measurement, in
+    /// `[0, horizon)`.
     pub warmup: f64,
     /// RNG seed (sources and selectivity draws).
     pub seed: u64,
@@ -327,17 +326,30 @@ pub struct SimulationConfig {
     /// Keep at most this many latency samples (seeded reservoir sampling
     /// beyond, on a dedicated RNG stream). Must be at least 1.
     pub max_latency_samples: usize,
-    /// Run on the batched event engine instead of the per-tuple
-    /// reference (None = reference). See [`BatchConfig`].
+    /// Coalesce tuples into batches (None = exact mode, one tuple per
+    /// batch). See [`BatchConfig`].
     pub batch: Option<BatchConfig>,
 }
 
 impl SimulationConfig {
-    /// Validates the parts of the config that depend on the cluster:
-    /// every outage (node in range, `start < end`) and the failover
-    /// table's node count. CLI front-ends call this to reject bad input
-    /// with a message; [`Simulation::new`] enforces it.
+    /// Validates the config against a cluster size: the horizon and
+    /// warm-up, every outage (node in range, `start < end`), the failover
+    /// table's node count, and the sampling, chaos and batch parameters.
+    /// CLI front-ends call this to reject bad input with a message;
+    /// [`Simulation::new`] enforces it.
     pub fn validate(&self, num_nodes: usize) -> Result<(), String> {
+        if !self.horizon.is_finite() || self.horizon <= 0.0 {
+            return Err(format!(
+                "horizon must be finite and positive (got {})",
+                self.horizon
+            ));
+        }
+        if !(0.0..self.horizon).contains(&self.warmup) {
+            return Err(format!(
+                "warm-up must be in [0, horizon) (got {} for horizon {})",
+                self.warmup, self.horizon
+            ));
+        }
         for outage in &self.outages {
             outage.validate(num_nodes)?;
         }
@@ -429,609 +441,6 @@ impl Default for SimulationConfig {
     }
 }
 
-/// A queued unit of work: one tuple at one operator input port.
-#[derive(Clone, Copy, Debug)]
-struct WorkItem {
-    op: OperatorId,
-    port: usize,
-    tuple: Tuple,
-    /// Extra CPU charged on this node (network receive overhead).
-    recv_overhead: f64,
-}
-
-/// Join window entry.
-#[derive(Clone, Copy, Debug)]
-struct WindowEntry {
-    time: f64,
-    #[allow(dead_code)] // carried for future join-output lineage options
-    tuple: Tuple,
-}
-
-/// Per-node runtime state.
-#[derive(Debug)]
-struct NodeState {
-    queue: VecDeque<WorkItem>,
-    busy: bool,
-    /// Busy time accumulated within the measurement window.
-    measured_busy: f64,
-    /// Busy time accumulated since the last control tick.
-    window_busy: f64,
-    /// Busy time accumulated since the last timeline sample.
-    sample_busy: f64,
-    /// Emissions scheduled to fire when the current service completes:
-    /// (stream, tuple).
-    pending_emissions: Vec<(StreamId, Tuple)>,
-}
-
-/// Per-join runtime state: tuple windows for both inputs.
-#[derive(Debug, Default)]
-struct JoinState {
-    windows: [VecDeque<WindowEntry>; 2],
-}
-
-/// Bookkeeping for one node-failure recovery in progress.
-#[derive(Debug)]
-struct RecoveryState {
-    outage_start: f64,
-    detected_at: f64,
-    /// Failover migrations still in flight for this node.
-    pending: usize,
-    /// Operators moved off the node in total.
-    moved: usize,
-}
-
-/// Mutable engine state, shared by the event handlers.
-struct Runtime<'a, S: TraceSink> {
-    graph: &'a QueryGraph,
-    network: NetworkConfig,
-    horizon: f64,
-    warmup: f64,
-    consumers: Vec<Vec<(OperatorId, usize)>>,
-    capacity: Vec<f64>,
-    /// Current host of every operator — mutable under migration.
-    host: Vec<NodeId>,
-    nodes: Vec<NodeState>,
-    joins: Vec<JoinState>,
-    /// In-flight migrations: destination and buffered input per operator.
-    migrating: Vec<Option<(NodeId, Vec<WorkItem>)>>,
-    /// Busy time attributed to each operator since the last control tick.
-    op_window_busy: Vec<f64>,
-    scheduling: SchedulingPolicy,
-    /// Per-node shedding threshold (usize::MAX = disabled).
-    shed_above: usize,
-    /// Tuples dropped by load shedding.
-    tuples_shed: u64,
-    /// Of those, tuples dropped while a node was down or a failover was
-    /// in flight.
-    tuples_shed_recovery: u64,
-    /// Per-operator queued + buffered item counts.
-    op_queued: Vec<usize>,
-    /// Per-operator queue bound (usize::MAX = unbounded).
-    op_queue_bound: usize,
-    /// Nodes currently failed (no dispatching).
-    down: Vec<bool>,
-    /// How many nodes are currently failed.
-    down_count: usize,
-    /// Failover migrations currently in flight.
-    failover_in_flight: usize,
-    /// Failover migrations executed.
-    failovers: u64,
-    /// Recovery bookkeeping per node (Some while outage → recovery runs).
-    recovering: Vec<Option<RecoveryState>>,
-    /// Source node of an in-flight failover migration, per operator.
-    orphan_src: Vec<Option<usize>>,
-    /// Completed recoveries.
-    recoveries: Vec<RecoveryRecord>,
-    /// First outage start time (opens the post-failure window).
-    pf_start: Option<f64>,
-    /// Busy seconds per node inside the post-failure window.
-    post_failure_busy: Vec<f64>,
-    /// Round-robin cursor per node (last served operator index).
-    rr_cursor: Vec<usize>,
-    /// Total busy time attributed to each operator (whole run).
-    op_total_busy: Vec<f64>,
-    /// Tuples served per operator (whole run).
-    op_served: Vec<u64>,
-    queue: EventQueue,
-    rng: Rng,
-    queued_total: usize,
-    peak_queue: usize,
-    tuples_processed: u64,
-    migrations: u64,
-    migration_downtime: f64,
-    timeline: Vec<TimelineSample>,
-    /// Position of each stream in `graph.inputs()` (None for derived
-    /// streams) — maps StreamArrival events to rate-sample slots.
-    input_index: Vec<Option<usize>>,
-    /// Source arrivals per input stream since the last sample tick.
-    window_arrivals: Vec<u64>,
-    /// Migration chaos injection (None = transfers always succeed).
-    chaos: Option<MigrationChaos>,
-    /// Dedicated RNG stream for chaos failure draws.
-    chaos_rng: Rng,
-    /// Failed attempts so far per in-flight migration.
-    mig_attempts: Vec<u32>,
-    /// Chaos-failed migration attempts that were retried.
-    migration_retries: u64,
-    /// Migrations rolled back after exhausting the chaos retry budget.
-    migrations_aborted: u64,
-    /// Trace receiver ([`NullSink`] when tracing is off).
-    sink: &'a mut S,
-}
-
-impl<S: TraceSink> Runtime<'_, S> {
-    /// Counts one shed tuple, attributing it to the recovery window when
-    /// a node is down or a failover is still in flight.
-    fn shed(&mut self, op: OperatorId, now: f64) {
-        self.tuples_shed += 1;
-        let in_recovery = self.down_count > 0 || self.failover_in_flight > 0;
-        if in_recovery {
-            self.tuples_shed_recovery += 1;
-        }
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord::Shed {
-                time: now,
-                op: op.index(),
-                in_recovery,
-            });
-        }
-    }
-
-    /// Routes a work item either to its operator's node queue or, if the
-    /// operator is mid-migration, into its transfer buffer. Arrivals
-    /// beyond the per-operator bound or the node shedding threshold are
-    /// dropped and counted.
-    fn enqueue(&mut self, item: WorkItem, now: f64) {
-        let op = item.op.index();
-        if self.op_queued[op] >= self.op_queue_bound {
-            self.shed(item.op, now);
-            return;
-        }
-        if let Some((_, buffer)) = &mut self.migrating[op] {
-            if buffer.len() >= self.shed_above {
-                self.shed(item.op, now);
-                return;
-            }
-            self.queued_total += 1;
-            self.op_queued[op] += 1;
-            self.peak_queue = self.peak_queue.max(self.queued_total);
-            buffer.push(item);
-            return;
-        }
-        let node = self.host[op].index();
-        if self.nodes[node].queue.len() >= self.shed_above {
-            self.shed(item.op, now);
-            return;
-        }
-        self.queued_total += 1;
-        self.op_queued[op] += 1;
-        self.peak_queue = self.peak_queue.max(self.queued_total);
-        self.nodes[node].queue.push_back(item);
-        if !self.nodes[node].busy && !self.down[node] {
-            self.dispatch(node, now);
-        }
-    }
-
-    /// Picks the index (within the node's queue) of the next item to
-    /// serve, per the configured scheduling discipline.
-    fn pick_next(&mut self, node: usize) -> usize {
-        let queue = &self.nodes[node].queue;
-        debug_assert!(!queue.is_empty());
-        match self.scheduling {
-            SchedulingPolicy::Fifo => 0,
-            SchedulingPolicy::LongestQueueFirst => {
-                // Count queued items per operator, serve the head item of
-                // the deepest backlog.
-                let mut counts: std::collections::HashMap<usize, usize> =
-                    std::collections::HashMap::new();
-                for item in queue {
-                    *counts.entry(item.op.index()).or_default() += 1;
-                }
-                let (&busiest, _) = counts
-                    .iter()
-                    .max_by_key(|(op, count)| (**count, usize::MAX - **op))
-                    .expect("non-empty queue");
-                queue
-                    .iter()
-                    .position(|item| item.op.index() == busiest)
-                    .expect("busiest operator has an item")
-            }
-            SchedulingPolicy::RoundRobin => {
-                // The first queued item of the lowest operator index
-                // strictly greater than the cursor, wrapping.
-                let cursor = self.rr_cursor[node];
-                let key = |op: usize| {
-                    if op > cursor {
-                        op - cursor
-                    } else {
-                        op + self.graph.num_operators() - cursor
-                    }
-                };
-                let (pos, _) = queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, item)| key(item.op.index()))
-                    .expect("non-empty queue");
-                pos
-            }
-        }
-    }
-
-    /// Starts service of the next queued item on `node` at time `now`.
-    fn dispatch(&mut self, node: usize, now: f64) {
-        let pick = self.pick_next(node);
-        let item = self.nodes[node]
-            .queue
-            .remove(pick)
-            .expect("dispatch on empty queue");
-        if self.scheduling == SchedulingPolicy::RoundRobin {
-            self.rr_cursor[node] = item.op.index();
-        }
-        self.queued_total -= 1;
-        self.op_queued[item.op.index()] -= 1;
-        let op = self.graph.operator(item.op);
-
-        // Raw CPU cost and emission count for this tuple.
-        let (raw_cost, emit_count) = match &op.kind {
-            OperatorKind::Linear {
-                costs,
-                selectivities,
-            } => (
-                costs[item.port],
-                bernoulli_emissions(selectivities[item.port], &mut self.rng),
-            ),
-            OperatorKind::VariableSelectivity {
-                costs,
-                nominal_selectivities,
-            } => (
-                costs[item.port],
-                bernoulli_emissions(nominal_selectivities[item.port], &mut self.rng),
-            ),
-            OperatorKind::WindowJoin {
-                window,
-                cost_per_pair,
-                selectivity_per_pair,
-            } => {
-                let state = &mut self.joins[item.op.index()];
-                let other = 1 - item.port;
-                // Prune the partner window, then match against it.
-                while let Some(front) = state.windows[other].front() {
-                    if front.time < now - window {
-                        state.windows[other].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                let pairs = state.windows[other].len();
-                // Insert this tuple into its own window.
-                state.windows[item.port].push_back(WindowEntry {
-                    time: now,
-                    tuple: item.tuple,
-                });
-                let mut emitted = 0u64;
-                for _ in 0..pairs {
-                    emitted += bernoulli_emissions(*selectivity_per_pair, &mut self.rng);
-                }
-                (pairs as f64 * cost_per_pair, emitted)
-            }
-        };
-
-        // Decide emissions now; fire them at completion.
-        let mut emissions = Vec::with_capacity(emit_count as usize);
-        for _ in 0..emit_count {
-            emissions.push((
-                op.output,
-                Tuple {
-                    birth: item.tuple.birth,
-                },
-            ));
-        }
-
-        // Network CPU overheads: receive side carried on the item, send
-        // side charged per emission that will cross the network.
-        let remote_emissions = emissions
-            .iter()
-            .flat_map(|(s, _)| self.consumers[s.index()].iter())
-            .filter(|(c, _)| self.host[c.index()] != NodeId(node))
-            .count();
-        let overhead = item.recv_overhead + remote_emissions as f64 * self.network.send_cpu_cost;
-
-        let service = (raw_cost + overhead) / self.capacity[node];
-        let end = now + service;
-        // Busy-time accounting clipped to the measurement window.
-        let busy_start = now.max(self.warmup);
-        let busy_end = end.max(self.warmup).min(self.horizon);
-        if busy_end > busy_start {
-            self.nodes[node].measured_busy += busy_end - busy_start;
-        }
-        if let Some(pf) = self.pf_start {
-            let pf_end = end.min(self.horizon);
-            if pf_end > now.max(pf) {
-                self.post_failure_busy[node] += pf_end - now.max(pf);
-            }
-        }
-        self.nodes[node].window_busy += service;
-        self.nodes[node].sample_busy += service;
-        self.op_window_busy[item.op.index()] += service;
-        self.op_total_busy[item.op.index()] += service;
-        self.op_served[item.op.index()] += 1;
-        self.nodes[node].busy = true;
-        self.nodes[node].pending_emissions = emissions;
-        self.queue
-            .push(end, EventKind::ServiceComplete { node: NodeId(node) });
-    }
-
-    /// Handles a service completion: deliver emissions, continue work.
-    fn complete(&mut self, node: NodeId, now: f64) {
-        let node_idx = node.index();
-        self.tuples_processed += 1;
-        let emissions = std::mem::take(&mut self.nodes[node_idx].pending_emissions);
-        for (stream, tuple) in emissions {
-            if self.consumers[stream.index()].is_empty() {
-                // Sink: record via a StreamArrival (latency bookkeeping
-                // happens in the main loop).
-                self.queue
-                    .push(now, EventKind::StreamArrival { stream, tuple });
-                continue;
-            }
-            for ci in 0..self.consumers[stream.index()].len() {
-                let (op, port) = self.consumers[stream.index()][ci];
-                let remote = self.host[op.index()] != node;
-                let delay = if remote { self.network.latency } else { 0.0 };
-                let recv_overhead = if remote {
-                    self.network.recv_cpu_cost
-                } else {
-                    0.0
-                };
-                self.queue.push(
-                    now + delay,
-                    EventKind::ConsumerArrival {
-                        op,
-                        port,
-                        tuple,
-                        recv_overhead,
-                    },
-                );
-            }
-        }
-        self.nodes[node_idx].busy = false;
-        if !self.nodes[node_idx].queue.is_empty() && !self.down[node_idx] {
-            self.dispatch(node_idx, now);
-        }
-    }
-
-    /// The dynamic load manager's control tick: sample window
-    /// utilisations, possibly start one migration, reset the window.
-    fn control_tick(&mut self, now: f64, config: &MigrationConfig) {
-        let n = self.nodes.len();
-        let utils: Vec<f64> = (0..n)
-            .map(|i| (self.nodes[i].window_busy / config.check_interval).min(1.0))
-            .collect();
-        let hot = (0..n)
-            .max_by(|&a, &b| utils[a].total_cmp(&utils[b]))
-            .expect("nodes");
-        let cold = (0..n)
-            .min_by(|&a, &b| utils[a].total_cmp(&utils[b]))
-            .expect("nodes");
-
-        if utils[hot] >= config.utilisation_trigger
-            && utils[hot] - utils[cold] >= config.imbalance_trigger
-            && hot != cold
-            && !self.down[hot]
-            && !self.down[cold]
-        {
-            // Pick the operator on the hot node whose recent busy time is
-            // closest to half the gap (move enough, not too much), among
-            // operators not already migrating.
-            let target = (utils[hot] - utils[cold]) / 2.0 * config.check_interval;
-            let candidate = (0..self.graph.num_operators())
-                .filter(|&j| {
-                    self.host[j] == NodeId(hot)
-                        && self.migrating[j].is_none()
-                        && self.op_window_busy[j] > 0.0
-                        && !config.pinned.contains(&OperatorId(j))
-                })
-                .min_by(|&a, &b| {
-                    let da = (self.op_window_busy[a] - target).abs();
-                    let db = (self.op_window_busy[b] - target).abs();
-                    da.total_cmp(&db)
-                });
-            if let Some(op) = candidate {
-                self.start_migration(OperatorId(op), NodeId(cold), now, config, false);
-            }
-        }
-
-        for node in &mut self.nodes {
-            node.window_busy = 0.0;
-        }
-        self.op_window_busy.fill(0.0);
-    }
-
-    /// Freezes an operator, buffers its queued input, and schedules its
-    /// resumption on the destination node after the transfer downtime.
-    /// `failover = true` marks a table-driven recovery move (counted
-    /// separately from the load manager's migrations).
-    fn start_migration(
-        &mut self,
-        op: OperatorId,
-        dest: NodeId,
-        now: f64,
-        config: &MigrationConfig,
-        failover: bool,
-    ) {
-        let src = self.host[op.index()].index();
-        // Divert items already queued for this operator into the buffer.
-        let mut buffer = Vec::new();
-        self.nodes[src].queue.retain(|item| {
-            if item.op == op {
-                buffer.push(*item);
-                false
-            } else {
-                true
-            }
-        });
-        let downtime = config.base_downtime + buffer.len() as f64 * config.per_item_downtime;
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord::MigrationStart {
-                time: now,
-                op: op.index(),
-                from: src,
-                to: dest.index(),
-                downtime,
-                failover,
-            });
-        }
-        self.migrating[op.index()] = Some((dest, buffer));
-        if failover {
-            self.failovers += 1;
-            self.failover_in_flight += 1;
-            self.orphan_src[op.index()] = Some(src);
-        } else {
-            self.migrations += 1;
-            self.migration_downtime += downtime;
-        }
-        self.queue
-            .push(now + downtime, EventKind::MigrationComplete { op, dest });
-    }
-
-    /// Finishes a migration: rebind the host and replay the buffer. A
-    /// failover move also advances its node's recovery bookkeeping,
-    /// closing the [`RecoveryRecord`] when the last orphan lands.
-    fn finish_migration(&mut self, op: OperatorId, dest: NodeId, now: f64) {
-        let (_, buffer) = self.migrating[op.index()]
-            .take()
-            .expect("migration completion without start");
-        self.host[op.index()] = dest;
-        let node = dest.index();
-        for item in buffer {
-            self.nodes[node].queue.push_back(item);
-        }
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord::MigrationEnd {
-                time: now,
-                op: op.index(),
-                dest: node,
-            });
-        }
-        if let Some(src) = self.orphan_src[op.index()].take() {
-            self.failover_in_flight -= 1;
-            if let Some(state) = self.recovering[src].as_mut() {
-                state.pending -= 1;
-                if state.pending == 0 {
-                    let state = self.recovering[src].take().expect("state present");
-                    if self.sink.enabled() {
-                        self.sink.record(&TraceRecord::RecoveryComplete {
-                            time: now,
-                            node: src,
-                            moved: state.moved,
-                            latency: now - state.outage_start,
-                        });
-                    }
-                    self.recoveries.push(RecoveryRecord {
-                        node: src,
-                        outage_start: state.outage_start,
-                        detected_at: state.detected_at,
-                        recovered_at: now,
-                        operators_moved: state.moved,
-                    });
-                }
-            }
-        }
-        if !self.nodes[node].busy && !self.nodes[node].queue.is_empty() && !self.down[node] {
-            self.dispatch(node, now);
-        }
-    }
-
-    /// Rolls back a chaos-failed migration: the operator stays on its
-    /// origin host, which re-absorbs the buffered input, and the
-    /// abandoned transfer is counted and traced.
-    fn abort_migration(&mut self, op: OperatorId, dest: NodeId, now: f64, attempts: u32) {
-        let (_, buffer) = self.migrating[op.index()]
-            .take()
-            .expect("migration abort without start");
-        let node = self.host[op.index()].index();
-        for item in buffer {
-            self.nodes[node].queue.push_back(item);
-        }
-        self.migrations_aborted += 1;
-        self.mig_attempts[op.index()] = 0;
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord::MigrationAborted {
-                time: now,
-                op: op.index(),
-                from: node,
-                to: dest.index(),
-                attempts,
-            });
-        }
-        if !self.nodes[node].busy && !self.nodes[node].queue.is_empty() && !self.down[node] {
-            self.dispatch(node, now);
-        }
-    }
-
-    /// Handles a detected node failure: move every operator still hosted
-    /// on the dead node to its table-designated backup (falling back to
-    /// the lowest-indexed live node when the table has no entry or the
-    /// backup is itself down). A no-op if the outage already ended.
-    fn detect_failure(&mut self, node: NodeId, now: f64, fo: &FailoverConfig) {
-        let idx = node.index();
-        if !self.down[idx] {
-            // The node came back before the monitor noticed; no failover.
-            self.recovering[idx] = None;
-            return;
-        }
-        let orphans: Vec<usize> = (0..self.graph.num_operators())
-            .filter(|&j| self.host[j] == node && self.migrating[j].is_none())
-            .collect();
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord::FailureDetected {
-                time: now,
-                node: idx,
-                orphans: orphans.len(),
-            });
-        }
-        let mut moved = 0;
-        for j in orphans {
-            let op = OperatorId(j);
-            let planned = fo
-                .table
-                .backup_of(node, op)
-                .filter(|b| !self.down[b.index()]);
-            let dest =
-                planned.or_else(|| (0..self.down.len()).find(|&i| !self.down[i]).map(NodeId));
-            if let Some(dest) = dest {
-                self.start_migration(op, dest, now, &fo.migration, true);
-                moved += 1;
-            }
-        }
-        if let Some(state) = self.recovering[idx].as_mut() {
-            state.detected_at = now;
-            state.pending = moved;
-            state.moved = moved;
-            if moved == 0 {
-                // Nothing hosted here (or nowhere to go): recovery is
-                // instantaneous and trivially complete.
-                let state = self.recovering[idx].take().expect("state present");
-                if self.sink.enabled() {
-                    self.sink.record(&TraceRecord::RecoveryComplete {
-                        time: now,
-                        node: idx,
-                        moved: 0,
-                        latency: now - state.outage_start,
-                    });
-                }
-                self.recoveries.push(RecoveryRecord {
-                    node: idx,
-                    outage_start: state.outage_start,
-                    detected_at: now,
-                    recovered_at: now,
-                    operators_moved: 0,
-                });
-            }
-        }
-    }
-}
-
 /// A configured simulation, ready to run.
 pub struct Simulation<'a> {
     pub(crate) graph: &'a QueryGraph,
@@ -1043,7 +452,9 @@ pub struct Simulation<'a> {
 
 impl<'a> Simulation<'a> {
     /// Builds a simulation. `sources` must provide one spec per system
-    /// input stream, and `allocation` must be complete.
+    /// input stream, every constant rate must be finite (an infinite or
+    /// NaN rate would generate arrivals forever), `allocation` must be
+    /// complete, and `config` must pass [`SimulationConfig::validate`].
     pub fn new(
         graph: &'a QueryGraph,
         allocation: &'a Allocation,
@@ -1056,9 +467,16 @@ impl<'a> Simulation<'a> {
             graph.num_inputs(),
             "one source per system input"
         );
+        for (k, source) in sources.iter().enumerate() {
+            if let SourceSpec::ConstantRate(rate) = source {
+                assert!(
+                    rate.is_finite(),
+                    "source {k}: constant rate must be finite (got {rate})"
+                );
+            }
+        }
         assert!(allocation.is_complete(), "allocation must be complete");
         assert_eq!(allocation.num_operators(), graph.num_operators());
-        assert!(config.warmup < config.horizon);
         cluster.validate().expect("valid cluster");
         if let Err(msg) = config.validate(cluster.num_nodes()) {
             panic!("invalid simulation config: {msg}");
@@ -1078,489 +496,29 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs the simulation, offering every event-loop transition of
-    /// interest to `sink` as a [`TraceRecord`] (see [`crate::trace`]).
-    /// Identical inputs produce the identical report *and* the identical
-    /// record sequence, whatever the sink.
+    /// interest to `sink` as a [`TraceRecord`](crate::trace::TraceRecord)
+    /// (see [`crate::trace`]). Identical inputs produce the identical
+    /// report *and* the identical record sequence, whatever the sink.
     ///
-    /// With [`SimulationConfig::batch`] set, the run is delegated to the
-    /// batched engine ([`crate::batched`]); otherwise it executes on this
-    /// per-tuple reference path.
+    /// The run executes on the batched event engine ([`crate::batched`]):
+    /// under [`SimulationConfig::batch`], or in exact mode (one tuple per
+    /// batch) when that is `None`.
     pub fn run_with_sink<S: TraceSink>(&self, sink: &mut S) -> SimReport {
-        if let Some(batch) = self.config.batch {
-            return crate::batched::run(self, batch, sink);
-        }
-        let mut rng = seeded_rng(self.config.seed);
-        let mut latency_rng = seeded_rng(self.config.seed ^ LATENCY_STREAM_TAG);
-        let graph = self.graph;
-        let horizon = self.config.horizon;
-        let warmup = self.config.warmup;
-        let m = graph.num_operators();
-        let n = self.cluster.num_nodes();
-
-        let mut queue = EventQueue::new();
-        let mut tuples_in = 0u64;
-        for (k, spec) in self.sources.iter().enumerate() {
-            let stream = graph.inputs()[k];
-            for t in spec.arrivals(horizon, &mut rng) {
-                queue.push(
-                    t,
-                    EventKind::StreamArrival {
-                        stream,
-                        tuple: Tuple { birth: t },
-                    },
-                );
-                tuples_in += 1;
-            }
-        }
-        if let Some(mig) = &self.config.migration {
-            queue.push(mig.check_interval, EventKind::ControlTick);
-        }
-        if let Some(interval) = self.config.sample_interval {
-            queue.push(interval, EventKind::SampleTick);
-        }
-        // Push outage transitions in canonical order — by time, ends
-        // before starts at equal times — so back-to-back outages on one
-        // node (end at t, next start at t) never overlap in the down/
-        // down_count bookkeeping regardless of config order.
-        let mut outage_events: Vec<(f64, bool, NodeId)> = Vec::new();
-        for outage in &self.config.outages {
-            outage_events.push((outage.start, true, outage.node));
-            outage_events.push((outage.end, false, outage.node));
-        }
-        outage_events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (time, is_start, node) in outage_events {
-            let kind = if is_start {
-                EventKind::OutageStart { node }
-            } else {
-                EventKind::OutageEnd { node }
-            };
-            queue.push(time, kind);
-        }
-
-        let mut rt = Runtime {
-            graph,
-            network: self.config.network,
-            horizon,
-            warmup,
-            consumers: (0..graph.num_streams())
-                .map(|s| graph.consumers_of(StreamId(s)))
-                .collect(),
-            capacity: self
-                .cluster
-                .nodes()
-                .map(|nd| self.cluster.capacity(nd))
-                .collect(),
-            host: (0..m)
-                .map(|j| self.allocation.node_of(OperatorId(j)).expect("complete"))
-                .collect(),
-            nodes: (0..n)
-                .map(|_| NodeState {
-                    queue: VecDeque::new(),
-                    busy: false,
-                    measured_busy: 0.0,
-                    window_busy: 0.0,
-                    sample_busy: 0.0,
-                    pending_emissions: Vec::new(),
-                })
-                .collect(),
-            joins: (0..m).map(|_| JoinState::default()).collect(),
-            migrating: vec![None; m],
-            op_window_busy: vec![0.0; m],
-            scheduling: self.config.scheduling,
-            shed_above: self.config.shed_above.unwrap_or(usize::MAX),
-            tuples_shed: 0,
-            tuples_shed_recovery: 0,
-            op_queued: vec![0; m],
-            op_queue_bound: self.config.op_queue_bound.unwrap_or(usize::MAX),
-            down: vec![false; n],
-            down_count: 0,
-            failover_in_flight: 0,
-            failovers: 0,
-            recovering: (0..n).map(|_| None).collect(),
-            orphan_src: vec![None; m],
-            recoveries: Vec::new(),
-            pf_start: None,
-            post_failure_busy: vec![0.0; n],
-            rr_cursor: vec![0; n],
-            op_total_busy: vec![0.0; m],
-            op_served: vec![0; m],
-            queue,
-            rng,
-            queued_total: 0,
-            peak_queue: 0,
-            tuples_processed: 0,
-            migrations: 0,
-            migration_downtime: 0.0,
-            timeline: Vec::new(),
-            input_index: {
-                let mut idx = vec![None; graph.num_streams()];
-                for (k, stream) in graph.inputs().iter().enumerate() {
-                    idx[stream.index()] = Some(k);
-                }
-                idx
-            },
-            window_arrivals: vec![0; graph.num_inputs()],
-            chaos: self.config.migration_chaos.clone(),
-            chaos_rng: seeded_rng(
-                self.config
-                    .migration_chaos
-                    .as_ref()
-                    .map_or(0, |c| c.seed ^ 0x0063_6861_6f73), // "chaos"-tagged stream
-            ),
-            mig_attempts: vec![0; m],
-            migration_retries: 0,
-            migrations_aborted: 0,
-            sink,
+        let exact = BatchConfig {
+            max_batch: 1,
+            ..BatchConfig::default()
         };
-
-        if rt.sink.enabled() {
-            rt.sink.record(&TraceRecord::RunStart {
-                horizon,
-                warmup,
-                seed: self.config.seed,
-                nodes: n,
-                operators: m,
-            });
-        }
-
-        let mut tuples_out = 0u64;
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut latency_seen = 0u64; // for reservoir thinning
-        let mut saturated = false;
-        let mut end_time = horizon;
-
-        while let Some(event) = rt.queue.pop() {
-            if event.time > horizon {
-                break;
-            }
-            match event.kind {
-                EventKind::StreamArrival { stream, tuple } => {
-                    if rt.consumers[stream.index()].is_empty() {
-                        // Sink stream: record end-to-end latency.
-                        tuples_out += 1;
-                        if rt.sink.enabled() {
-                            rt.sink.record(&TraceRecord::SinkDeparture {
-                                time: event.time,
-                                stream: stream.index(),
-                                latency: event.time - tuple.birth,
-                            });
-                        }
-                        if event.time >= warmup {
-                            latency_seen += 1;
-                            record_latency(
-                                &mut latencies,
-                                &mut latency_rng,
-                                latency_seen,
-                                self.config.max_latency_samples,
-                                event.time - tuple.birth,
-                            );
-                        }
-                        continue;
-                    }
-                    // Source fan-out: deliver locally (sources are
-                    // external; the paper's communication model concerns
-                    // inter-operator arcs).
-                    if let Some(k) = rt.input_index[stream.index()] {
-                        rt.window_arrivals[k] += 1;
-                    }
-                    if rt.sink.enabled() {
-                        rt.sink.record(&TraceRecord::SourceArrival {
-                            time: event.time,
-                            stream: stream.index(),
-                        });
-                    }
-                    for ci in 0..rt.consumers[stream.index()].len() {
-                        let (op, port) = rt.consumers[stream.index()][ci];
-                        rt.enqueue(
-                            WorkItem {
-                                op,
-                                port,
-                                tuple,
-                                recv_overhead: 0.0,
-                            },
-                            event.time,
-                        );
-                    }
-                }
-                EventKind::ConsumerArrival {
-                    op,
-                    port,
-                    tuple,
-                    recv_overhead,
-                } => {
-                    rt.enqueue(
-                        WorkItem {
-                            op,
-                            port,
-                            tuple,
-                            recv_overhead,
-                        },
-                        event.time,
-                    );
-                }
-                EventKind::BatchArrival { .. } | EventKind::BatchConsumerArrival { .. } => {
-                    unreachable!("batch events are only scheduled by the batched engine")
-                }
-                EventKind::ServiceComplete { node } => {
-                    rt.complete(node, event.time);
-                }
-                EventKind::ControlTick => {
-                    let mig = self
-                        .config
-                        .migration
-                        .clone()
-                        .expect("ControlTick only scheduled with migration enabled");
-                    rt.control_tick(event.time, &mig);
-                    if event.time + mig.check_interval < horizon {
-                        rt.queue
-                            .push(event.time + mig.check_interval, EventKind::ControlTick);
-                    }
-                }
-                EventKind::SampleTick => {
-                    let interval = self
-                        .config
-                        .sample_interval
-                        .expect("SampleTick only scheduled with sampling enabled");
-                    let utilisations: Vec<f64> = rt
-                        .nodes
-                        .iter_mut()
-                        .map(|s| {
-                            let u = (s.sample_busy / interval).min(1.0);
-                            s.sample_busy = 0.0;
-                            u
-                        })
-                        .collect();
-                    let rates: Vec<f64> = rt
-                        .window_arrivals
-                        .iter_mut()
-                        .map(|count| {
-                            let rate = *count as f64 / interval;
-                            *count = 0;
-                            rate
-                        })
-                        .collect();
-                    if rt.sink.enabled() {
-                        let record = TraceRecord::util_sample(
-                            event.time,
-                            utilisations.clone(),
-                            rt.nodes.iter().map(|s| s.queue.len()).collect(),
-                            rt.queued_total,
-                            rates,
-                        )
-                        .expect("engine sample values are finite and non-negative");
-                        rt.sink.record(&record);
-                    }
-                    rt.timeline.push(TimelineSample {
-                        time: event.time,
-                        utilisations,
-                        queued: rt.queued_total,
-                        migrations: rt.migrations,
-                    });
-                    if event.time + interval < horizon {
-                        rt.queue.push(event.time + interval, EventKind::SampleTick);
-                    }
-                }
-                EventKind::MigrationComplete { op, dest } => {
-                    // Chaos injection: a completing load-manager transfer
-                    // may fail, retry after exponential backoff, and
-                    // finally roll back. Failover moves are exempt (their
-                    // origin node is dead), and the failure draw comes
-                    // from a dedicated RNG stream so chaos-off runs are
-                    // byte-identical to the pre-chaos engine.
-                    let inject = rt.chaos.clone().filter(|_| {
-                        rt.migrating[op.index()].is_some() && rt.orphan_src[op.index()].is_none()
-                    });
-                    match inject {
-                        Some(chaos) if rt.chaos_rng.gen::<f64>() < chaos.failure_prob => {
-                            let attempt = rt.mig_attempts[op.index()] + 1;
-                            if attempt <= chaos.max_retries {
-                                rt.mig_attempts[op.index()] = attempt;
-                                rt.migration_retries += 1;
-                                let backoff = chaos.backoff(attempt);
-                                if rt.sink.enabled() {
-                                    rt.sink.record(&TraceRecord::MigrationRetry {
-                                        time: event.time,
-                                        op: op.index(),
-                                        dest: dest.index(),
-                                        attempt,
-                                        backoff,
-                                    });
-                                }
-                                rt.queue.push(
-                                    event.time + backoff,
-                                    EventKind::MigrationComplete { op, dest },
-                                );
-                            } else {
-                                rt.abort_migration(op, dest, event.time, attempt);
-                            }
-                        }
-                        _ => {
-                            rt.mig_attempts[op.index()] = 0;
-                            rt.finish_migration(op, dest, event.time);
-                        }
-                    }
-                }
-                EventKind::OutageStart { node } => {
-                    // The in-flight service (if any) completes; no new
-                    // dispatches happen until recovery.
-                    rt.down[node.index()] = true;
-                    rt.down_count += 1;
-                    if rt.sink.enabled() {
-                        rt.sink.record(&TraceRecord::OutageStart {
-                            time: event.time,
-                            node: node.index(),
-                        });
-                    }
-                    if rt.pf_start.is_none() {
-                        rt.pf_start = Some(event.time);
-                    }
-                    if let Some(fo) = &self.config.failover {
-                        if rt.recovering[node.index()].is_none() {
-                            rt.recovering[node.index()] = Some(RecoveryState {
-                                outage_start: event.time,
-                                detected_at: 0.0,
-                                pending: 0,
-                                moved: 0,
-                            });
-                            rt.queue.push(
-                                event.time + fo.detection_delay,
-                                EventKind::FailureDetected { node },
-                            );
-                        }
-                    }
-                }
-                EventKind::FailureDetected { node } => {
-                    let fo = self
-                        .config
-                        .failover
-                        .as_ref()
-                        .expect("FailureDetected only scheduled with failover enabled");
-                    rt.detect_failure(node, event.time, fo);
-                }
-                EventKind::OutageEnd { node } => {
-                    let idx = node.index();
-                    rt.down[idx] = false;
-                    rt.down_count -= 1;
-                    if rt.sink.enabled() {
-                        rt.sink.record(&TraceRecord::OutageEnd {
-                            time: event.time,
-                            node: idx,
-                        });
-                    }
-                    if !rt.nodes[idx].busy && !rt.nodes[idx].queue.is_empty() {
-                        rt.dispatch(idx, event.time);
-                    }
-                }
-            }
-            if rt.queued_total > self.config.max_queue {
-                saturated = true;
-                end_time = event.time;
-                break;
-            }
-        }
-
-        if rt.sink.enabled() {
-            rt.sink.record(&TraceRecord::RunEnd {
-                time: end_time,
-                tuples_in,
-                tuples_out,
-                tuples_processed: rt.tuples_processed,
-                tuples_shed: rt.tuples_shed,
-                saturated,
-            });
-        }
-
-        let measured_duration = horizon - warmup;
-        let utilisations = rt
-            .nodes
-            .iter()
-            .map(|s| (s.measured_busy / measured_duration).min(1.0))
-            .collect();
-        let final_queue = rt.nodes.iter().map(|s| s.queue.len()).sum::<usize>()
-            + rt.migrating
-                .iter()
-                .flatten()
-                .map(|(_, b)| b.len())
-                .sum::<usize>();
-
-        let post_failure_max_utilisation = rt.pf_start.map(|pf| {
-            let window = (horizon - pf).max(1e-9);
-            rt.post_failure_busy
-                .iter()
-                .map(|b| (b / window).min(1.0))
-                .fold(0.0, f64::max)
-        });
-
-        SimReport {
-            measured_duration,
-            utilisations,
-            tuples_in,
-            tuples_out,
-            tuples_processed: rt.tuples_processed,
-            latencies: Percentiles::from_samples(latencies),
-            peak_queue: rt.peak_queue,
-            final_queue,
-            saturated,
-            migrations: rt.migrations,
-            migration_downtime: rt.migration_downtime,
-            migration_retries: rt.migration_retries,
-            migrations_aborted: rt.migrations_aborted,
-            timeline: rt.timeline,
-            operator_busy: rt.op_total_busy,
-            operator_served: rt.op_served,
-            tuples_shed: rt.tuples_shed,
-            tuples_shed_in_recovery: rt.tuples_shed_recovery,
-            failovers: rt.failovers,
-            recoveries: rt.recoveries,
-            post_failure_max_utilisation,
-            final_hosts: rt.host.iter().map(|h| h.index()).collect(),
-        }
-    }
-}
-
-/// XOR tag deriving the dedicated latency-reservoir RNG stream from the
-/// run seed ("latency"), mirroring the chaos stream: thinning draws must
-/// never perturb source arrivals or selectivity draws, so changing the
-/// sample cap cannot change the simulated trajectory.
-pub(crate) const LATENCY_STREAM_TAG: u64 = 0x006c_6174_656e_6379;
-
-/// Number of output tuples for one input tuple with (possibly > 1)
-/// selectivity `s`: `floor(s)` sure emissions plus a Bernoulli on the
-/// fractional part.
-pub(crate) fn bernoulli_emissions(selectivity: f64, rng: &mut Rng) -> u64 {
-    let whole = selectivity.floor();
-    let frac = selectivity - whole;
-    whole as u64 + u64::from(rng.gen::<f64>() < frac)
-}
-
-/// Seeded reservoir sampling (Algorithm R): each of the `seen` post-
-/// warmup sink tuples ends up in the bounded sample with equal
-/// probability `cap / seen`, so quantiles of the reservoir are unbiased
-/// estimates of the full-sample quantiles. Draws come from a dedicated
-/// RNG stream ([`LATENCY_STREAM_TAG`]) so thinning is invisible to the
-/// simulation itself.
-pub(crate) fn record_latency(
-    samples: &mut Vec<f64>,
-    rng: &mut Rng,
-    seen: u64,
-    cap: usize,
-    value: f64,
-) {
-    if samples.len() < cap {
-        samples.push(value);
-    } else {
-        let idx = rng.gen_range(0..seen);
-        if (idx as usize) < cap {
-            samples[idx as usize] = value;
-        }
+        crate::batched::run(self, self.config.batch.unwrap_or(exact), sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceRecord;
     use rod_core::graph::GraphBuilder;
     use rod_core::load_model::LoadModel;
+    use rod_core::operator::OperatorKind;
     use rod_core::rod::RodPlanner;
 
     fn simple_chain() -> QueryGraph {
@@ -2360,6 +1318,62 @@ mod tests {
                 }],
                 ..SimulationConfig::default()
             },
+        );
+    }
+
+    #[test]
+    fn config_validation_rejects_degenerate_horizons() {
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let config = SimulationConfig {
+                horizon: bad,
+                warmup: 0.0,
+                ..SimulationConfig::default()
+            };
+            let err = config.validate(1).unwrap_err();
+            assert!(err.contains("horizon"), "horizon {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn config_validation_rejects_warmup_outside_the_horizon() {
+        for bad in [-1.0, 30.0, 45.0, f64::NAN] {
+            let config = SimulationConfig {
+                horizon: 30.0,
+                warmup: bad,
+                ..SimulationConfig::default()
+            };
+            let err = config.validate(1).unwrap_err();
+            assert!(err.contains("warm-up"), "warm-up {bad}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "constant rate must be finite")]
+    fn simulation_new_refuses_a_nan_rate() {
+        let graph = simple_chain();
+        let cluster = Cluster::homogeneous(1, 1.0);
+        let alloc = place(&graph, &cluster);
+        let _ = Simulation::new(
+            &graph,
+            &alloc,
+            &cluster,
+            vec![SourceSpec::ConstantRate(f64::NAN)],
+            SimulationConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "constant rate must be finite")]
+    fn simulation_new_refuses_an_infinite_rate() {
+        let graph = simple_chain();
+        let cluster = Cluster::homogeneous(1, 1.0);
+        let alloc = place(&graph, &cluster);
+        let _ = Simulation::new(
+            &graph,
+            &alloc,
+            &cluster,
+            vec![SourceSpec::ConstantRate(f64::INFINITY)],
+            SimulationConfig::default(),
         );
     }
 

@@ -13,7 +13,7 @@ pub struct Tuple {
     pub birth: f64,
 }
 
-/// Handle of a pooled tuple batch in the batched engine's slab (see
+/// Handle of a pooled tuple batch in the engine's slab (see
 /// `crate::batched`). Events stay `Copy` by carrying the slot index;
 /// the tuples live in the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,41 +29,28 @@ impl BatchId {
 /// Simulator events.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A tuple becomes available on a stream — used for source arrivals
-    /// (fanned out to consumers on processing) and for sink emissions
-    /// (where the latency is recorded).
-    StreamArrival {
-        /// The stream the tuple appears on.
-        stream: StreamId,
-        /// The tuple itself.
-        tuple: Tuple,
+    /// A run of source arrivals on one system input: tuples
+    /// `first..first + len` of that input's arrival-time vector, filled
+    /// into a pooled batch when the event fires (so the pool never holds
+    /// batches that have not arrived yet).
+    SourceBatch {
+        /// Position of the stream in the graph's system inputs.
+        input: usize,
+        /// Index of the run's first tuple in the input's arrivals.
+        first: usize,
+        /// Tuples in the run.
+        len: usize,
     },
-    /// A tuple delivered to one specific consumer port, possibly after a
-    /// network hop (then `recv_overhead` carries the receiving node's CPU
-    /// charge).
-    ConsumerArrival {
-        /// The consuming operator.
-        op: OperatorId,
-        /// Which of its input ports receives the tuple.
-        port: usize,
-        /// The tuple itself.
-        tuple: Tuple,
-        /// CPU charged to the receiving node (network hop overhead).
-        recv_overhead: f64,
-    },
-    /// A pooled batch of tuples becomes available on a stream — the
-    /// batched engine's analogue of [`EventKind::StreamArrival`], used
-    /// for source arrivals and sink emissions. Never scheduled by the
-    /// per-tuple reference engine.
-    BatchArrival {
-        /// The stream the batch appears on.
+    /// A pooled batch of tuples leaves the query network on a sink
+    /// stream (where the latency is recorded).
+    SinkBatch {
+        /// The sink stream.
         stream: StreamId,
         /// Pool handle of the batch.
         batch: BatchId,
     },
     /// A pooled batch delivered to one specific consumer port, possibly
-    /// after a network hop — the batched engine's analogue of
-    /// [`EventKind::ConsumerArrival`].
+    /// after a network hop.
     BatchConsumerArrival {
         /// The consuming operator.
         op: OperatorId,
@@ -218,19 +205,20 @@ mod tests {
         for i in 0..5 {
             q.push(
                 1.0,
-                EventKind::StreamArrival {
-                    stream: StreamId(i),
-                    tuple: Tuple { birth: 0.0 },
+                EventKind::SourceBatch {
+                    input: i,
+                    first: 0,
+                    len: 1,
                 },
             );
         }
-        let streams: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let inputs: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::StreamArrival { stream, .. } => stream.index(),
+                EventKind::SourceBatch { input, .. } => input,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(streams, vec![0, 1, 2, 3, 4]);
+        assert_eq!(inputs, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -22,9 +22,14 @@
 //!
 //! The crate offers two levels:
 //!
-//! * [`engine::Simulation`] — the raw event-driven engine with full
-//!   reports ([`report::SimReport`]: utilisations, end-to-end latency
-//!   percentiles, queue peaks);
+//! * [`engine::Simulation`] — a configured run of the event engine
+//!   ([`batched`]) with full reports ([`report::SimReport`]:
+//!   utilisations, end-to-end latency percentiles, queue peaks). Runs
+//!   are exact by default — one tuple per batch, every tuple its own
+//!   event — and opt into coalescing with [`BatchConfig`] for
+//!   production-volume traces. A golden corpus
+//!   (`tests/golden_corpus.rs`) pins exact mode's reports and traces
+//!   byte for byte;
 //! * [`probe::FeasibilityProbe`] — the paper's measurement procedure:
 //!   deem a rate point feasible iff no node saturates, and estimate
 //!   feasible-set ratios by probing points sampled inside the ideal

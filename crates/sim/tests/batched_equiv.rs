@@ -1,9 +1,8 @@
-//! Equivalence contract between the batched engine and the per-tuple
-//! reference engine (DESIGN.md §12):
+//! Batching contract of the simulator (DESIGN.md §12), measured against
+//! exact mode (`batch: None`, one tuple per batch) as the reference:
 //!
-//! * **batch size 1** — byte-identical `SimReport`s (and byte-identical
-//!   JSONL traces), even with outages, failover, shedding, migration
-//!   chaos, joins, and multi-consumer fan-out of multi-tuple emissions;
+//! * **batch size 1** — the same run as exact mode, byte for byte (the
+//!   golden corpus in `golden_corpus.rs` pins this on every feature);
 //! * **batch size > 1** — arrival-driven counts stay exact (tuples_in,
 //!   failovers, recovery records and detection times), conservation
 //!   holds, and timing-derived quantities (utilisation, latency
@@ -23,7 +22,7 @@ use rod_sim::{
     Simulation, SimulationConfig, SourceSpec,
 };
 
-/// A graph exercising every delivery shape the engines must agree on:
+/// A graph exercising every delivery shape batching must handle:
 /// fan-out of one input to two operators, a windowed join, selectivity
 /// above one (multi-tuple emissions), and a stream with two consumers.
 ///
@@ -120,73 +119,6 @@ fn full_feature_config(
     }
 }
 
-fn run_full_feature(seed: u64, batch: Option<BatchConfig>) -> rod_sim::SimReport {
-    let graph = full_feature_graph();
-    let (cluster, alloc) = full_feature_alloc();
-    let mut config = full_feature_config(&graph, &cluster, &alloc, seed);
-    config.batch = batch;
-    Simulation::new(
-        &graph,
-        &alloc,
-        &cluster,
-        vec![
-            SourceSpec::ConstantRate(150.0),
-            SourceSpec::ConstantRate(120.0),
-        ],
-        config,
-    )
-    .run()
-}
-
-#[test]
-fn batch_size_one_full_feature_reports_are_byte_identical() {
-    for seed in [3u64, 19, 71] {
-        let reference = serde_json::to_string(&run_full_feature(seed, None)).unwrap();
-        let batched = serde_json::to_string(&run_full_feature(
-            seed,
-            Some(BatchConfig {
-                max_batch: 1,
-                bucket: 0.25,
-            }),
-        ))
-        .unwrap();
-        assert_eq!(reference, batched, "seed {seed} diverged at batch size 1");
-    }
-}
-
-#[test]
-fn batch_size_one_jsonl_trace_matches_reference_byte_for_byte() {
-    // The strongest pin: not just the final report but every trace record
-    // (arrivals, sheds, migrations, recoveries, samples) in the same
-    // order with the same payloads.
-    let graph = full_feature_graph();
-    let (cluster, alloc) = full_feature_alloc();
-    let run = |batch: Option<BatchConfig>| {
-        let mut config = full_feature_config(&graph, &cluster, &alloc, 13);
-        config.batch = batch;
-        let sim = Simulation::new(
-            &graph,
-            &alloc,
-            &cluster,
-            vec![
-                SourceSpec::ConstantRate(150.0),
-                SourceSpec::ConstantRate(120.0),
-            ],
-            config,
-        );
-        let mut sink = JsonlSink::new(Vec::new());
-        sim.run_with_sink(&mut sink);
-        sink.into_inner()
-    };
-    let reference = run(None);
-    let batched = run(Some(BatchConfig {
-        max_batch: 1,
-        bucket: 0.25,
-    }));
-    assert!(!reference.is_empty());
-    assert_eq!(reference, batched);
-}
-
 #[test]
 fn batched_jsonl_trace_is_deterministic_across_reruns() {
     // Golden determinism for the batched path itself (batch size > 1):
@@ -231,7 +163,7 @@ fn batched_jsonl_trace_is_deterministic_across_reruns() {
 
 /// A unit-selectivity two-node chain with an outage + failover: counts
 /// are deterministic up to horizon-edge in-flight tuples, so large-batch
-/// runs can be compared field-by-field against the reference.
+/// runs can be compared field-by-field against exact mode.
 fn counting_fixture(rate: f64, seed: u64, batch: Option<BatchConfig>) -> rod_sim::SimReport {
     let mut b = GraphBuilder::new();
     let mut up = b.add_input();
@@ -275,6 +207,7 @@ fn counting_fixture(rate: f64, seed: u64, batch: Option<BatchConfig>) -> rod_sim
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// The reference is exact mode (`batch: None`).
     #[test]
     fn batched_equals_reference_field_by_field(
         batch_exp in 0usize..4,  // {1, 7, 64, 4096}
@@ -283,7 +216,7 @@ proptest! {
     ) {
         let max_batch = [1usize, 7, 64, 4096][batch_exp];
         let bucket = 0.02;
-        let reference = counting_fixture(rate, seed, None);
+        let exact = counting_fixture(rate, seed, None);
         let batched = counting_fixture(
             rate,
             seed,
@@ -291,10 +224,10 @@ proptest! {
         );
 
         // Arrival-driven counts are exact at every batch size.
-        prop_assert_eq!(reference.tuples_in, batched.tuples_in);
-        prop_assert_eq!(reference.failovers, batched.failovers);
-        prop_assert_eq!(reference.recoveries.len(), batched.recoveries.len());
-        for (r, b) in reference.recoveries.iter().zip(&batched.recoveries) {
+        prop_assert_eq!(exact.tuples_in, batched.tuples_in);
+        prop_assert_eq!(exact.failovers, batched.failovers);
+        prop_assert_eq!(exact.recoveries.len(), batched.recoveries.len());
+        for (r, b) in exact.recoveries.iter().zip(&batched.recoveries) {
             prop_assert_eq!(r.node, b.node);
             prop_assert_eq!(r.operators_moved, b.operators_moved);
             prop_assert!((r.outage_start - b.outage_start).abs() < 1e-12);
@@ -305,8 +238,8 @@ proptest! {
             prop_assert!((r.recovered_at - b.recovered_at).abs() < 0.25,
                 "recovered_at {} vs {}", r.recovered_at, b.recovered_at);
         }
-        prop_assert_eq!(reference.saturated, batched.saturated);
-        prop_assert_eq!(reference.tuples_shed, 0);
+        prop_assert_eq!(exact.saturated, batched.saturated);
+        prop_assert_eq!(exact.tuples_shed, 0);
         prop_assert_eq!(batched.tuples_shed, 0);
 
         // Unit selectivity conserves tuples; only horizon-edge in-flight
@@ -314,25 +247,25 @@ proptest! {
         // own service time).
         prop_assert!(batched.tuples_out <= batched.tuples_in);
         let slack = 3 * (max_batch as u64 + (rate * bucket).ceil() as u64) + 8;
-        let diff = reference.tuples_out.abs_diff(batched.tuples_out);
+        let diff = exact.tuples_out.abs_diff(batched.tuples_out);
         prop_assert!(diff <= slack, "tuples_out {} vs {} (slack {slack})",
-            reference.tuples_out, batched.tuples_out);
+            exact.tuples_out, batched.tuples_out);
 
         // Timing-derived quantities agree within tolerance.
-        for (u_ref, u_bat) in reference.utilisations.iter().zip(&batched.utilisations) {
-            prop_assert!((u_ref - u_bat).abs() < 0.05,
-                "utilisation {u_ref} vs {u_bat}");
+        for (u_exact, u_bat) in exact.utilisations.iter().zip(&batched.utilisations) {
+            prop_assert!((u_exact - u_bat).abs() < 0.05,
+                "utilisation {u_exact} vs {u_bat}");
         }
-        if let (Some(p50_ref), Some(p50_bat)) =
-            (reference.latency_quantile(0.5), batched.latency_quantile(0.5))
+        if let (Some(p50_exact), Some(p50_bat)) =
+            (exact.latency_quantile(0.5), batched.latency_quantile(0.5))
         {
-            prop_assert!((p50_ref - p50_bat).abs() < bucket + 0.1,
-                "p50 {p50_ref} vs {p50_bat}");
+            prop_assert!((p50_exact - p50_bat).abs() < bucket + 0.1,
+                "p50 {p50_exact} vs {p50_bat}");
         }
-        // At batch size 1 the whole report must be byte-identical.
+        // Batch size 1 is exact mode: the whole report is byte-identical.
         if max_batch == 1 {
             prop_assert_eq!(
-                serde_json::to_string(&reference).unwrap(),
+                serde_json::to_string(&exact).unwrap(),
                 serde_json::to_string(&batched).unwrap()
             );
         }

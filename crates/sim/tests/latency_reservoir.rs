@@ -85,8 +85,8 @@ fn reservoir_quantiles_track_full_sample_quantiles_on_a_million_tuples() {
 
 #[test]
 fn changing_the_cap_does_not_change_the_trajectory_on_the_reference_engine() {
-    // Same invariant on the per-tuple path at a small scale: two caps,
-    // one trajectory.
+    // Same invariant in exact mode (batch: None) at a small scale: two
+    // caps, one trajectory.
     let run = |cap: usize| {
         let mut b = GraphBuilder::new();
         let i = b.add_input();
