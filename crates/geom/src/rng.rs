@@ -8,10 +8,11 @@
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// The RNG used throughout the workspace. ChaCha12 is the `StdRng`
-/// algorithm of `rand 0.8` but, unlike `StdRng`, its stream is *documented*
-/// to be stable across crate versions — important for reproducible
-/// experiment tables.
+/// The RNG used throughout the workspace: ChaCha12, the `StdRng`
+/// algorithm of `rand 0.8`, from the vendored `rand_chacha` crate. Its
+/// stream is not upstream's; it is pinned by that crate's known-answer
+/// tests (`vendor/rand_chacha/tests/keystream.rs`) on both the AVX2 and
+/// the scalar refill — important for reproducible experiment tables.
 pub type Rng = ChaCha12Rng;
 
 /// Creates a deterministic RNG from a `u64` seed.

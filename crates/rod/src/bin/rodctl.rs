@@ -153,7 +153,14 @@ fn load_cluster(flags: &Flags) -> Result<Cluster, String> {
         .parse()
         .map_err(|_| "--nodes: bad value".to_string())?;
     let capacity: f64 = flags.parse_num("capacity", 1.0)?;
-    Ok(Cluster::homogeneous(nodes, capacity))
+    let cluster = Cluster::homogeneous(nodes, capacity);
+    // Every subcommand goes through here, so no planner, evaluator or
+    // simulator ever sees a cluster without nodes or with a zero,
+    // negative, NaN or infinite capacity.
+    cluster
+        .validate()
+        .map_err(|e| format!("--nodes {nodes} --capacity {capacity}: {e}"))?;
+    Ok(cluster)
 }
 
 fn load_plan(flags: &Flags) -> Result<Allocation, String> {
@@ -640,6 +647,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     // sampling, batch): Simulation::new enforces this with a panic; the
     // CLI turns it into a real error message instead.
     config.validate(cluster.num_nodes())?;
+    rod::sim::check_expected_arrivals(&sources, horizon)?;
     let had_outages = !config.outages.is_empty();
     let sim = Simulation::new(&graph, &plan, &cluster, sources, config);
     let mut out = String::new();
@@ -1134,6 +1142,87 @@ mod tests {
         ]);
         args.extend(strings(extra));
         Flags::parse(&args).unwrap()
+    }
+
+    /// Runs every subcommand that builds a cluster with `cluster`
+    /// (`--nodes N --capacity C`) on `graph_and_plan`'s pair, asserting
+    /// each fails with `expected` instead of panicking.
+    fn assert_cluster_rejected(tag: &str, cluster: &[&str], expected: &str) {
+        let (dir, graph_path, plan_path) = graph_and_plan(tag);
+        let rest = [
+            "--graph",
+            graph_path.as_str(),
+            "--plan",
+            plan_path.as_str(),
+            "--rates",
+            "10,10",
+            "--samples",
+            "500",
+            "--trace-in",
+            "unused.jsonl",
+        ];
+        let args = strings(&[cluster, &rest[..]].concat());
+        let f = Flags::parse(&args).unwrap();
+        type Command = fn(&Flags) -> Result<String, String>;
+        let commands: [(&str, Command); 7] = [
+            ("plan", cmd_plan),
+            ("evaluate", cmd_evaluate),
+            ("explain", cmd_explain),
+            ("headroom", cmd_headroom),
+            ("compare", cmd_compare),
+            ("simulate", cmd_simulate),
+            ("daemon", cmd_daemon),
+        ];
+        for (name, command) in commands {
+            let err = command(&f).unwrap_err();
+            assert!(err.contains(expected), "{name}: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_capacity_is_rejected() {
+        assert_cluster_rejected(
+            "cap0",
+            &["--nodes", "2", "--capacity", "0"],
+            "--nodes 2 --capacity 0: node 0 has invalid capacity 0",
+        );
+    }
+
+    #[test]
+    fn negative_capacity_is_rejected() {
+        assert_cluster_rejected(
+            "capneg",
+            &["--nodes", "2", "--capacity", "-1.5"],
+            "node 0 has invalid capacity -1.5",
+        );
+    }
+
+    #[test]
+    fn nan_capacity_is_rejected() {
+        assert_cluster_rejected(
+            "capnan",
+            &["--nodes", "2", "--capacity", "nan"],
+            "node 0 has invalid capacity NaN",
+        );
+    }
+
+    #[test]
+    fn infinite_capacity_is_rejected() {
+        assert_cluster_rejected(
+            "capinf",
+            &["--nodes", "2", "--capacity", "inf"],
+            "node 0 has invalid capacity inf",
+        );
+    }
+
+    #[test]
+    fn zero_nodes_are_rejected() {
+        assert_cluster_rejected(
+            "nodes0",
+            &["--nodes", "0"],
+            "--nodes 0 --capacity 1: cluster has no nodes",
+        );
     }
 
     #[test]

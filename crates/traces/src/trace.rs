@@ -252,21 +252,143 @@ impl Trace {
     /// (uniform within each bin) — how the simulator turns a rate trace
     /// into a tuple stream.
     pub fn to_arrival_times(&self, rng: &mut Rng) -> Vec<f64> {
+        self.draw_arrivals(rng).0
+    }
+
+    /// [`Trace::to_arrival_times`], also reporting whether the per-bin
+    /// sort had to fall back to one global sort.
+    fn draw_arrivals(&self, rng: &mut Rng) -> (Vec<f64>, bool) {
         // At production volume (10⁷+ arrivals) growth reallocations cost
         // real time; the expected count plus ~4σ slack almost always
         // covers the draw in one allocation.
         let expected = self.expected_tuples();
         let mut times = Vec::with_capacity((expected + 4.0 * expected.sqrt()) as usize + 16);
+        let mut sorter = BinSort::default();
         for (i, &rate) in self.rates.iter().enumerate() {
             let lam = rate * self.dt;
             let count = sample_poisson(lam, rng);
             let t0 = i as f64 * self.dt;
+            let start = times.len();
             for _ in 0..count {
                 times.push(t0 + rng.gen::<f64>() * self.dt);
             }
+            sorter.sort_run(&mut times[start..], t0, self.dt);
         }
-        times.sort_by(|a, b| a.total_cmp(b));
-        times
+        let fell_back = sorter.finish(&mut times);
+        (times, fell_back)
+    }
+}
+
+/// Runs shorter than this are insertion-sorted directly.
+const SHORT_RUN: usize = 32;
+
+/// A bucket holding more than this many times makes the bucket pass
+/// give way to `sort_unstable_by`, so the insertion pass after it costs
+/// at most `MAX_BUCKET / 2` moves per element. A bin's times are uniform
+/// in the bin, so with one bucket per time the occupancy is Poisson(1)
+/// and never comes near it.
+const MAX_BUCKET: usize = 16;
+
+/// Sorts arrival times bin by bin, as each bin's run is drawn, into the
+/// order one global `sort_by(f64::total_cmp)` would give.
+///
+/// Each run is sorted by a linear bucket pass followed by an insertion
+/// pass. A bin's times lie in `[t0, t0 + dt]` up to rounding, so sorted
+/// runs are almost always already in order across bins; every boundary
+/// is checked, and if any run starts below the previous run's last time
+/// the whole vector is sorted once more by the global sort. `total_cmp`
+/// is a total order on bit patterns, so any correct sort produces the
+/// same bytes: the result is the global sort's, whichever path ran.
+#[derive(Default)]
+struct BinSort {
+    /// Copy of the run being bucketed, sized to the largest run so far.
+    scratch: Vec<f64>,
+    /// Bucket counts, then write cursors.
+    cursors: Vec<usize>,
+    /// Last (largest) time of the latest non-empty run.
+    last: Option<f64>,
+    /// Set when a run starts below the previous run's last time.
+    out_of_order: bool,
+}
+
+impl BinSort {
+    /// Sorts `run`, the times drawn for the bin `[lo, lo + width)`, and
+    /// checks its boundary with the previous non-empty run. `lo` and
+    /// `width` only steer the bucket pass: any run comes out sorted.
+    fn sort_run(&mut self, run: &mut [f64], lo: f64, width: f64) {
+        if run.is_empty() {
+            return;
+        }
+        if run.len() < SHORT_RUN || self.bucket_pass(run, lo, width) {
+            insertion_sort(run);
+        } else {
+            run.sort_unstable_by(f64::total_cmp);
+        }
+        if self
+            .last
+            .is_some_and(|prev| run[0].total_cmp(&prev).is_lt())
+        {
+            self.out_of_order = true;
+        }
+        self.last = Some(run[run.len() - 1]);
+    }
+
+    /// Distributes `run` into one bucket per element by its offset in
+    /// the bin; returns false, leaving `run` untouched, when a bucket
+    /// overflows [`MAX_BUCKET`]. Keys never decrease as the value grows
+    /// (NaN aside), so afterwards only times sharing a bucket can be out
+    /// of order.
+    fn bucket_pass(&mut self, run: &mut [f64], lo: f64, width: f64) -> bool {
+        let buckets = run.len();
+        let scale = buckets as f64 / width;
+        // `as usize` saturates (negative and NaN give 0), and the clamp
+        // catches times rounded onto the bin's upper edge.
+        let key = |x: f64| (((x - lo) * scale) as usize).min(buckets - 1);
+        self.cursors.clear();
+        self.cursors.resize(buckets, 0);
+        for &x in run.iter() {
+            self.cursors[key(x)] += 1;
+        }
+        if self.cursors.iter().any(|&c| c > MAX_BUCKET) {
+            return false;
+        }
+        let mut offset = 0;
+        for cursor in &mut self.cursors {
+            let count = *cursor;
+            *cursor = offset;
+            offset += count;
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(run);
+        for &x in &self.scratch {
+            let cursor = &mut self.cursors[key(x)];
+            run[*cursor] = x;
+            *cursor += 1;
+        }
+        true
+    }
+
+    /// Completes the sort of `times`, the concatenation of every run
+    /// passed to [`BinSort::sort_run`]: when a boundary was out of
+    /// order, sorts it globally. Returns whether that fallback ran.
+    fn finish(self, times: &mut [f64]) -> bool {
+        if self.out_of_order {
+            times.sort_by(f64::total_cmp);
+        }
+        self.out_of_order
+    }
+}
+
+/// Sorts `v` by `total_cmp`, moving each element left past larger ones.
+fn insertion_sort(v: &mut [f64]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && x.total_cmp(&v[j - 1]).is_lt() {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
     }
 }
 
@@ -423,6 +545,157 @@ mod tests {
         assert!((arr.len() as f64 - 5000.0).abs() < 300.0, "{}", arr.len());
         assert!(arr.windows(2).all(|w| w[0] <= w[1]), "sorted");
         assert!(arr.iter().all(|&x| (0.0..=50.0).contains(&x)));
+    }
+
+    /// `to_arrival_times` as it was before the per-bin sort: the same
+    /// draws in the same order, then one global stable sort. The oracle
+    /// the per-bin sort must match bit for bit.
+    fn oracle_arrival_times(trace: &Trace, rng: &mut Rng) -> Vec<f64> {
+        let expected = trace.expected_tuples();
+        let mut times = Vec::with_capacity((expected + 4.0 * expected.sqrt()) as usize + 16);
+        for (i, &rate) in trace.rates.iter().enumerate() {
+            let lam = rate * trace.dt;
+            let count = sample_poisson(lam, rng);
+            let t0 = i as f64 * trace.dt;
+            for _ in 0..count {
+                times.push(t0 + rng.gen::<f64>() * trace.dt);
+            }
+        }
+        times.sort_by(|a, b| a.total_cmp(b));
+        times
+    }
+
+    fn bits(times: &[f64]) -> Vec<u64> {
+        times.iter().map(|t| t.to_bits()).collect()
+    }
+
+    #[test]
+    fn per_bin_sort_matches_the_global_sort_oracle() {
+        // Expected tuples per bin (λ = rate·dt), so each shape keeps its
+        // bin sizes at every dt.
+        let shapes: [(&str, Vec<f64>); 5] = [
+            ("all zero", vec![0.0; 12]),
+            (
+                "zero bins between",
+                vec![0.0, 40.0, 0.0, 0.0, 900.0, 0.0, 3.0],
+            ),
+            (
+                "inversion (λ < 30)",
+                vec![0.5, 3.0, 12.0, 29.9, 0.0, 7.0, 1.0],
+            ),
+            ("one-tuple bins", vec![0.05; 400]),
+            ("large bins", vec![40_000.0, 150.0, 65_000.0, 31.0, 1_000.0]),
+        ];
+        for dt in [0.1, 0.3, 1e-3] {
+            for (name, lambdas) in &shapes {
+                let trace = Trace::new(lambdas.iter().map(|l| l / dt).collect(), dt);
+                for seed in [0, 1, 17] {
+                    let (mut fast_rng, mut oracle_rng) = (seeded_rng(seed), seeded_rng(seed));
+                    let (times, fell_back) = trace.draw_arrivals(&mut fast_rng);
+                    let oracle = oracle_arrival_times(&trace, &mut oracle_rng);
+                    assert_eq!(bits(&times), bits(&oracle), "{name}, dt {dt}, seed {seed}");
+                    assert!(
+                        !fell_back,
+                        "{name}, dt {dt}, seed {seed}: boundary fallback ran"
+                    );
+                    // Same draws consumed: the streams continue in step.
+                    assert_eq!(fast_rng.gen::<u64>(), oracle_rng.gen::<u64>());
+                }
+            }
+        }
+    }
+
+    /// Feeds `runs` (bin start, bin width, times) through [`BinSort`] as
+    /// `draw_arrivals` does; returns the result and whether it fell back.
+    fn sort_runs(runs: &[(f64, f64, Vec<f64>)]) -> (Vec<f64>, bool) {
+        let mut times = Vec::new();
+        let mut sorter = BinSort::default();
+        for (lo, width, run) in runs {
+            let start = times.len();
+            times.extend_from_slice(run);
+            sorter.sort_run(&mut times[start..], *lo, *width);
+        }
+        let fell_back = sorter.finish(&mut times);
+        (times, fell_back)
+    }
+
+    fn global_sort(runs: &[(f64, f64, Vec<f64>)]) -> Vec<f64> {
+        let mut all: Vec<f64> = runs.iter().flat_map(|r| r.2.iter().copied()).collect();
+        all.sort_by(|a, b| a.total_cmp(b));
+        all
+    }
+
+    /// `n` times spread over `[lo, lo + width)` in a scrambled order.
+    fn scrambled(lo: f64, width: f64, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|k| lo + ((k * 7919) % n) as f64 / n as f64 * width)
+            .collect()
+    }
+
+    #[test]
+    fn in_order_runs_need_no_fallback() {
+        let runs = vec![
+            (0.0, 1.0, vec![0.7, 0.1, 0.4]),
+            (1.0, 1.0, scrambled(1.0, 1.0, 500)),
+            (2.0, 1.0, vec![]),
+            (2.0, 1.0, vec![3.0, 2.5]),
+            // Starts exactly where the previous run ended: a tie is in order.
+            (3.0, 1.0, vec![3.5, 3.0, 3.5, 3.25]),
+            (4.0, 1.0, vec![4.0; 64]),
+        ];
+        let (times, fell_back) = sort_runs(&runs);
+        assert!(!fell_back);
+        assert_eq!(bits(&times), bits(&global_sort(&runs)));
+    }
+
+    #[test]
+    fn overlapping_runs_take_the_fallback_and_match_the_oracle() {
+        let cases = [
+            // A short run's last time exceeds the next run's first.
+            vec![
+                (0.0, 1.0, vec![0.5, 0.2, 1.7, 0.9]),
+                (1.0, 1.0, vec![1.9, 1.1, 1.4]),
+            ],
+            // A bucketed run overlaps the next bucketed run by one time.
+            vec![
+                (0.0, 0.3, scrambled(0.0, 0.3, 200)),
+                (0.3, 0.3, {
+                    let mut run = scrambled(0.3, 0.3, 200);
+                    run[17] = 0.2;
+                    run
+                }),
+            ],
+            // Times outside their bin collapse into one bucket, so the
+            // run sorts with `sort_unstable_by`, then trips the boundary.
+            vec![
+                (0.0, 1e-3, scrambled(0.0, 1e-3, 40)),
+                (
+                    1e-3,
+                    1e-3,
+                    (0..100).map(|k| 5.0 - k as f64 * 1e-9).collect(),
+                ),
+                (2e-3, 1e-3, scrambled(2e-3, 1e-3, 80)),
+                (3e-3, 1e-3, vec![]),
+                (4e-3, 1e-3, vec![4.5e-3]),
+            ],
+        ];
+        for (i, runs) in cases.iter().enumerate() {
+            let (times, fell_back) = sort_runs(runs);
+            assert!(fell_back, "case {i} should take the fallback");
+            assert_eq!(bits(&times), bits(&global_sort(runs)), "case {i}");
+        }
+    }
+
+    #[test]
+    fn degenerate_buckets_still_sort() {
+        // Every time in one bucket, and NaN and infinite keys: the
+        // bucket pass gives way and the run still sorts like total_cmp.
+        let mut run: Vec<f64> = (0..300).map(|k| 0.5 + (k % 3) as f64 * 1e-12).collect();
+        run.extend([f64::INFINITY, f64::NAN, -1.0, 0.0, f64::NEG_INFINITY]);
+        let runs = vec![(0.0, 1.0, run)];
+        let (times, fell_back) = sort_runs(&runs);
+        assert!(!fell_back);
+        assert_eq!(bits(&times), bits(&global_sort(&runs)));
     }
 
     #[test]
