@@ -1,50 +1,20 @@
-//! **Control-plane ingestion trajectory** — times line-at-a-time
-//! `UtilSample` ingestion against the batched zero-copy fast path
-//! (`rod_sim::replay::scan` + `TelemetryIngest::ingest_batch`) at
-//! production telemetry volumes and records the repo's persistent
-//! control-plane perf baseline.
-//!
-//! The `ingest_*` cells time the telemetry layer alone: the oracle reads
-//! the stream with `BufRead::lines` and calls
-//! `TelemetryIngest::ingest_line` per line (exactly what
-//! `ControlLoop::replay` does); the fast path scans the same bytes with
-//! the zero-copy `LineScanner`, probes strict-form samples into a reused
-//! `SampleBatch`, and commits them through `ingest_batch`. The `loop_*`
-//! cell times the whole daemon — `ControlLoop::replay` vs
-//! `ControlLoop::replay_batched` — so the headline ratio survives
-//! contact with drift detection and decision logging.
-//!
-//! Every repetition cross-checks the paths: accepted/rejected counts,
-//! the final estimate (to the bit), and — on the loop cell — the full
-//! decision log must match, so the perf numbers can never come from a
-//! path that dropped or mangled telemetry.
-//!
-//! Results go to `BENCH_ctrl.json` at the repo root (schema in
-//! `docs/benchmarks.md`). Flags, mirroring `perf_sim`:
-//!
-//! * `--quick` — subset of the grid, fewer repeats (CI smoke mode);
-//! * `--out FILE` — write somewhere else (CI writes a scratch copy);
-//! * `--check FILE` — compare against a committed baseline and exit
-//!   non-zero when any cell's `ingest_speedup` regressed by more than
-//!   2×, or fell below the cell's hard floor (the ≥5× acceptance bar on
-//!   the 1M-samples/s cell).
+//! `perf_ctrl` → `BENCH_ctrl.json`: line-at-a-time `UtilSample`
+//! ingestion (`BufRead::lines` + `ingest_line`, as `ControlLoop::replay`
+//! does) against the zero-copy fast path (`LineScanner`, strict-form
+//! probe, `ingest_batch`; DESIGN.md §14), alone (`ingest_*`) or in the
+//! whole daemon (`loop_*`: `replay` against `replay_batched`). Every
+//! repetition asserts equal counts, rejection counters, `last_time` and
+//! estimate bits, and on the loop cell equal summaries and logs.
 
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
-use rod_bench::output::{arg_value, print_table};
+use rod_bench::perf::ctrl::{Cell as CellResult, Ctrl};
+use rod_bench::perf::{self, median};
 use rod_core::cluster::Cluster;
 use rod_core::examples_paper::figure4_graph;
 use rod_ctrl::{ControlConfig, ControlLoop, SampleBatch, TelemetryConfig, TelemetryIngest};
 use rod_sim::replay::scan::{probe_util_sample, LineScanner, UtilScratch};
-
-/// Schema version of `BENCH_ctrl.json`; bump on breaking layout changes
-/// and teach `--check` the migration.
-const SCHEMA_VERSION: u32 = 1;
 
 /// Stream-generation seed — fixed so the trajectory tracks code.
 const SEED: u64 = 42;
@@ -69,8 +39,6 @@ struct Cell {
     /// Included in `--quick` runs (identical parameters so `--check`
     /// can match cells by name).
     quick: bool,
-    /// Hard floor on `ingest_speedup` under `--check`; zero = ratio-only.
-    min_speedup: f64,
 }
 
 const GRID: &[Cell] = &[
@@ -79,16 +47,15 @@ const GRID: &[Cell] = &[
         kind: Kind::Ingest,
         lines: 100_000,
         quick: true,
-        min_speedup: 0.0,
     },
     // The acceptance cell: one simulated second of a 1M-samples/s
-    // telemetry firehose, with a ≥5× floor on the fast path's advantage.
+    // telemetry firehose, with a ≥5× floor on the fast path's advantage
+    // (`perf::ctrl::Ctrl::FLOORS`).
     Cell {
         name: "ingest_1m",
         kind: Kind::Ingest,
         lines: 1_000_000,
         quick: true,
-        min_speedup: 5.0,
     },
     // Full control loop on the paper's Figure 4 graph: parsing competes
     // with drift detection, headroom evaluation, and decision logging.
@@ -97,63 +64,8 @@ const GRID: &[Cell] = &[
         kind: Kind::Loop,
         lines: 200_000,
         quick: false,
-        min_speedup: 0.0,
     },
 ];
-
-#[derive(Serialize, Deserialize)]
-struct CellResult {
-    name: String,
-    /// Telemetry lines in the stream (a handful are deliberately
-    /// malformed to keep the fallback path honest).
-    lines: u64,
-    stream_bytes: u64,
-    line_seconds: f64,
-    batched_seconds: f64,
-    line_samples_per_sec: f64,
-    batched_samples_per_sec: f64,
-    /// The headline machine-relative ratio: batched over line-at-a-time.
-    ingest_speedup: f64,
-    max_batch: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BenchFile {
-    schema_version: u32,
-    created_unix: u64,
-    rustc: String,
-    commit: String,
-    /// Logical cores of the recording machine (provenance; both paths
-    /// are single-threaded, so the ratios do not depend on it).
-    cores: usize,
-    quick: bool,
-    repeats: usize,
-    seed: u64,
-    grid: Vec<CellResult>,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn tool_line(cmd: &str, args: &[&str]) -> String {
-    Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// A production-volume telemetry stream: strict-form `UtilSample` lines
 /// at 1 µs spacing with rates wandering deterministically around a calm
@@ -283,6 +195,7 @@ fn make_loop() -> ControlLoop {
 }
 
 fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
+    eprintln!("[perf_ctrl] {} ...", cell.name);
     let stream = make_stream(cell.lines);
     let bytes = stream.as_bytes();
     let mut line_times = Vec::with_capacity(repeats);
@@ -322,8 +235,8 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             }
         }
     }
-    let line_s = median(&mut line_times);
-    let batch_s = median(&mut batch_times);
+    let line_s = median(&mut line_times).expect("at least one repeat");
+    let batch_s = median(&mut batch_times).expect("at least one repeat");
     CellResult {
         name: cell.name.to_string(),
         lines: cell.lines as u64,
@@ -337,140 +250,9 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     }
 }
 
-/// Trimmed view of a baseline cell — only what the checker compares
-/// (the vendored serde shim ignores unknown fields, keeping `--check`
-/// forward-compatible with later schema additions).
-#[derive(Deserialize)]
-struct BaselineCell {
-    name: String,
-    ingest_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFile {
-    schema_version: u32,
-    grid: Vec<BaselineCell>,
-}
-
-/// Compares against a baseline; returns the regressed cell names. A
-/// cell regresses when `baseline_speedup / current_speedup > 2.0`, or
-/// when the current speedup falls under the cell's hard floor.
-fn regressions(current: &BenchFile, baseline_path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-    let baseline: BaselineFile = serde_json::from_str(&text).expect("baseline parses");
-    assert!(
-        baseline.schema_version >= 1 && baseline.schema_version <= SCHEMA_VERSION,
-        "baseline schema version {} is not supported (expected 1..={SCHEMA_VERSION})",
-        baseline.schema_version
-    );
-    let mut bad = Vec::new();
-    for cur in &current.grid {
-        if let Some(floor) = GRID
-            .iter()
-            .find(|c| c.name == cur.name)
-            .map(|c| c.min_speedup)
-        {
-            if floor > 0.0 && cur.ingest_speedup < floor {
-                bad.push(format!(
-                    "{}: ingest speedup {:.2}x under the {floor:.0}x floor",
-                    cur.name, cur.ingest_speedup
-                ));
-                continue;
-            }
-        }
-        let Some(base) = baseline.grid.iter().find(|b| b.name == cur.name) else {
-            continue;
-        };
-        if base.ingest_speedup <= 0.0 || cur.ingest_speedup <= 0.0 {
-            continue;
-        }
-        if base.ingest_speedup / cur.ingest_speedup > 2.0 {
-            bad.push(format!(
-                "{}: ingest speedup {:.2}x vs baseline {:.2}x",
-                cur.name, cur.ingest_speedup, base.ingest_speedup
-            ));
-        }
-    }
-    bad
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let repeats = if quick { 3 } else { 5 };
-    let out = arg_value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("BENCH_ctrl.json"));
-
-    let cells: Vec<&Cell> = GRID.iter().filter(|c| !quick || c.quick).collect();
-    let mut grid = Vec::with_capacity(cells.len());
-    for cell in cells {
-        eprintln!("[perf_ctrl] {} ...", cell.name);
-        grid.push(run_cell(cell, repeats));
-    }
-
-    let file = BenchFile {
-        schema_version: SCHEMA_VERSION,
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        rustc: tool_line("rustc", &["--version"]),
-        commit: tool_line(
-            "git",
-            &["-C", repo_root().to_str().unwrap(), "rev-parse", "HEAD"],
-        ),
-        cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        quick,
-        repeats,
-        seed: SEED,
-        grid,
-    };
-
-    let rows: Vec<Vec<String>> = file
-        .grid
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                format!("{:.0}k", c.lines as f64 / 1e3),
-                format!("{:.1}M", c.stream_bytes as f64 / 1e6),
-                format!("{:.3}", c.line_seconds),
-                format!("{:.3}", c.batched_seconds),
-                format!("{:.2}M", c.line_samples_per_sec / 1e6),
-                format!("{:.2}M", c.batched_samples_per_sec / 1e6),
-                format!("{:.1}x", c.ingest_speedup),
-            ]
-        })
-        .collect();
-    print_table(
-        "control-plane ingest trajectory (medians)",
-        &[
-            "cell",
-            "lines",
-            "bytes",
-            "line s",
-            "batch s",
-            "line sps",
-            "batch sps",
-            "speedup",
-        ],
-        &rows,
-    );
-
-    let json = serde_json::to_string_pretty(&file).expect("results serialise");
-    std::fs::write(&out, json).expect("write bench file");
-    println!("[bench written to {}]", out.display());
-
-    if let Some(baseline) = arg_value("--check") {
-        let bad = regressions(&file, Path::new(&baseline));
-        if bad.is_empty() {
-            println!("[check] no >2x speedup regressions vs {baseline}");
-        } else {
-            eprintln!("[check] PERF REGRESSION vs {baseline}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-    }
+    perf::main::<Ctrl>(SEED, 5, |quick, repeats| {
+        let cells = GRID.iter().filter(|c| !quick || c.quick);
+        cells.map(|cell| run_cell(cell, repeats)).collect()
+    });
 }

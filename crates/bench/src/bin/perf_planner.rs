@@ -1,97 +1,15 @@
-//! **Planner performance trajectory** — times plan construction and
-//! QMC volume estimation across instance sizes and records the repo's
-//! persistent perf baseline.
-//!
-//! For each grid cell (d input streams × `ops_per_tree` operators each,
-//! n nodes, P sample points) the harness generates the paper's random
-//! tree workload, plans it with ROD, and times three things over
-//! `repeats` runs, keeping medians:
-//!
-//! * `plan_seconds` — a full `RodPlanner::place` run,
-//! * `scalar_estimate_seconds` — the reference per-point volume walk
-//!   ([`VolumeEstimator::estimate_scalar`]),
-//! * `kernel_estimate_seconds` — the batched
-//!   [`FeasibilityKernel`](rod_geom::FeasibilityKernel) path on one
-//!   thread.
-//!
-//! Every repetition asserts the two estimates are **bit-identical**; the
-//! run aborts otherwise, so the perf numbers can never silently come
-//! from a kernel that changed the numerics.
-//!
-//! Since schema v2 each cell also times the ResilientRod hill climb
-//! twice — neighborhood scan serial (`threads: 1`) and pooled
-//! (`threads: 4`) — and records `resilient_speedup` as their ratio.
-//! The two placements are asserted bit-identical every repetition (the
-//! pool's ordered-reduction contract), so the speedup column can never
-//! come from a scan that changed the plan.
-//!
-//! Schema v3 added the sparse scaling cells (`sparse_*`, generated by
-//! [`SparseGraphGenerator`] instead of the paper trees — up to n = 1000
-//! nodes and m = 50 000 operators) and three columns: `nnz` (load-matrix
-//! nonzeros), `candidates_scored` (Phase-2 probes the pruned scan
-//! actually paid for; compare against `ops × nodes` for the full-scan
-//! cost), and `hier_plan_seconds` (the two-level
-//! [`HierarchicalRod`] planner on the same instance). On the small tree
-//! cells every repetition re-plans with the pruned scan disabled and
-//! asserts the placement is **byte-identical** — the perf numbers can
-//! never come from a scan that changed the plan. The large sparse cells
-//! skip the ResilientRod legs (the sampled-feasibility tracker is
-//! O(m·P) memory and the climb O(m·n) scores per move — both absurd at
-//! m = 50 000) and the volume-estimation legs (the Halton point set
-//! supports at most 16 dimensions); the skipped columns are recorded as
-//! zero, and `--check` ignores zero speedups on either side.
-//!
-//! Schema v4 records the machine's logical core count (`cores`, top
-//! level) and arms an *absolute* thread-scaling gate under `--check`:
-//! on a machine with at least [`RESILIENT_THREADS`] cores, any
-//! resilient cell whose serial leg is substantial (≥ 0.2 s — long
-//! enough that pool dispatch overhead is noise) must show
-//! `resilient_speedup ≥ 1.05`, i.e. the pooled scan must actually beat
-//! serial. On smaller machines (CI runners are often 1–2 cores) the
-//! pooled leg legitimately cannot win, so the gate stays disarmed and
-//! only the ratio comparison below applies — baselines recorded on such
-//! machines carry honest ~1× resilient speedups.
-//!
-//! Schema v5 splits the kernel leg by inner-loop path. The blocked
-//! kernel now dispatches to explicit AVX2 lanes at runtime
-//! (`rod_geom::simd`), so `kernel_estimate_seconds` is pinned to the
-//! blocked-**scalar** reference path
-//! ([`VolumeEstimator::estimate_kernel_scalar`]) — keeping
-//! `kernel_speedup` comparable with every earlier baseline — and three
-//! columns are added: `simd` (did this cell's kernel select the AVX2
-//! path?), `simd_estimate_seconds` (the runtime-dispatched kernel,
-//! zero when the host lacks AVX2 or `ROD_NO_SIMD` is set), and
-//! `simd_speedup` (blocked-scalar over SIMD — the pure lane win; the
-//! total win over the original per-point walk is `kernel_speedup ×
-//! simd_speedup`). Every repetition asserts all three estimates are
-//! bit-identical (the `rod_geom::simd` contract). Under `--check`, an
-//! AVX2 host must show `simd_speedup ≥` [`SIMD_GATE_MIN_SPEEDUP`] on
-//! at least one QMC cell — the explicit lanes must actually pay — and
-//! v5+ baselines get the same 2× ratio-regression comparison as the
-//! other speedups. Non-AVX2 hosts record `simd: false` and zeros, and
-//! the gate stays disarmed there.
-//!
-//! Results go to `BENCH_planner.json` at the repo root (see
-//! `docs/benchmarks.md` for the schema). Flags:
-//!
-//! * `--quick` — subset of the grid, fewer repeats (CI smoke mode);
-//! * `--out FILE` — write somewhere else (CI writes a scratch copy);
-//! * `--check FILE` — compare against a committed baseline and exit
-//!   non-zero when any cell's kernel speedup — or, against a v2+
-//!   baseline, resilient speedup — regressed by more than 2×
-//!   (speedups are machine-relative ratios, so the check is stable
-//!   across runner hardware, unlike absolute times), or when the v4
-//!   thread-scaling gate above fires. v1 baselines are still accepted:
-//!   the checker reads them through a trimmed legacy view and skips the
-//!   columns they predate.
+//! `perf_planner` → `BENCH_planner.json`: flat and hierarchical ROD
+//! planning, the QMC volume estimate three ways (per-point walk, blocked
+//! kernel on its scalar loops, runtime-dispatched AVX2 kernel), and the
+//! ResilientRod climb with a serial and a pooled neighborhood scan.
+//! Every repetition asserts the estimates are bit-equal, the climbs
+//! agree, and (tree cells) the pruned Phase-2 scan places exactly like
+//! the exhaustive one.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
-use rod_bench::output::{arg_value, fmt, print_table};
+use rod_bench::perf::planner::{Cell as CellResult, Planner, RESILIENT_THREADS};
+use rod_bench::perf::{self, median};
 use rod_core::allocation::PlanEvaluator;
 use rod_core::cluster::Cluster;
 use rod_core::hierarchical::HierarchicalRod;
@@ -102,51 +20,9 @@ use rod_geom::{KernelPath, VolumeEstimator};
 use rod_workloads::random_graphs::RandomTreeGenerator;
 use rod_workloads::sparse_graphs::SparseGraphGenerator;
 
-/// Schema version of `BENCH_planner.json`; bump on breaking layout
-/// changes and teach `--check` the migration.
-///
-/// v2 added per-cell ResilientRod hill-climb timings: `threads`,
-/// `resilient_serial_seconds`, `resilient_pooled_seconds`,
-/// `resilient_speedup`.
-///
-/// v3 added the `sparse_*` scaling cells plus `nnz`,
-/// `candidates_scored` and `hier_plan_seconds`; cells that skip the
-/// ResilientRod legs record zero in the resilient columns.
-///
-/// v4 added the top-level `cores` field and the conditional absolute
-/// thread-scaling gate (see the module docs).
-///
-/// v5 (this version) pinned `kernel_estimate_seconds` to the
-/// blocked-scalar reference path and added the explicit-SIMD columns:
-/// `simd`, `simd_estimate_seconds`, `simd_speedup`.
-const SCHEMA_VERSION: u32 = 5;
-
-/// Chunk count for the pooled ResilientRod timing leg; also the core
-/// count at which the v4 thread-scaling gate arms.
-const RESILIENT_THREADS: usize = 4;
-
-/// The v4 thread-scaling gate only judges cells whose serial resilient
-/// leg runs at least this long — below it, pool dispatch overhead can
-/// dominate and "pooled beats serial" is not a fair requirement.
-const SCALING_GATE_MIN_SERIAL_SECONDS: f64 = 0.2;
-
-/// Minimum pooled-over-serial speedup the v4 gate demands when armed.
-/// Deliberately lenient (4 threads could ideally give ~4×): the gate
-/// exists to catch the pool silently degrading to serial-or-worse, not
-/// to enforce a scaling curve.
-const SCALING_GATE_MIN_SPEEDUP: f64 = 1.05;
-
 /// Dimension cap of the Halton QMC point set (`rod_geom::qmc`); cells
 /// with more inputs skip the volume-estimation legs.
 const MAX_QMC_INPUTS: usize = 16;
-
-/// Minimum blocked-scalar-over-SIMD speedup `--check` demands on at
-/// least one QMC cell when the run's kernels actually selected the
-/// AVX2 path. 2× is the 4-lane ymm width over the 2-lane SSE2
-/// baseline LLVM auto-vectorises the scalar loops to; survivor
-/// compaction and the register-tiled mask pass push the best cell
-/// past it with margin.
-const SIMD_GATE_MIN_SPEEDUP: f64 = 2.0;
 
 /// Workload seed — fixed so the trajectory tracks code, not instances.
 const WORKLOAD_SEED: u64 = 42;
@@ -174,10 +50,6 @@ struct Cell {
     /// Included in `--quick` runs (must stay a subset of the full grid
     /// with identical parameters, so `--check` can match cells by name).
     quick: bool,
-    /// Run the ResilientRod legs and the per-repetition exhaustive-scan
-    /// bit-identity check. Off for the large sparse cells, where both
-    /// are out of budget by orders of magnitude (see the module docs).
-    resilient: bool,
 }
 
 const GRID: &[Cell] = &[
@@ -188,7 +60,6 @@ const GRID: &[Cell] = &[
         nodes: 4,
         samples: 50_000,
         quick: true,
-        resilient: true,
     },
     Cell {
         name: "d4_n8",
@@ -197,7 +68,6 @@ const GRID: &[Cell] = &[
         nodes: 8,
         samples: 50_000,
         quick: false,
-        resilient: true,
     },
     Cell {
         name: "d6_n16",
@@ -206,7 +76,6 @@ const GRID: &[Cell] = &[
         nodes: 16,
         samples: 100_000,
         quick: true,
-        resilient: true,
     },
     Cell {
         name: "d8_n24",
@@ -215,7 +84,6 @@ const GRID: &[Cell] = &[
         nodes: 24,
         samples: 100_000,
         quick: false,
-        resilient: true,
     },
     Cell {
         name: "sparse_d64_m5k_n64",
@@ -224,7 +92,6 @@ const GRID: &[Cell] = &[
         nodes: 64,
         samples: 20_000,
         quick: false,
-        resilient: false,
     },
     Cell {
         name: "sparse_d200_m50k_n1000",
@@ -233,90 +100,11 @@ const GRID: &[Cell] = &[
         nodes: 1_000,
         samples: 2_000,
         quick: true,
-        resilient: false,
     },
 ];
 
-#[derive(Serialize, Deserialize)]
-struct CellResult {
-    name: String,
-    inputs: usize,
-    ops: usize,
-    nodes: usize,
-    samples: usize,
-    /// Load-matrix nonzeros (schema v3); `ops × inputs` when dense.
-    nnz: usize,
-    plan_seconds: f64,
-    /// Phase-2 probes the pruned scan paid for (schema v3); the full
-    /// scan's count is `ops × nodes`.
-    candidates_scored: u64,
-    /// Median `HierarchicalRod` plan time, auto topology (schema v3).
-    hier_plan_seconds: f64,
-    scalar_estimate_seconds: f64,
-    kernel_estimate_seconds: f64,
-    kernel_speedup: f64,
-    /// Did this cell's kernel select the explicit AVX2 path (schema
-    /// v5)? False on non-AVX2 hosts, under `ROD_NO_SIMD`, and on cells
-    /// that skip the QMC legs entirely.
-    simd: bool,
-    /// Median runtime-dispatched kernel estimate (schema v5); zero
-    /// when `simd` is false.
-    simd_estimate_seconds: f64,
-    /// Blocked-scalar over SIMD (schema v5) — the pure explicit-lane
-    /// win. Total win over the per-point walk is `kernel_speedup ×
-    /// simd_speedup`. Zero when `simd` is false.
-    simd_speedup: f64,
-    feasible_ratio: f64,
-    /// Chunk count of the pooled ResilientRod leg (schema v2); zero on
-    /// cells that skip the resilient legs.
-    threads: usize,
-    resilient_serial_seconds: f64,
-    resilient_pooled_seconds: f64,
-    resilient_speedup: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BenchFile {
-    schema_version: u32,
-    created_unix: u64,
-    rustc: String,
-    commit: String,
-    /// Logical cores of the recording machine (schema v4). Provenance
-    /// for the resilient columns: a ~1× `resilient_speedup` is expected
-    /// on a 1-core recorder and a regression on a many-core one.
-    cores: usize,
-    quick: bool,
-    repeats: usize,
-    workload_seed: u64,
-    qmc_seed: u64,
-    grid: Vec<CellResult>,
-}
-
-/// Median of the samples; zero when a leg was skipped and took none.
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn tool_line(cmd: &str, args: &[&str]) -> String {
-    Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
+    eprintln!("[perf_planner] {} ...", cell.name);
     let graph = match cell.workload {
         Workload::Tree { ops_per_tree } => {
             RandomTreeGenerator::paper_default(cell.inputs, ops_per_tree).generate(WORKLOAD_SEED)
@@ -327,6 +115,9 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     };
     let model = LoadModel::derive(&graph).expect("model derives");
     let cluster = Cluster::homogeneous(cell.nodes, 1.0);
+    // The ResilientRod legs and the exhaustive-scan check run on the
+    // tree cells; on the sparse ones both are orders out of budget.
+    let resilient = matches!(cell.workload, Workload::Tree { .. });
 
     let mut plan_times = Vec::with_capacity(repeats);
     let mut hier_times = Vec::with_capacity(repeats);
@@ -338,7 +129,7 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             .place(&model, &cluster)
             .expect("ROD plans");
         plan_times.push(t.elapsed().as_secs_f64());
-        if cell.resilient {
+        if resilient {
             // Small cells double as the pruning oracle: the full O(m·n)
             // scan must choose byte-identical placements every time.
             let full = RodPlanner::new()
@@ -364,13 +155,12 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     let alloc = alloc.expect("at least one repeat");
 
     // QMC volume estimation needs a Halton point set, which exists only
-    // up to [`MAX_QMC_INPUTS`] dimensions; the sparse cells are far past
-    // it, so their estimate columns record zero.
+    // up to [`MAX_QMC_INPUTS`] dimensions; past it the legs take no
+    // samples and their columns are null.
     let mut scalar_times = Vec::with_capacity(repeats);
     let mut kernel_times = Vec::with_capacity(repeats);
     let mut simd_times = Vec::with_capacity(repeats);
-    let mut simd = false;
-    let mut ratio = 0.0;
+    let mut ratio = None;
     if cell.inputs <= MAX_QMC_INPUTS {
         let estimator = VolumeEstimator::new(
             model.total_coeffs().as_slice(),
@@ -379,15 +169,14 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             QMC_SEED,
         );
         let region = PlanEvaluator::new(&model, &cluster).feasible_region(&alloc);
-        simd = estimator.kernel_path() == KernelPath::Simd;
+        let simd = estimator.kernel_path() == KernelPath::Simd;
 
         for _ in 0..repeats {
             let t = Instant::now();
             let scalar = estimator.estimate_scalar(&region);
             scalar_times.push(t.elapsed().as_secs_f64());
-            // The blocked kernel pinned to its scalar loops — the leg
-            // every pre-v5 baseline timed, so `kernel_speedup` stays
-            // comparable across the whole trajectory.
+            // The blocked kernel pinned to its scalar loops, so
+            // `kernel_speedup` measures blocking alone on every host.
             let t = Instant::now();
             let kernel = estimator.estimate_kernel_scalar(&region);
             kernel_times.push(t.elapsed().as_secs_f64());
@@ -409,7 +198,7 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
                     cell.name
                 );
             }
-            ratio = kernel.ratio_to_ideal;
+            ratio = Some(kernel.ratio_to_ideal);
         }
     }
 
@@ -417,8 +206,10 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     // Reduced budgets keep the full grid affordable; what matters for
     // the trajectory is the serial/pooled *ratio* on identical work,
     // and the bit-identity assert keeps that work honest. Skipped
-    // entirely on the large sparse cells (zeros in the columns).
-    let (serial_s, pooled_s, resilient_speedup, threads) = if cell.resilient {
+    // entirely on the large sparse cells (null columns).
+    let mut serial_times = Vec::new();
+    let mut pooled_times = Vec::new();
+    if resilient {
         let resilient_opts = ResilientRodOptions {
             samples: 1_500,
             seed: 2006,
@@ -426,10 +217,7 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             max_moves: 3,
             threads: 1,
         };
-        let resilient_repeats = repeats.min(3);
-        let mut serial_times = Vec::with_capacity(resilient_repeats);
-        let mut pooled_times = Vec::with_capacity(resilient_repeats);
-        for _ in 0..resilient_repeats {
+        for _ in 0..repeats.min(3) {
             let t = Instant::now();
             let serial = ResilientRodPlanner::with_options(resilient_opts.clone())
                 .place(&model, &cluster)
@@ -454,292 +242,41 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
                 cell.name
             );
         }
-        let serial_s = median(&mut serial_times);
-        let pooled_s = median(&mut pooled_times);
-        (serial_s, pooled_s, serial_s / pooled_s, RESILIENT_THREADS)
-    } else {
-        (0.0, 0.0, 0.0, 0)
-    };
+    }
 
+    let speedup = |slow: Option<f64>, fast: Option<f64>| Some(slow? / fast?);
     let scalar_s = median(&mut scalar_times);
     let kernel_s = median(&mut kernel_times);
-    let kernel_speedup = if kernel_s > 0.0 {
-        scalar_s / kernel_s
-    } else {
-        0.0
-    };
     let simd_s = median(&mut simd_times);
-    let simd_speedup = if simd_s > 0.0 { kernel_s / simd_s } else { 0.0 };
+    let serial_s = median(&mut serial_times);
+    let pooled_s = median(&mut pooled_times);
     CellResult {
         name: cell.name.to_string(),
         inputs: cell.inputs,
         ops: model.num_operators(),
         nodes: cell.nodes,
         samples: cell.samples,
+        qmc_seed: QMC_SEED,
         nnz: model.nnz(),
-        plan_seconds: median(&mut plan_times),
+        plan_seconds: median(&mut plan_times).expect("at least one repeat"),
         candidates_scored,
-        hier_plan_seconds: median(&mut hier_times),
+        hier_plan_seconds: median(&mut hier_times).expect("at least one repeat"),
         scalar_estimate_seconds: scalar_s,
         kernel_estimate_seconds: kernel_s,
-        kernel_speedup,
-        simd,
+        kernel_speedup: speedup(scalar_s, kernel_s),
         simd_estimate_seconds: simd_s,
-        simd_speedup,
+        simd_speedup: speedup(kernel_s, simd_s),
         feasible_ratio: ratio,
-        threads,
+        threads: resilient.then_some(RESILIENT_THREADS),
         resilient_serial_seconds: serial_s,
         resilient_pooled_seconds: pooled_s,
-        resilient_speedup,
+        resilient_speedup: speedup(serial_s, pooled_s),
     }
-}
-
-/// Trimmed view of a baseline cell: only the machine-relative ratios
-/// the checker compares. Parsing through this view (the vendored serde
-/// shim ignores unknown fields) makes `--check` forward-compatible with
-/// any baseline that still carries these columns — v1 files included.
-#[derive(Deserialize)]
-struct BaselineCell {
-    name: String,
-    kernel_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFile {
-    schema_version: u32,
-    grid: Vec<BaselineCell>,
-}
-
-/// v2-only baseline columns, read in a second pass when the baseline's
-/// schema version says they exist.
-#[derive(Deserialize)]
-struct BaselineCellV2 {
-    name: String,
-    resilient_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFileV2 {
-    grid: Vec<BaselineCellV2>,
-}
-
-/// v5-only baseline columns, read when the baseline carries them.
-#[derive(Deserialize)]
-struct BaselineCellV5 {
-    name: String,
-    simd_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFileV5 {
-    grid: Vec<BaselineCellV5>,
-}
-
-/// Compares against a baseline file; returns the regressed cell names.
-///
-/// A cell regresses when `baseline_ratio / current_ratio > 2.0` for the
-/// kernel speedup or (v2+ baselines only) the resilient speedup. Both
-/// are same-machine ratios, so the gate holds on any runner hardware.
-/// Additionally, when this run's machine has ≥ [`RESILIENT_THREADS`]
-/// cores, the absolute thread-scaling gate applies (module docs).
-fn regressions(current: &BenchFile, baseline_path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-    let baseline: BaselineFile = serde_json::from_str(&text).expect("baseline parses");
-    assert!(
-        baseline.schema_version >= 1 && baseline.schema_version <= SCHEMA_VERSION,
-        "baseline schema version {} is not supported (expected 1..={SCHEMA_VERSION})",
-        baseline.schema_version
-    );
-    let mut bad = Vec::new();
-    for cur in &current.grid {
-        let Some(base) = baseline.grid.iter().find(|b| b.name == cur.name) else {
-            continue;
-        };
-        // Zero means "volume legs skipped on this cell" (v3 sparse
-        // cells are past the Halton dimension cap): nothing to compare.
-        if base.kernel_speedup <= 0.0 || cur.kernel_speedup <= 0.0 {
-            continue;
-        }
-        if base.kernel_speedup / cur.kernel_speedup > 2.0 {
-            bad.push(format!(
-                "{}: kernel speedup {:.2}x vs baseline {:.2}x",
-                cur.name, cur.kernel_speedup, base.kernel_speedup
-            ));
-        }
-    }
-    if baseline.schema_version >= 2 {
-        let v2: BaselineFileV2 = serde_json::from_str(&text).expect("v2 baseline parses");
-        for cur in &current.grid {
-            let Some(base) = v2.grid.iter().find(|b| b.name == cur.name) else {
-                continue;
-            };
-            // Zero means "resilient legs skipped on this cell" (v3
-            // sparse cells): nothing to compare.
-            if base.resilient_speedup <= 0.0 || cur.resilient_speedup <= 0.0 {
-                continue;
-            }
-            if base.resilient_speedup / cur.resilient_speedup > 2.0 {
-                bad.push(format!(
-                    "{}: resilient speedup {:.2}x vs baseline {:.2}x",
-                    cur.name, cur.resilient_speedup, base.resilient_speedup
-                ));
-            }
-        }
-    }
-    if baseline.schema_version >= 5 {
-        let v5: BaselineFileV5 = serde_json::from_str(&text).expect("v5 baseline parses");
-        for cur in &current.grid {
-            let Some(base) = v5.grid.iter().find(|b| b.name == cur.name) else {
-                continue;
-            };
-            // Zero on either side means "no AVX2 leg" (non-AVX2 host,
-            // `ROD_NO_SIMD`, or a cell past the QMC dimension cap):
-            // nothing to compare.
-            if base.simd_speedup <= 0.0 || cur.simd_speedup <= 0.0 {
-                continue;
-            }
-            if base.simd_speedup / cur.simd_speedup > 2.0 {
-                bad.push(format!(
-                    "{}: SIMD speedup {:.2}x vs baseline {:.2}x",
-                    cur.name, cur.simd_speedup, base.simd_speedup
-                ));
-            }
-        }
-    }
-    // v5 absolute SIMD gate: when this run's kernels actually selected
-    // the AVX2 path, the explicit lanes must pay at least
-    // [`SIMD_GATE_MIN_SPEEDUP`] over the blocked-scalar loops on at
-    // least one QMC cell. Disarmed on non-AVX2 hosts and under
-    // `ROD_NO_SIMD` (every cell records `simd: false` there).
-    if current.grid.iter().any(|c| c.simd) {
-        let best = current
-            .grid
-            .iter()
-            .map(|c| c.simd_speedup)
-            .fold(0.0, f64::max);
-        if best < SIMD_GATE_MIN_SPEEDUP {
-            bad.push(format!(
-                "AVX2 path selected but best SIMD speedup is {best:.2}x \
-                 (gate requires >= {SIMD_GATE_MIN_SPEEDUP}x on at least one cell)"
-            ));
-        }
-    }
-    // v4 thread-scaling gate: armed only when this machine can actually
-    // run the pooled chunks in parallel and the serial leg is long
-    // enough to measure fairly.
-    if current.cores >= RESILIENT_THREADS {
-        for cur in &current.grid {
-            if cur.threads == 0 || cur.resilient_serial_seconds < SCALING_GATE_MIN_SERIAL_SECONDS {
-                continue;
-            }
-            if cur.resilient_speedup < SCALING_GATE_MIN_SPEEDUP {
-                bad.push(format!(
-                    "{}: pooled scan no longer scales ({:.2}x on {} cores, \
-                     serial leg {:.2}s; gate requires >= {SCALING_GATE_MIN_SPEEDUP}x)",
-                    cur.name, cur.resilient_speedup, current.cores, cur.resilient_serial_seconds
-                ));
-            }
-        }
-    }
-    bad
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let repeats = if quick { 3 } else { 7 };
-    let out = arg_value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("BENCH_planner.json"));
-
-    let cells: Vec<&Cell> = GRID.iter().filter(|c| !quick || c.quick).collect();
-    let mut grid = Vec::with_capacity(cells.len());
-    for cell in cells {
-        eprintln!("[perf_planner] {} ...", cell.name);
-        grid.push(run_cell(cell, repeats));
-    }
-
-    let file = BenchFile {
-        schema_version: SCHEMA_VERSION,
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        rustc: tool_line("rustc", &["--version"]),
-        commit: tool_line(
-            "git",
-            &["-C", repo_root().to_str().unwrap(), "rev-parse", "HEAD"],
-        ),
-        cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        quick,
-        repeats,
-        workload_seed: WORKLOAD_SEED,
-        qmc_seed: QMC_SEED,
-        grid,
-    };
-
-    let rows: Vec<Vec<String>> = file
-        .grid
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                c.ops.to_string(),
-                c.nodes.to_string(),
-                c.nnz.to_string(),
-                c.samples.to_string(),
-                format!("{:.3}", c.plan_seconds * 1e3),
-                c.candidates_scored.to_string(),
-                format!("{:.3}", c.hier_plan_seconds * 1e3),
-                format!("{:.3}", c.scalar_estimate_seconds * 1e3),
-                format!("{:.3}", c.kernel_estimate_seconds * 1e3),
-                format!("{:.2}x", c.kernel_speedup),
-                format!("{:.3}", c.simd_estimate_seconds * 1e3),
-                format!("{:.2}x", c.simd_speedup),
-                format!("{:.1}", c.resilient_serial_seconds * 1e3),
-                format!("{:.1}", c.resilient_pooled_seconds * 1e3),
-                format!("{:.2}x", c.resilient_speedup),
-                fmt(c.feasible_ratio),
-            ]
-        })
-        .collect();
-    print_table(
-        "planner perf trajectory (medians)",
-        &[
-            "cell",
-            "ops",
-            "nodes",
-            "nnz",
-            "samples",
-            "plan ms",
-            "probes",
-            "hier ms",
-            "scalar ms",
-            "kernel ms",
-            "speedup",
-            "simd ms",
-            "simd-speedup",
-            "res-ser ms",
-            "res-pool ms",
-            "res-speedup",
-            "ratio",
-        ],
-        &rows,
-    );
-
-    let json = serde_json::to_string_pretty(&file).expect("results serialise");
-    std::fs::write(&out, json).expect("write bench file");
-    println!("[bench written to {}]", out.display());
-
-    if let Some(baseline) = arg_value("--check") {
-        let bad = regressions(&file, Path::new(&baseline));
-        if bad.is_empty() {
-            println!("[check] no >2x speedup regressions vs {baseline}");
-        } else {
-            eprintln!("[check] PERF REGRESSION vs {baseline}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-    }
+    perf::main::<Planner>(WORKLOAD_SEED, 7, |quick, repeats| {
+        let cells = GRID.iter().filter(|c| !quick || c.quick);
+        cells.map(|cell| run_cell(cell, repeats)).collect()
+    });
 }

@@ -9,11 +9,13 @@
 //!   every randomised algorithm repeated with fresh random inputs, ROD
 //!   run once (it "does not depend on the input stream rates and produces
 //!   only one operator distribution plan");
-//! * [`output`] — console tables and JSON result files under `results/`.
+//! * [`output`] — console tables and JSON result files under `results/`;
+//! * [`perf`] — the `perf_*` trajectories and their `BENCH_*.json` checks.
 
 #![warn(missing_docs)]
 pub mod comparison;
 pub mod output;
+pub mod perf;
 pub mod plot;
 
 pub use comparison::{compare_algorithms, parallel_map, AlgorithmResult, ComparisonConfig};

@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::headroom::headroom;
+use rod_core::ids::OperatorId;
 use rod_core::load_model::LoadModel;
 use rod_core::obs::MetricsRegistry;
 use rod_core::PlanEvaluator;
@@ -249,6 +250,15 @@ impl ControlLoop {
                 initial.num_nodes(),
                 model.num_operators(),
                 cluster.num_nodes()
+            ));
+        }
+        let nodes = cluster.num_nodes();
+        if let Some((j, node)) = (0..initial.num_operators())
+            .filter_map(|j| Some((j, initial.node_of(OperatorId(j))?.index())))
+            .find(|&(_, node)| node >= nodes)
+        {
+            return Err(format!(
+                "initial allocation places operator {j} on node {node}, but the cluster has {nodes} nodes"
             ));
         }
         cfg.drift.validate()?;
@@ -816,6 +826,23 @@ mod tests {
         for i in 0..n {
             loop_.observe_sample(t0 + i as f64, &[0.5, 0.5], rates);
         }
+    }
+
+    #[test]
+    fn new_rejects_a_plan_on_a_node_outside_the_cluster() {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let mut nodes = vec!["0"; model.num_operators()];
+        nodes[1] = "2";
+        let json = format!(r#"{{"assignment":[{}],"num_nodes":2}}"#, nodes.join(","));
+        let initial: Allocation = serde_json::from_str(&json).unwrap();
+        let cluster = Cluster::homogeneous(2, 1.0);
+        let err = ControlLoop::new(model, cluster, initial, ControlConfig::default())
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            "initial allocation places operator 1 on node 2, but the cluster has 2 nodes"
+        );
     }
 
     #[test]

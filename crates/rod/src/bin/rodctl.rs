@@ -169,13 +169,15 @@ fn load_plan(flags: &Flags) -> Result<Allocation, String> {
     serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))
 }
 
-/// Rejects a plan the simulator cannot run: one made for a graph with a
-/// different operator count, one that leaves an operator unplaced, or
-/// one that places an operator on a node the cluster does not have.
+/// Rejects a plan that does not fit: one made for a graph with a
+/// different operator count, one that places an operator on a node the
+/// cluster does not have, or, when `complete`, one that leaves an
+/// operator unplaced.
 fn check_plan_fits(
     graph: &rod::core::QueryGraph,
     plan: &Allocation,
     cluster: &Cluster,
+    complete: bool,
 ) -> Result<(), String> {
     if plan.num_operators() != graph.num_operators() {
         return Err(format!(
@@ -186,7 +188,7 @@ fn check_plan_fits(
     }
     for j in 0..plan.num_operators() {
         match plan.node_of(OperatorId(j)) {
-            None => return Err(format!("plan leaves operator {j} unplaced")),
+            None if complete => return Err(format!("plan leaves operator {j} unplaced")),
             Some(node) if node.index() >= cluster.num_nodes() => {
                 return Err(format!(
                     "plan places operator {j} on node {}, but --nodes gives {} nodes",
@@ -194,10 +196,30 @@ fn check_plan_fits(
                     cluster.num_nodes()
                 ))
             }
-            Some(_) => {}
+            _ => {}
         }
     }
     Ok(())
+}
+
+/// Loads `--plan` for `evaluate`, `explain` and `headroom`. An
+/// incomplete plan is fine, but the evaluator sizes its node loads by
+/// the plan's node count, so that count must be `--nodes`.
+fn load_plan_to_evaluate(
+    flags: &Flags,
+    graph: &rod::core::QueryGraph,
+    cluster: &Cluster,
+) -> Result<Allocation, String> {
+    let plan = load_plan(flags)?;
+    if plan.num_nodes() != cluster.num_nodes() {
+        return Err(format!(
+            "plan is for {} nodes but --nodes gives {}",
+            plan.num_nodes(),
+            cluster.num_nodes()
+        ));
+    }
+    check_plan_fits(graph, &plan, cluster, false)?;
+    Ok(plan)
 }
 
 fn cmd_generate(flags: &Flags) -> Result<String, String> {
@@ -340,7 +362,7 @@ fn cmd_plan(flags: &Flags) -> Result<String, String> {
 fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
-    let plan = load_plan(flags)?;
+    let plan = load_plan_to_evaluate(flags, &graph, &cluster)?;
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
     let samples: usize = flags.parse_num("samples", 20_000)?;
     let ev = PlanEvaluator::new(&model, &cluster);
@@ -377,7 +399,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
 fn cmd_explain(flags: &Flags) -> Result<String, String> {
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
-    let plan = load_plan(flags)?;
+    let plan = load_plan_to_evaluate(flags, &graph, &cluster)?;
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
     let ev = PlanEvaluator::new(&model, &cluster);
     Ok(rod::core::explain::explain_plan(&ev, &plan))
@@ -458,7 +480,7 @@ fn cmd_compare(flags: &Flags) -> Result<String, String> {
 fn cmd_headroom(flags: &Flags) -> Result<String, String> {
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
-    let plan = load_plan(flags)?;
+    let plan = load_plan_to_evaluate(flags, &graph, &cluster)?;
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
     let rates = parse_rates(flags.require("rates")?, graph.num_inputs())?;
     let ev = PlanEvaluator::new(&model, &cluster);
@@ -533,7 +555,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
     let plan = load_plan(flags)?;
-    check_plan_fits(&graph, &plan, &cluster)?;
+    check_plan_fits(&graph, &plan, &cluster, true)?;
     let threads = parse_threads(flags)?;
     if threads > 0 {
         // Sizes the planning pool used by failover-table precomputation
@@ -1246,18 +1268,75 @@ mod tests {
         path.to_str().unwrap().to_string()
     }
 
+    /// Operator count of `graph_and_plan`'s plan.
+    fn plan_ops(plan_path: &str) -> usize {
+        load_plan(&Flags::parse(&strings(&["--plan", plan_path])).unwrap())
+            .unwrap()
+            .num_operators()
+    }
+
+    /// Runs every subcommand that reads `--plan` on the given files with
+    /// `--nodes nodes`, asserting each fails with exactly its `expected`
+    /// message, or succeeds where that is `None`. Order: evaluate,
+    /// explain, headroom, simulate, daemon.
+    fn assert_plan_handled(
+        graph_path: &str,
+        plan_path: &str,
+        nodes: &str,
+        expected: [Option<&str>; 5],
+    ) {
+        let f = Flags::parse(&strings(&[
+            "--graph",
+            graph_path,
+            "--plan",
+            plan_path,
+            "--nodes",
+            nodes,
+            "--rates",
+            "10,10",
+            "--samples",
+            "500",
+            "--trace-in",
+            "unused.jsonl",
+        ]))
+        .unwrap();
+        type Command = fn(&Flags) -> Result<String, String>;
+        let commands: [(&str, Command); 5] = [
+            ("evaluate", cmd_evaluate),
+            ("explain", cmd_explain),
+            ("headroom", cmd_headroom),
+            ("simulate", cmd_simulate),
+            ("daemon", cmd_daemon),
+        ];
+        for ((name, command), want) in commands.into_iter().zip(expected) {
+            match (command(&f), want) {
+                (Ok(_), None) => {}
+                (Err(err), Some(want)) => assert_eq!(err, want, "{name}"),
+                (got, want) => panic!("{name}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
     #[test]
     fn simulate_rejects_a_plan_for_another_graph() {
-        let (dir, graph_path, _) = graph_and_plan("othergraph");
+        let (dir, graph_path, plan_path) = graph_and_plan("othergraph");
+        let ops = plan_ops(&plan_path);
         let mut plan = Allocation::new(3, 2);
         for j in 0..3 {
             plan.assign(OperatorId(j), NodeId(0));
         }
         let plan_path = write_plan(&dir, "other.json", &plan);
-        let err = cmd_simulate(&simulate_args(&graph_path, &plan_path, &[])).unwrap_err();
-        assert!(
-            err.starts_with("plan places 3 operators but the graph has"),
-            "{err}"
+        let other = format!(
+            "plan places 3 operators but the graph has {ops} (is it a plan for another graph?)"
+        );
+        let shape =
+            format!("initial allocation shape 3x2 does not match model {ops} operators on 2 nodes");
+        let other = Some(other.as_str());
+        assert_plan_handled(
+            &graph_path,
+            &plan_path,
+            "2",
+            [other, other, other, other, Some(&shape)],
         );
         fs::remove_dir_all(&dir).ok();
     }
@@ -1265,18 +1344,60 @@ mod tests {
     #[test]
     fn simulate_rejects_a_plan_for_a_larger_cluster() {
         let (dir, graph_path, plan_path) = graph_and_plan("widerplan");
-        let ops = load_plan(&Flags::parse(&strings(&["--plan", &plan_path])).unwrap())
-            .unwrap()
-            .num_operators();
+        let ops = plan_ops(&plan_path);
         let mut plan = Allocation::new(ops, 4);
         for j in 0..ops {
             plan.assign(OperatorId(j), NodeId(j % 4));
         }
         let plan_path = write_plan(&dir, "four.json", &plan);
-        let err = cmd_simulate(&simulate_args(&graph_path, &plan_path, &[])).unwrap_err();
-        assert_eq!(
-            err,
-            "plan places operator 2 on node 2, but --nodes gives 2 nodes"
+        let count = Some("plan is for 4 nodes but --nodes gives 2");
+        let shape = format!(
+            "initial allocation shape {ops}x4 does not match model {ops} operators on 2 nodes"
+        );
+        let simulate = Some("plan places operator 2 on node 2, but --nodes gives 2 nodes");
+        assert_plan_handled(
+            &graph_path,
+            &plan_path,
+            "2",
+            [count, count, count, simulate, Some(&shape)],
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn evaluators_reject_a_plan_for_a_smaller_cluster() {
+        let (dir, graph_path, plan_path) = graph_and_plan("narrowplan");
+        let ops = plan_ops(&plan_path);
+        let count = Some("plan is for 2 nodes but --nodes gives 3");
+        let shape = format!(
+            "initial allocation shape {ops}x2 does not match model {ops} operators on 3 nodes"
+        );
+        // `simulate` runs a plan that leaves some nodes idle.
+        assert_plan_handled(
+            &graph_path,
+            &plan_path,
+            "3",
+            [count, count, count, None, Some(&shape)],
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_plan_reader_rejects_a_node_index_out_of_range() {
+        let (dir, graph_path, plan_path) = graph_and_plan("farnode");
+        let mut nodes = vec!["0"; plan_ops(&plan_path)];
+        nodes[1] = "5";
+        let json = format!(r#"{{"assignment":[{}],"num_nodes":2}}"#, nodes.join(","));
+        let plan_path = dir.join("far.json");
+        fs::write(&plan_path, json).unwrap();
+        let far = Some("plan places operator 1 on node 5, but --nodes gives 2 nodes");
+        let daemon =
+            Some("initial allocation places operator 1 on node 5, but the cluster has 2 nodes");
+        assert_plan_handled(
+            &graph_path,
+            plan_path.to_str().unwrap(),
+            "2",
+            [far, far, far, far, daemon],
         );
         fs::remove_dir_all(&dir).ok();
     }
