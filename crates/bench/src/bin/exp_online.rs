@@ -1,5 +1,6 @@
-//! **Closed-loop online replanning \[reconstructed\]** — what the `rodd`
-//! control loop buys over a static placement when load actually drifts.
+//! **Closed-loop online replanning \[reconstructed\]** — what the
+//! control loop behind `rodctl daemon` (the "rodd" arm below) buys over a
+//! static placement when load actually drifts.
 //!
 //! Three arms replay the same bursty two-stream ON/OFF trace:
 //!

@@ -1,10 +1,10 @@
 //! `perf_ctrl` → `BENCH_ctrl.json`: line-at-a-time `UtilSample`
-//! ingestion (`BufRead::lines` + `ingest_line`, as `ControlLoop::replay`
-//! does) against the zero-copy fast path (`LineScanner`, strict-form
-//! probe, `ingest_batch`; DESIGN.md §14), alone (`ingest_*`) or in the
-//! whole daemon (`loop_*`: `replay` against `replay_batched`). Every
-//! repetition asserts equal counts, rejection counters, `last_time` and
-//! estimate bits, and on the loop cell equal summaries and logs.
+//! ingestion (`BufRead::lines` + `ingest_line`) against the zero-copy
+//! fast path (`LineScanner`, strict-form probe, `ingest_batch`;
+//! DESIGN.md §14), alone (`ingest_*`) or in the whole daemon (`loop_*`:
+//! `observe_line` per line against `replay_batched`). Every repetition
+//! asserts equal counts, rejection counters, `last_time` and estimate
+//! bits, and on the loop cell equal summaries and logs.
 
 use std::io::BufRead;
 use std::time::Instant;
@@ -13,20 +13,19 @@ use rod_bench::perf::ctrl::{Cell as CellResult, Ctrl};
 use rod_bench::perf::{self, median};
 use rod_core::cluster::Cluster;
 use rod_core::examples_paper::figure4_graph;
-use rod_ctrl::{ControlConfig, ControlLoop, SampleBatch, TelemetryConfig, TelemetryIngest};
+use rod_ctrl::{
+    ControlConfig, ControlLoop, SampleBatch, TelemetryConfig, TelemetryIngest, INGEST_BATCH,
+};
 use rod_sim::replay::scan::{probe_util_sample, LineScanner, UtilScratch};
 
 /// Stream-generation seed — fixed so the trajectory tracks code.
 const SEED: u64 = 42;
 
-/// Batch size of the fast path under test (the front ends' default).
-const MAX_BATCH: usize = 256;
-
 #[derive(Clone, Copy)]
 enum Kind {
     /// Telemetry layer alone: `ingest_line` vs scanner + `ingest_batch`.
     Ingest,
-    /// Whole daemon: `replay` vs `replay_batched`.
+    /// Whole daemon: `observe_line` per line vs `replay_batched`.
     Loop,
 }
 
@@ -106,8 +105,8 @@ fn telemetry_config() -> TelemetryConfig {
     }
 }
 
-/// The oracle: exactly `ControlLoop::replay`'s per-line work at the
-/// telemetry layer (allocating `BufRead::lines`, full `parse_line`).
+/// The reference: line-at-a-time work at the telemetry layer
+/// (allocating `BufRead::lines`, full `parse_line`).
 fn ingest_lines(bytes: &[u8]) -> (TelemetryIngest, f64) {
     let mut ingest = TelemetryIngest::new(telemetry_config());
     let t = Instant::now();
@@ -136,7 +135,7 @@ fn ingest_batched(bytes: &[u8]) -> (TelemetryIngest, f64) {
         }
         if probe_util_sample(line, &mut scratch) {
             batch.push(scratch.time, &scratch.utilisations, &scratch.rates);
-            if batch.len() >= MAX_BATCH {
+            if batch.len() >= INGEST_BATCH {
                 ingest.ingest_batch(batch, |_, _| {});
                 batch.clear();
             }
@@ -212,12 +211,18 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             Kind::Loop => {
                 let mut oracle = make_loop();
                 let t = Instant::now();
-                let s1 = oracle.replay(bytes).expect("valid UTF-8 stream");
+                for line in bytes.lines() {
+                    let line = line.expect("generated stream is valid UTF-8");
+                    if !line.trim().is_empty() {
+                        oracle.observe_line(&line);
+                    }
+                }
+                let s1 = oracle.summary();
                 line_times.push(t.elapsed().as_secs_f64());
                 let mut fast = make_loop();
                 let t = Instant::now();
                 let s2 = fast
-                    .replay_batched(bytes, MAX_BATCH)
+                    .replay_batched(bytes, INGEST_BATCH)
                     .expect("valid UTF-8 stream");
                 batch_times.push(t.elapsed().as_secs_f64());
                 assert_eq!(
@@ -246,7 +251,7 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
         line_samples_per_sec: cell.lines as f64 / line_s,
         batched_samples_per_sec: cell.lines as f64 / batch_s,
         ingest_speedup: line_s / batch_s,
-        max_batch: MAX_BATCH,
+        max_batch: INGEST_BATCH,
     }
 }
 

@@ -39,8 +39,8 @@ fn main() {
     let estimator = make_estimator(&model, &cluster, 200_000, 7);
 
     println!("L^o (Table 2):");
-    for j in 0..model.num_operators() {
-        println!("  o{} -> {:?}", j + 1, model.lo().row(j));
+    for (j, row) in model.sparse_lo().rows().iter().enumerate() {
+        println!("  o{} -> {:?}", j + 1, row.to_dense());
     }
     println!(
         "\nIdeal hyperplane (Figure 6): {} r1 + {} r2 = C_T = {}",

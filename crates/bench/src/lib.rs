@@ -1,8 +1,8 @@
 //! # rod-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks and ablations (`benches/`). This library
-//! holds the shared machinery:
+//! One binary per table/figure of the paper (see `src/bin/`), plus the
+//! design ablations (`exp_ablations`) and the `perf_*` trajectories.
+//! This library holds the shared machinery:
 //!
 //! * [`comparison`] — runs the §7.2 algorithm set (ROD, Correlation, LLF,
 //!   Random, Connected) over a workload exactly as §7.3 prescribes:

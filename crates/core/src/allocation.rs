@@ -108,34 +108,6 @@ impl Allocation {
             .filter(|&op| self.node_of(op) != other.node_of(op))
             .collect()
     }
-
-    /// The dense 0/1 allocation matrix `A` (n × m).
-    pub fn allocation_matrix(&self) -> Matrix {
-        let mut a = Matrix::zeros(self.num_nodes, self.assignment.len());
-        for (j, node) in self.assignment.iter().enumerate() {
-            if let Some(n) = node {
-                a[(n.index(), j)] = 1.0;
-            }
-        }
-        a
-    }
-
-    /// The node load-coefficient matrix `L^n = A·L^o` (n × d'), computed
-    /// directly by accumulating assigned rows (cheaper and clearer than
-    /// materialising `A`).
-    pub fn node_load_matrix(&self, lo: &Matrix) -> Matrix {
-        let mut ln = Matrix::zeros(self.num_nodes, lo.cols());
-        for (j, node) in self.assignment.iter().enumerate() {
-            if let Some(n) = node {
-                let row = lo.row(j);
-                let target = ln.row_mut(n.index());
-                for (t, &v) in target.iter_mut().zip(row) {
-                    *t += v;
-                }
-            }
-        }
-        ln
-    }
 }
 
 /// The normalised weight matrix `W = {w_ik}` of §3.3:
@@ -391,15 +363,6 @@ mod tests {
         // Unplaced-vs-placed counts as a difference.
         let empty = Allocation::new(3, 2);
         assert_eq!(a.diff(&empty).len(), 3);
-    }
-
-    #[test]
-    fn allocation_matrix_matches_node_load_matrix() {
-        let (model, _) = setup();
-        let [a, _, _] = example2_plans();
-        let via_matmul = a.allocation_matrix().matmul(model.lo());
-        let direct = a.node_load_matrix(model.lo());
-        assert_eq!(via_matmul, direct);
     }
 
     #[test]

@@ -48,15 +48,11 @@ impl Planner for ConnectedPlanner {
         let adjacency = model.graph().adjacency();
         let mut on_ns = vec![false; m];
 
-        let loads: Vec<f64> = (0..m)
-            .map(|j| {
-                model
-                    .operator_row(OperatorId(j))
-                    .iter()
-                    .zip(x.as_slice())
-                    .map(|(l, r)| l * r)
-                    .sum()
-            })
+        let loads: Vec<f64> = model
+            .sparse_lo()
+            .rows()
+            .iter()
+            .map(|row| row.dot_dense(x.as_slice()))
             .collect();
         let total: f64 = loads.iter().sum();
         // "the average load of all operators" spread over the nodes: the

@@ -80,18 +80,14 @@ impl Planner for CorrelationPlanner {
             .iter()
             .map(|r| model.variable_point(r))
             .collect();
-        let series: Vec<Vec<f64>> = (0..m)
-            .map(|j| {
+        let series: Vec<Vec<f64>> = model
+            .sparse_lo()
+            .rows()
+            .iter()
+            .map(|row| {
                 var_points
                     .iter()
-                    .map(|x| {
-                        model
-                            .operator_row(OperatorId(j))
-                            .iter()
-                            .zip(x.as_slice())
-                            .map(|(l, r)| l * r)
-                            .sum()
-                    })
+                    .map(|x| row.dot_dense(x.as_slice()))
                     .collect()
             })
             .collect();

@@ -47,15 +47,11 @@ impl Planner for LlfPlanner {
         let n = cluster.num_nodes();
 
         // Average load of each operator at the observed point.
-        let loads: Vec<f64> = (0..m)
-            .map(|j| {
-                model
-                    .operator_row(OperatorId(j))
-                    .iter()
-                    .zip(x.as_slice())
-                    .map(|(l, r)| l * r)
-                    .sum()
-            })
+        let loads: Vec<f64> = model
+            .sparse_lo()
+            .rows()
+            .iter()
+            .map(|row| row.dot_dense(x.as_slice()))
             .collect();
 
         let mut order: Vec<OperatorId> = (0..m).map(OperatorId).collect();

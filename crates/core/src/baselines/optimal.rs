@@ -209,7 +209,7 @@ impl OptimalPlanner {
             }
         }
         let base_feas =
-            SampledFeasibility::from_batch(model.lo(), estimator.batch(), caps.as_slice());
+            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
         let threads = match self.threads {
             0 => rod_pool::global().size(),
             t => t,
@@ -497,12 +497,12 @@ mod tests {
         let m = model.num_operators();
         let n = cluster.num_nodes();
         let d = model.num_vars();
-        let lo = model.lo();
+        let lo = model.sparse_lo();
         let mut best: Option<(Vec<usize>, usize)> = None;
         OptimalPlanner::enumerate(m, n, homogeneous, &mut |assignment| {
             let mut ln = vec![0.0; n * d];
             for (j, &node) in assignment.iter().enumerate() {
-                for (k, &v) in lo.row(j).iter().enumerate() {
+                for (k, &v) in lo.row(j).to_dense().iter().enumerate() {
                     ln[node * d + k] += v;
                 }
             }

@@ -143,7 +143,7 @@ fn cluster_weight(model: &LoadModel, members: &[OperatorId]) -> f64 {
     let totals = model.total_coeffs();
     let mut acc = vec![0.0; d];
     for &op in members {
-        for (k, &v) in model.operator_row(op).iter().enumerate() {
+        for (k, v) in model.operator_sparse_row(op).iter() {
             acc[k] += v;
         }
     }
@@ -244,7 +244,7 @@ pub fn place_clustered(
     let mut rows: Vec<Vec<f64>> = vec![vec![0.0; d]; nc];
     for (c, row) in rows.iter_mut().enumerate() {
         for &op in clustering.members(c) {
-            for (k, &v) in model.operator_row(op).iter().enumerate() {
+            for (k, v) in model.operator_sparse_row(op).iter() {
                 row[k] += v;
             }
         }

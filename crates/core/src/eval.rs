@@ -49,7 +49,7 @@
 //! the bound O(1) to read and O(P) to maintain per move instead of
 //! O(P·n·d) to recompute.
 
-use rod_geom::{FeasibleRegion, Matrix, PointBatch, Vector};
+use rod_geom::{FeasibleRegion, Matrix, PointBatch, SparseLoadMatrix, Vector};
 
 use crate::allocation::{Allocation, WeightMatrix};
 use crate::cluster::Cluster;
@@ -483,9 +483,9 @@ pub struct SampledFeasibility {
 }
 
 impl SampledFeasibility {
-    /// Builds the tracker for `lo` (m×d operator load coefficients),
-    /// a shared QMC `points` set, and per-node `caps`.
-    pub fn new(lo: &Matrix, points: &[Vector], caps: &[f64]) -> Self {
+    /// Builds the tracker for `lo` (the m×d sparse operator load
+    /// coefficients), a shared QMC `points` set, and per-node `caps`.
+    pub fn new(lo: &SparseLoadMatrix, points: &[Vector], caps: &[f64]) -> Self {
         SampledFeasibility::from_batch(lo, &PointBatch::from_points(points), caps)
     }
 
@@ -496,14 +496,23 @@ impl SampledFeasibility {
     /// column-wise via [`PointBatch::dot_into`], which keeps the exact
     /// per-point operand order of the scalar dot product, so every load —
     /// and every kill decision derived from one — is bit-identical to the
-    /// row-major construction.
-    pub fn from_batch(lo: &Matrix, batch: &PointBatch, caps: &[f64]) -> Self {
-        let m = lo.rows();
+    /// row-major construction. Each sparse row is expanded into one
+    /// reused dense scratch row, cleared again afterwards; the kernel
+    /// skips zero coefficients, so the expansion adds no terms.
+    pub fn from_batch(lo: &SparseLoadMatrix, batch: &PointBatch, caps: &[f64]) -> Self {
+        let m = lo.num_rows();
         let p = batch.num_points();
         let mut op_loads = vec![0.0; m * p];
         if p > 0 {
-            for j in 0..m {
-                batch.dot_into(lo.row(j), &mut op_loads[j * p..(j + 1) * p]);
+            let mut coeffs = vec![0.0; lo.num_cols()];
+            for (j, row) in lo.rows().iter().enumerate() {
+                for (k, v) in row.iter() {
+                    coeffs[k] = v;
+                }
+                batch.dot_into(&coeffs, &mut op_loads[j * p..(j + 1) * p]);
+                for (k, _) in row.iter() {
+                    coeffs[k] = 0.0;
+                }
             }
         }
         SampledFeasibility {
@@ -671,7 +680,7 @@ mod tests {
         let i = node.index();
         let rel = eval.rel[i];
         let totals = eval.model.total_coeffs();
-        let lo_row = eval.model.operator_row(op);
+        let lo_row = eval.model.operator_sparse_row(op).to_dense();
         let mut sumsq = 0.0;
         let mut wb = 0.0;
         let mut class_one = true;
@@ -805,7 +814,8 @@ mod tests {
             3,
         );
         let caps = cluster.capacities();
-        let mut feas = SampledFeasibility::new(model.lo(), estimator.points(), caps.as_slice());
+        let mut feas =
+            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
         let ev = PlanEvaluator::new(&model, &cluster);
 
         let fresh_count = |alloc: &Allocation| -> usize {
@@ -860,7 +870,8 @@ mod tests {
             3,
         );
         let caps = cluster.capacities();
-        let mut feas = SampledFeasibility::new(model.lo(), estimator.points(), caps.as_slice());
+        let mut feas =
+            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
         let pristine = feas.clone();
         for _ in 0..3 {
             feas.push_assign(2, 1);
@@ -891,7 +902,8 @@ mod tests {
             3,
         );
         let caps = cluster.capacities();
-        let mut feas = SampledFeasibility::new(model.lo(), estimator.points(), caps.as_slice());
+        let mut feas =
+            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
         feas.push_assign(0, 0);
         feas.push_assign(1, 1);
         feas.pop_assign(0, 0);

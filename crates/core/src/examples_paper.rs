@@ -114,6 +114,8 @@ pub fn example3_graph() -> QueryGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::PlanEvaluator;
+    use crate::cluster::Cluster;
     use crate::load_model::LoadModel;
 
     #[test]
@@ -126,14 +128,16 @@ mod tests {
     #[test]
     fn example2_plans_reproduce_table2() {
         let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let cluster = Cluster::homogeneous(2, 1.0);
+        let ev = PlanEvaluator::new(&model, &cluster);
         let [a, b, c] = example2_plans();
-        let ln_a = a.node_load_matrix(model.lo());
+        let ln_a = ev.node_load_matrix(&a);
         assert_eq!(ln_a.row(0), &[4.0, 2.0]);
         assert_eq!(ln_a.row(1), &[6.0, 9.0]);
-        let ln_b = b.node_load_matrix(model.lo());
+        let ln_b = ev.node_load_matrix(&b);
         assert_eq!(ln_b.row(0), &[4.0, 9.0]);
         assert_eq!(ln_b.row(1), &[6.0, 2.0]);
-        let ln_c = c.node_load_matrix(model.lo());
+        let ln_c = ev.node_load_matrix(&c);
         assert_eq!(ln_c.row(0), &[10.0, 0.0]);
         assert_eq!(ln_c.row(1), &[0.0, 11.0]);
     }

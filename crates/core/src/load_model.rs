@@ -5,20 +5,18 @@
 //! produced by [`crate::linearize`] (for purely linear graphs,
 //! `d' = d` and the variables *are* the system input rates).
 //!
-//! The matrix is stored **sparse**: each operator touches only the few
-//! streams it actually consumes, so its row has a handful of nonzeros out
-//! of `d'` columns — at production scale (tens of thousands of operators
-//! over hundreds of streams) the dense matrix would be almost entirely
-//! zeros. The dense [`LoadModel::lo`] view is materialised lazily for the
-//! geometry paths that still want flat rows; every derived quantity
-//! (column totals, row norms) is accumulated in the same index-ascending
-//! order as the dense code so the bits are identical either way.
-
-use std::sync::OnceLock;
+//! The matrix is stored **sparse**, and only sparse: each operator
+//! touches only the few streams it actually consumes, so its row has a
+//! handful of nonzeros out of `d'` columns — at production scale (tens of
+//! thousands of operators over hundreds of streams) the dense matrix
+//! would be almost entirely zeros. Every derived quantity (column totals,
+//! row norms) is accumulated in the same index-ascending order as a dense
+//! loop, so the bits are those of the dense arithmetic (see
+//! [`rod_geom::sparse`]).
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use rod_geom::{Matrix, SparseLoadMatrix, SparseRow, Vector};
+use rod_geom::{SparseLoadMatrix, SparseRow, Vector};
 
 use crate::error::GraphError;
 use crate::graph::QueryGraph;
@@ -39,8 +37,6 @@ pub struct LoadModel {
     /// Per-operator row norms — the Phase-1 ordering keys, precomputed in
     /// the dense accumulation order.
     norms: Vec<f64>,
-    /// Dense `L^o`, materialised on first use by [`LoadModel::lo`].
-    dense: OnceLock<Matrix>,
 }
 
 impl LoadModel {
@@ -73,7 +69,6 @@ impl LoadModel {
             sparse,
             total_coeffs,
             norms,
-            dense: OnceLock::new(),
         }
     }
 
@@ -112,33 +107,7 @@ impl LoadModel {
         self.sparse.nnz()
     }
 
-    /// The full dense `L^o` matrix, materialised from the sparse rows on
-    /// first call and cached. Dense-path consumers (sampled feasibility
-    /// tables, exact snapshots) keep working unchanged; sparse-aware
-    /// callers should prefer [`Self::sparse_lo`] /
-    /// [`Self::operator_sparse_row`].
-    pub fn lo(&self) -> &Matrix {
-        self.dense.get_or_init(|| {
-            let m = self.sparse.num_rows();
-            let d = self.sparse.num_cols();
-            let mut lo = Matrix::zeros(m, d);
-            for (j, row) in self.sparse.rows().iter().enumerate() {
-                for (k, v) in row.iter() {
-                    lo.row_mut(j)[k] = v;
-                }
-            }
-            lo
-        })
-    }
-
-    /// Load-coefficient row of one operator (dense view; materialises the
-    /// dense matrix on first call).
-    pub fn operator_row(&self, j: OperatorId) -> &[f64] {
-        self.lo().row(j.index())
-    }
-
-    /// Sparse load-coefficient row of one operator — O(nnz) iteration
-    /// without touching the dense fallback.
+    /// Sparse load-coefficient row of one operator — O(nnz) iteration.
     pub fn operator_sparse_row(&self, j: OperatorId) -> &SparseRow {
         self.sparse.row(j.index())
     }
@@ -187,8 +156,8 @@ impl LoadModel {
     }
 }
 
-// The dense cache is derived state, so (de)serialisation carries the
-// sparse representation only; totals and norms are recomputed on load.
+// Totals and norms are derived state, so (de)serialisation carries the
+// sparse representation only and recomputes them on load.
 impl Serialize for LoadModel {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -222,6 +191,35 @@ impl Deserialize for LoadModel {
 mod tests {
     use super::*;
     use crate::examples_paper::{example3_graph, figure4_graph};
+    use crate::graph::GraphBuilder;
+    use crate::operator::OperatorKind;
+    use rod_geom::Matrix;
+
+    fn dense_rows(model: &LoadModel) -> Vec<Vec<f64>> {
+        model
+            .sparse_lo()
+            .rows()
+            .iter()
+            .map(SparseRow::to_dense)
+            .collect()
+    }
+
+    /// Figure 4's graph plus an operator of zero cost, whose load row is
+    /// all zeros: the case where an empty sparse sum and a dense sum of
+    /// zeros could disagree on the sign of zero.
+    fn graph_with_zero_cost_operator() -> QueryGraph {
+        let mut b = GraphBuilder::new();
+        let i1 = b.add_input();
+        let i2 = b.add_input();
+        let (_, s1) = b
+            .add_operator("o1", OperatorKind::filter(4.0, 1.0), &[i1])
+            .unwrap();
+        b.add_operator("idle", OperatorKind::filter(0.0, 1.0), &[s1])
+            .unwrap();
+        b.add_operator("o3", OperatorKind::filter(9.0, 0.5), &[i2])
+            .unwrap();
+        b.build().unwrap()
+    }
 
     #[test]
     fn table2_lo_matrix() {
@@ -229,10 +227,10 @@ mod tests {
         let model = LoadModel::derive(&figure4_graph()).unwrap();
         assert_eq!(model.num_operators(), 4);
         assert_eq!(model.num_vars(), 2);
-        assert_eq!(model.lo().row(0), &[4.0, 0.0]);
-        assert_eq!(model.lo().row(1), &[6.0, 0.0]);
-        assert_eq!(model.lo().row(2), &[0.0, 9.0]);
-        assert_eq!(model.lo().row(3), &[0.0, 2.0]);
+        assert_eq!(
+            dense_rows(&model),
+            [[4.0, 0.0], [6.0, 0.0], [0.0, 9.0], [0.0, 2.0]]
+        );
         // l_1 = 10, l_2 = 11 — the ideal hyperplane of Figure 6.
         assert_eq!(model.total_coeffs().as_slice(), &[10.0, 11.0]);
         // The sparse rows hold one entry per operator here.
@@ -252,23 +250,31 @@ mod tests {
 
     #[test]
     fn dense_view_matches_sparse_rows_bitwise() {
-        let model = LoadModel::derive(&example3_graph()).unwrap();
-        for j in 0..model.num_operators() {
-            let op = OperatorId(j);
-            let dense = model.operator_row(op);
-            assert_eq!(model.operator_sparse_row(op).to_dense(), dense);
-            let dense_norm = model.lo().row_vector(j).norm();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for graph in [example3_graph(), graph_with_zero_cost_operator()] {
+            let model = LoadModel::derive(&graph).unwrap();
+            let rows = dense_rows(&model);
+            let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+            let lo = Matrix::from_rows(&refs);
+            for j in 0..model.num_operators() {
+                assert_eq!(
+                    model.operator_norm(OperatorId(j)).to_bits(),
+                    lo.row_vector(j).norm().to_bits(),
+                    "norm of operator {j}"
+                );
+            }
+            // And the cached totals match a dense column sum bit-for-bit.
             assert_eq!(
-                model.operator_norm(op).to_bits(),
-                dense_norm.to_bits(),
-                "norm of operator {j}"
+                bits(model.total_coeffs().as_slice()),
+                bits(lo.col_sums().as_slice())
             );
         }
-        // And the cached totals match a dense column sum bit-for-bit.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The zero-cost operator's norm is +0.0, as the dense loop gives.
+        let model = LoadModel::derive(&graph_with_zero_cost_operator()).unwrap();
+        assert_eq!(model.operator_sparse_row(OperatorId(1)).nnz(), 0);
         assert_eq!(
-            bits(model.total_coeffs().as_slice()),
-            bits(model.lo().col_sums().as_slice())
+            model.operator_norm(OperatorId(1)).to_bits(),
+            0.0f64.to_bits()
         );
     }
 

@@ -178,7 +178,7 @@ impl<'a> ScenarioScorer<'a> {
             model,
             cluster,
             feas: SampledFeasibility::from_batch(
-                model.lo(),
+                model.sparse_lo(),
                 batch,
                 cluster.capacities().as_slice(),
             ),

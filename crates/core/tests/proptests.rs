@@ -3,12 +3,14 @@
 
 use proptest::prelude::*;
 
+use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::graph::{GraphBuilder, QueryGraph};
 use rod_core::ids::{NodeId, OperatorId, StreamId};
 use rod_core::load_model::LoadModel;
 use rod_core::operator::OperatorKind;
 use rod_core::rod::{RodOptions, RodPlanner};
+use rod_geom::Matrix;
 
 /// A tiny local stand-in for the rod-workloads tree generator (this
 /// crate cannot depend on rod-workloads — that would be a cycle), built
@@ -53,6 +55,21 @@ fn graph_spec() -> impl Strategy<Value = GraphSpec> {
         prop::collection::vec((0usize..100, 0u8..10, 1u16..1000, 1u16..1000), 1..24),
     )
         .prop_map(|(inputs, ops)| GraphSpec { inputs, ops })
+}
+
+/// `L^n = A·L^o` rebuilt from scratch out of the dense operator rows —
+/// the oracle the incremental evaluation layer is checked against.
+fn node_load_matrix(model: &LoadModel, alloc: &Allocation) -> Matrix {
+    let mut ln = Matrix::zeros(alloc.num_nodes(), model.num_vars());
+    for j in 0..model.num_operators() {
+        if let Some(node) = alloc.node_of(OperatorId(j)) {
+            let row = model.operator_sparse_row(OperatorId(j)).to_dense();
+            for (t, v) in ln.row_mut(node.index()).iter_mut().zip(row) {
+                *t += v;
+            }
+        }
+    }
+    ln
 }
 
 fn build(spec: &GraphSpec) -> QueryGraph {
@@ -108,7 +125,7 @@ proptest! {
         let x = model.variable_point(rates);
         let true_loads = graph.operator_loads(rates);
         for (j, truth) in true_loads.iter().enumerate() {
-            let row = model.operator_row(OperatorId(j));
+            let row = model.operator_sparse_row(OperatorId(j)).to_dense();
             let lin: f64 = row.iter().zip(x.as_slice()).map(|(l, v)| l * v).sum();
             prop_assert!(
                 (lin - truth).abs() <= 1e-9 * (1.0 + truth.abs()),
@@ -137,7 +154,7 @@ proptest! {
         let model = LoadModel::derive(&graph).unwrap();
         let cluster = Cluster::homogeneous(nodes, 1.0);
         let plan = RodPlanner::new().place(&model, &cluster).unwrap();
-        let ln = plan.allocation.node_load_matrix(model.lo());
+        let ln = node_load_matrix(&model, &plan.allocation);
         for k in 0..model.num_vars() {
             let col: f64 = (0..nodes).map(|i| ln[(i, k)]).sum();
             prop_assert!((col - model.total_coeffs()[k]).abs() < 1e-9);
@@ -156,12 +173,12 @@ proptest! {
         let c2 = Cluster::homogeneous(3, 8.0);
         let plan = RodPlanner::new().place(&model, &c1).unwrap();
         let w1 = rod_core::allocation::WeightMatrix::new(
-            &plan.allocation.node_load_matrix(model.lo()),
+            &node_load_matrix(&model, &plan.allocation),
             model.total_coeffs(),
             &c1,
         );
         let w2 = rod_core::allocation::WeightMatrix::new(
-            &plan.allocation.node_load_matrix(model.lo()),
+            &node_load_matrix(&model, &plan.allocation),
             model.total_coeffs(),
             &c2,
         );
@@ -288,7 +305,7 @@ proptest! {
                 _ => continue,
             }
             let reference = WeightMatrix::new(
-                &eval.allocation().node_load_matrix(model.lo()),
+                &node_load_matrix(&model, eval.allocation()),
                 model.total_coeffs(),
                 &cluster,
             );

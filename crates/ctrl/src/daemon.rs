@@ -21,7 +21,8 @@
 //! time and is off in replay mode). Fixed inputs ⇒ bit-identical
 //! decision logs, which CI asserts.
 
-use std::io::{BufRead, Read};
+use std::convert::Infallible;
+use std::io::Read;
 
 use serde::{Deserialize, Serialize};
 
@@ -172,6 +173,11 @@ impl Default for ControlConfig {
     }
 }
 
+/// Samples per fast-path batch in `rodctl daemon`'s replay. Every batch
+/// size yields the same summary, decision log and metrics apart from the
+/// `ctrl.ingest_batches` counter (`tests/batch_equiv.rs`).
+pub const INGEST_BATCH: usize = 256;
+
 /// Summary of one replay run, for CI assertions and the daemon's stdout.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ReplaySummary {
@@ -210,7 +216,7 @@ enum Gate {
 /// The online replanning control loop. See the module docs for the data
 /// flow; construct with [`ControlLoop::new`], feed lines with
 /// [`observe_line`](ControlLoop::observe_line) or whole streams with
-/// [`replay`](ControlLoop::replay).
+/// [`replay_batched`](ControlLoop::replay_batched).
 pub struct ControlLoop {
     model: LoadModel,
     cluster: Cluster,
@@ -342,54 +348,44 @@ impl ControlLoop {
 
     /// Feeds one raw telemetry line. Never panics.
     pub fn observe_line(&mut self, line: &str) {
-        self.lines_seen += 1;
-        match self.ingest.ingest_line(line) {
-            Ingested::Sample { time } => self.on_sample(time),
-            Ingested::Other => {}
-            Ingested::Rejected(reason) => self.on_reject(reason),
-        }
+        let outcome = self.ingest.ingest_line(line);
+        self.observe(outcome);
     }
 
     /// Feeds one pre-parsed sample (bypasses JSONL decoding only; all
     /// value validation still applies).
     pub fn observe_sample(&mut self, time: f64, utilisations: &[f64], rates: &[f64]) {
+        let outcome = self.ingest.ingest_sample(time, utilisations, rates);
+        self.observe(outcome);
+    }
+
+    /// Acts on one counted line's ingest outcome.
+    fn observe(&mut self, outcome: Ingested) {
         self.lines_seen += 1;
-        match self.ingest.ingest_sample(time, utilisations, rates) {
+        match outcome {
             Ingested::Sample { time } => self.on_sample(time),
             Ingested::Other => {}
             Ingested::Rejected(reason) => self.on_reject(reason),
         }
     }
 
-    /// Consumes a whole telemetry stream (blank lines skipped) and
-    /// returns the run summary.
-    pub fn replay<R: BufRead>(&mut self, reader: R) -> Result<ReplaySummary, std::io::Error> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            self.observe_line(&line);
-        }
-        Ok(self.summary())
-    }
-
-    /// Consumes a whole telemetry stream through the batched fast path
-    /// and returns the run summary.
+    /// Consumes a whole telemetry stream and returns the run summary.
     ///
-    /// Equivalent to [`replay`](ControlLoop::replay) — bit-identical
-    /// estimator state, decision log, and [`ReplaySummary`] for any byte
-    /// stream (proptest-pinned in `tests/batch_equiv.rs`) — but decodes
-    /// strict-form `UtilSample` lines with the zero-copy scanner
-    /// ([`rod_sim::replay::scan`]) and commits them `max_batch` at a time
-    /// through [`TelemetryIngest::ingest_batch`], amortising parsing,
-    /// allocation, and dispatch. Lines outside the strict grammar
-    /// (including every malformed or non-`UtilSample` record) flush the
-    /// pending batch — preserving stream order — and fall back to
-    /// [`observe_line`](ControlLoop::observe_line). The split is
-    /// observable via the `ctrl.ingest_batches`,
-    /// `ctrl.ingest_fast_path_lines`, and `ctrl.ingest_fallback_lines`
-    /// counters.
+    /// Lines split as `BufRead::lines` splits them, and blank lines are
+    /// skipped uncounted. Strict-form `UtilSample` lines are decoded by
+    /// the zero-copy scanner ([`rod_sim::replay::scan`]) and committed
+    /// `max_batch` at a time through [`TelemetryIngest::ingest_batch`],
+    /// amortising parsing, allocation, and dispatch. Any other line
+    /// flushes the pending batch — preserving stream order — and falls
+    /// back to [`observe_line`](ControlLoop::observe_line); a line that
+    /// is not valid UTF-8 is rejected as [`RejectReason::InvalidUtf8`]
+    /// and skipped. Every `max_batch` yields the same estimator state,
+    /// decision log, and [`ReplaySummary`] (proptest-pinned in
+    /// `tests/batch_equiv.rs`); the split is observable only via the
+    /// `ctrl.ingest_batches`, `ctrl.ingest_fast_path_lines`, and
+    /// `ctrl.ingest_fallback_lines` counters. Only an error from
+    /// `reader` itself fails the replay, after the lines before it have
+    /// been committed.
     pub fn replay_batched<R: Read>(
         &mut self,
         mut reader: R,
@@ -402,6 +398,7 @@ impl ControlLoop {
         let mut buf = vec![0u8; 64 * 1024];
         loop {
             let n = match reader.read(&mut buf) {
+                Ok(0) => break,
                 Ok(n) => n,
                 // `BufRead::read_until` retries interrupted reads; match it.
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -410,71 +407,58 @@ impl ControlLoop {
                     return Err(e);
                 }
             };
-            if n == 0 {
-                break;
-            }
-            let chunk = &buf[..n];
-            let res = scanner.feed(chunk, |line| {
-                Self::batched_line(self, line, &mut scratch, &mut batch, max_batch)
-            });
-            if let Err(e) = res {
-                self.flush_batch(&mut batch);
-                return Err(e);
-            }
+            scanner
+                .feed(&buf[..n], |line| -> Result<(), Infallible> {
+                    self.batched_line(line, &mut scratch, &mut batch, max_batch);
+                    Ok(())
+                })
+                .unwrap_or_else(|never| match never {});
         }
-        let res = scanner
-            .finish(|line| Self::batched_line(self, line, &mut scratch, &mut batch, max_batch));
-        if let Err(e) = res {
-            self.flush_batch(&mut batch);
-            return Err(e);
-        }
+        scanner
+            .finish(|line| -> Result<(), Infallible> {
+                self.batched_line(line, &mut scratch, &mut batch, max_batch);
+                Ok(())
+            })
+            .unwrap_or_else(|never| match never {});
         self.flush_batch(&mut batch);
         Ok(self.summary())
     }
 
-    /// One scanned line on the batched path: blank lines skip (uncounted,
-    /// exactly like [`replay`](ControlLoop::replay)), strict-form
-    /// `UtilSample`s append to the pending batch, anything else flushes
-    /// the batch and falls back to the line-at-a-time oracle.
+    /// One scanned line of [`replay_batched`](ControlLoop::replay_batched):
+    /// blank lines skip uncounted, strict-form `UtilSample`s append to
+    /// the pending batch, anything else flushes the batch and goes
+    /// through the line-at-a-time path.
     fn batched_line(
         &mut self,
         line: &[u8],
         scratch: &mut UtilScratch,
         batch: &mut SampleBatch,
         max_batch: usize,
-    ) -> Result<(), std::io::Error> {
-        // ASCII-blank lines (the common case) skip without decoding; the
-        // rare Unicode-whitespace blank falls through to the fallback's
-        // `trim()` below, matching the line path's skip exactly.
+    ) {
+        // ASCII-blank lines (the common case) skip without decoding.
         if line.iter().all(|b| b.is_ascii_whitespace()) {
-            return Ok(());
+            return;
         }
         if probe_util_sample(line, scratch) {
             batch.push(scratch.time, &scratch.utilisations, &scratch.rates);
             if batch.len() >= max_batch {
                 self.flush_batch(batch);
             }
-            return Ok(());
+            return;
         }
-        let text = match std::str::from_utf8(line) {
-            Ok(text) => text,
-            Err(_) => {
-                // `BufRead::lines` fails the whole replay here; commit the
-                // lines that preceded the bad one first so state matches.
-                self.flush_batch(batch);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                ));
-            }
-        };
-        if text.trim().is_empty() {
-            return Ok(());
+        let text = std::str::from_utf8(line);
+        // The rare Unicode-whitespace blank skips too, as `str::trim`
+        // defines blank.
+        if text.is_ok_and(|text| text.trim().is_empty()) {
+            return;
         }
         self.flush_batch(batch);
         self.metrics.incr("ctrl.ingest_fallback_lines");
-        self.observe_line(text);
-        Ok(())
+        let outcome = match text {
+            Ok(text) => self.ingest.ingest_line(text),
+            Err(_) => self.ingest.reject(RejectReason::InvalidUtf8),
+        };
+        self.observe(outcome);
     }
 
     /// Commits the pending fast-path batch: every record flows through
@@ -889,6 +873,32 @@ mod tests {
                 .filter(|d| matches!(d, Decision::SampleRejected { .. }))
                 .count(),
             3
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_counted_rejection() {
+        let sample = |time: f64| {
+            format!(
+                "{{\"UtilSample\":{{\"time\":{time:?},\"utilisations\":[0.5,0.5],\
+                 \"queue_depths\":[0,0],\"queued\":0,\"rates\":[0.01,0.01]}}}}\n"
+            )
+        };
+        let mut stream = sample(1.0).into_bytes();
+        stream.extend_from_slice(b"\xff\xfe garbage\n");
+        stream.extend_from_slice(sample(2.0).as_bytes());
+        let mut l = make_loop();
+        let s = l.replay_batched(&stream[..], INGEST_BATCH).unwrap();
+        assert_eq!((s.lines, s.samples_accepted, s.samples_rejected), (3, 2, 1));
+        assert_eq!(l.metrics().counter("ctrl.samples_rejected"), 1);
+        assert_eq!(l.metrics().counter("ctrl.samples_rejected.invalid_utf8"), 1);
+        assert_eq!(l.metrics().counter("ctrl.ingest_fallback_lines"), 1);
+        assert_eq!(
+            l.decisions(),
+            &[Decision::SampleRejected {
+                line: 2,
+                reason: RejectReason::InvalidUtf8,
+            }]
         );
     }
 

@@ -6,12 +6,12 @@
 //! telemetry, deciding when the workload has drifted outside the plan's
 //! comfort zone, and re-planning without making things worse when its own
 //! machinery misbehaves. This crate is that half, built library-first so
-//! every layer is testable in isolation and the `rodd` daemon binary is a
-//! thin shell:
+//! every layer is testable in isolation and `rodctl daemon` is a thin
+//! shell:
 //!
 //! * [`telemetry`] — tolerant `UtilSample` JSONL ingestion: hostile input
-//!   (malformed lines, NaN/negative values, stale timestamps, unknown
-//!   nodes) never panics, never silently disappears — every rejection is
+//!   (malformed lines, invalid UTF-8, NaN/negative values, stale
+//!   timestamps, unknown nodes) never panics, never silently disappears — every rejection is
 //!   classified and counted. Bounded ring buffers + EWMA smooth the
 //!   accepted rates into a planning estimate.
 //! * [`drift`] — a Schmitt-trigger detector on the plan's uniform
@@ -48,7 +48,7 @@ pub mod guard;
 pub mod ladder;
 pub mod telemetry;
 
-pub use daemon::{bootstrap, ControlConfig, ControlLoop, Decision, ReplaySummary};
+pub use daemon::{bootstrap, ControlConfig, ControlLoop, Decision, ReplaySummary, INGEST_BATCH};
 pub use drift::{DriftConfig, DriftDetector, DriftVerdict};
 pub use executor::{
     apply_plan, steps, ChaosExecutor, ExecReport, MigrationExecutor, MigrationStep,

@@ -45,6 +45,8 @@ pub enum RejectReason {
     BadUtilisation,
     /// The sample reports more nodes than the cluster has.
     UnknownNode,
+    /// The line is not valid UTF-8.
+    InvalidUtf8,
 }
 
 impl RejectReason {
@@ -59,6 +61,7 @@ impl RejectReason {
             RejectReason::NegativeRate => "negative_rate",
             RejectReason::BadUtilisation => "bad_utilisation",
             RejectReason::UnknownNode => "unknown_node",
+            RejectReason::InvalidUtf8 => "invalid_utf8",
         }
     }
 }
@@ -346,7 +349,10 @@ impl TelemetryIngest {
         }
     }
 
-    fn reject(&mut self, reason: RejectReason) -> Ingested {
+    /// Counts one rejection. The control loop calls this directly for a
+    /// line it cannot hand to [`ingest_line`](TelemetryIngest::ingest_line)
+    /// because it is not valid UTF-8.
+    pub(crate) fn reject(&mut self, reason: RejectReason) -> Ingested {
         match self.rejected.iter_mut().find(|(r, _)| *r == reason) {
             Some((_, n)) => *n += 1,
             None => self.rejected.push((reason, 1)),

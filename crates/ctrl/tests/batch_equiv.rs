@@ -1,23 +1,26 @@
-//! Batch-vs-line ingestion equivalence: `ControlLoop::replay_batched`
-//! must be indistinguishable from `ControlLoop::replay` (the oracle) for
-//! **any** byte stream, chunking, and batch size —
+//! Batch-size invariance of `ControlLoop::replay_batched`, the one
+//! stream entry point, for **any** byte stream, chunking, and batch size:
 //!
-//! * bit-identical decision logs (the same bytes `--log-out` writes),
-//! * identical `ReplaySummary`, allocations, and `ctrl.*` metrics
+//! * on valid UTF-8 it is indistinguishable from the line-at-a-time
+//!   oracle below (`BufRead::lines`, blank lines skipped, `observe_line`)
+//!   — bit-identical decision logs (the same bytes `--log-out` writes),
+//!   identical `ReplaySummary`, allocations, and `ctrl.*` metrics
 //!   (modulo the `ctrl.ingest_*` path counters, which only the batched
-//!   path emits),
-//! * identical error behaviour on invalid UTF-8, with identical state
-//!   committed up to the offending line,
-//! * and never a panic, even on arbitrary bytes chopped mid-line and
+//!   path emits);
+//! * on invalid UTF-8, where `BufRead::lines` would fail the whole
+//!   stream, every chunking and batch size gives the same state as
+//!   batch size 1, the replay succeeds, and each invalid line is one
+//!   `InvalidUtf8` rejection;
+//! * and it never panics, even on arbitrary bytes chopped mid-line and
 //!   mid-UTF-8-sequence.
 
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, Read};
 
 use proptest::prelude::*;
 
 use rod_core::cluster::Cluster;
 use rod_core::examples_paper::figure4_graph;
-use rod_ctrl::{ControlConfig, ControlLoop};
+use rod_ctrl::{ControlConfig, ControlLoop, Decision, RejectReason};
 use rod_sim::TraceRecord;
 
 /// A reader that hands out at most `chunk` bytes per `read` call, so
@@ -56,7 +59,7 @@ fn make_loop() -> ControlLoop {
     .unwrap()
 }
 
-/// Every observable the two paths must agree on, rendered to strings so
+/// Every observable two replays must agree on, rendered to strings so
 /// a mismatch prints both sides. `ctrl.ingest_*` counters are excluded:
 /// they describe the fast-path/fallback split itself.
 fn observables(loop_: &ControlLoop) -> (String, String, String, String) {
@@ -77,34 +80,77 @@ fn observables(loop_: &ControlLoop) -> (String, String, String, String) {
     (summary, log, plans, metrics)
 }
 
-/// Replays `stream` through both paths and asserts equivalence.
-fn assert_equivalent(stream: &[u8], chunk: usize, max_batch: usize) {
-    let mut line_loop = make_loop();
-    let line_res = line_loop.replay(BufReader::new(stream));
-    let mut batch_loop = make_loop();
-    let batch_res = batch_loop.replay_batched(ChunkReader::new(stream, chunk), max_batch);
-    match (&line_res, &batch_res) {
-        (Ok(_), Ok(_)) => {}
-        (Err(a), Err(b)) => {
-            assert_eq!(a.kind(), b.kind(), "error kinds differ");
-            assert_eq!(a.to_string(), b.to_string(), "error messages differ");
+/// The line-at-a-time oracle. `BufRead::lines` fails on the first line
+/// that is not valid UTF-8, so it only judges valid streams.
+fn replay_lines(loop_: &mut ControlLoop, stream: &[u8]) {
+    for line in BufReader::new(stream).lines() {
+        let line = line.expect("the oracle judges valid UTF-8 only");
+        if !line.trim().is_empty() {
+            loop_.observe_line(&line);
         }
-        (a, b) => panic!(
-            "paths disagree on success (chunk {chunk}, batch {max_batch}): line={a:?} batched={b:?}"
-        ),
     }
-    let line_obs = observables(&line_loop);
-    let batch_obs = observables(&batch_loop);
+}
+
+/// Lines of `stream` that are not valid UTF-8 (such a line is never
+/// blank), split as `BufRead::lines` splits.
+fn invalid_utf8_lines(stream: &[u8]) -> u64 {
+    let mut lines: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|last| last.is_empty()) {
+        lines.pop();
+    }
+    lines
+        .iter()
+        .filter(|line| std::str::from_utf8(line).is_err())
+        .count() as u64
+}
+
+/// Replays `stream` in `chunk`-byte reads at batch size `max_batch` and
+/// asserts it matches the reference: the line oracle on valid UTF-8,
+/// batch size 1 on anything else.
+fn assert_equivalent(stream: &[u8], chunk: usize, max_batch: usize) {
+    let mut batch_loop = make_loop();
+    batch_loop
+        .replay_batched(ChunkReader::new(stream, chunk), max_batch)
+        .expect("an in-memory replay never fails");
+    let mut reference = make_loop();
+    if std::str::from_utf8(stream).is_ok() {
+        replay_lines(&mut reference, stream);
+    } else {
+        reference.replay_batched(stream, 1).unwrap();
+        let invalid = invalid_utf8_lines(stream);
+        let rejected = batch_loop
+            .decisions()
+            .iter()
+            .filter(|d| {
+                matches!(
+                    d,
+                    Decision::SampleRejected {
+                        reason: RejectReason::InvalidUtf8,
+                        ..
+                    }
+                )
+            })
+            .count() as u64;
+        assert_eq!(rejected, invalid, "InvalidUtf8 decisions");
+        assert_eq!(
+            batch_loop
+                .metrics()
+                .counter("ctrl.samples_rejected.invalid_utf8"),
+            invalid
+        );
+    }
+    let want = observables(&reference);
+    let got = observables(&batch_loop);
     assert_eq!(
-        line_obs.0, batch_obs.0,
+        want.0, got.0,
         "summaries differ (chunk {chunk}, batch {max_batch})"
     );
     assert_eq!(
-        line_obs.1, batch_obs.1,
+        want.1, got.1,
         "decision logs differ (chunk {chunk}, batch {max_batch})"
     );
-    assert_eq!(line_obs.2, batch_obs.2, "allocations differ");
-    assert_eq!(line_obs.3, batch_obs.3, "metrics differ");
+    assert_eq!(want.2, got.2, "allocations differ");
+    assert_eq!(want.3, got.3, "metrics differ");
 }
 
 fn sample_line(time: f64, utilisations: &[f64], rates: &[f64]) -> String {
@@ -196,8 +242,8 @@ fn edge_streams_are_equivalent() {
           \"queue_depths\":[0,0],\"queued\":0,\"rates\":[0.06,0.05]}}\r\n",
         // A lone CR inside a line is content, not a boundary.
         b"{\"RunEnd\"\r:{\"time\":1.0}}\n",
-        // Invalid UTF-8 mid-stream: both paths must fail identically,
-        // with the preceding sample committed.
+        // Invalid UTF-8 mid-stream: one rejection, and the samples on
+        // both sides of it are accepted.
         b"{\"UtilSample\":{\"time\":1.0,\"utilisations\":[0.4,0.5],\
           \"queue_depths\":[0,0],\"queued\":0,\"rates\":[0.05,0.05]}}\n\
           \xff\xfe garbage\n\
@@ -241,9 +287,9 @@ proptest! {
         assert_equivalent(stream.as_bytes(), chunk, max_batch);
     }
 
-    /// Arbitrary bytes — including invalid UTF-8 — never panic either
-    /// path and leave identical state whether the replay succeeds or
-    /// fails.
+    /// Arbitrary bytes — including invalid UTF-8 — never panic, always
+    /// replay to completion, and leave the same state at every chunking
+    /// and batch size.
     #[test]
     fn arbitrary_bytes_never_panic_and_stay_equivalent(
         bytes in prop::collection::vec(0u8..=255, 0..400),

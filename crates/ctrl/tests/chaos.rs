@@ -12,6 +12,13 @@
 //! 3. **fixed-seed replay is bit-identical**: the same input stream
 //!    produces byte-equal JSONL decision logs (the same bytes the daemon
 //!    writes with `--log-out`).
+//!
+//! Every decision log these tests produce also passes the check derived
+//! from the `Decision` type (`decision_log/mod.rs`).
+
+mod decision_log;
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -98,6 +105,7 @@ proptest! {
         // (no record kinds other than UtilSample appear in these streams).
         let s = l.summary();
         prop_assert_eq!(s.lines, s.samples_accepted + s.samples_rejected);
+        decision_log::check(&l.decision_log_jsonl());
     }
 
     /// Invariant 3: byte-identical decision logs on identical input.
@@ -110,7 +118,9 @@ proptest! {
             drive(&mut l, &draws);
             l.decision_log_jsonl()
         };
-        prop_assert_eq!(run(), run());
+        let log = run();
+        decision_log::check(&log);
+        prop_assert_eq!(log, run());
     }
 }
 
@@ -162,6 +172,7 @@ fn last_good_survives_every_fault_class() {
         let mut l = make_loop().with_strategy(strategy);
         let before = l.last_good().clone();
         surge(&mut l);
+        decision_log::check(&l.decision_log_jsonl());
         assert_eq!(l.last_good(), &before);
         assert!(l.summary().replans_aborted > 0);
         // No plan was committed, so the running plan never moved either.
@@ -173,6 +184,7 @@ fn last_good_survives_every_fault_class() {
     let mut l = make_loop().with_executor(Box::new(ChaosExecutor::new(0.999_999, 42)));
     let before = l.last_good().clone();
     surge(&mut l);
+    decision_log::check(&l.decision_log_jsonl());
     assert_eq!(l.last_good(), &before);
     let s = l.summary();
     if s.plans_committed > 0 {
@@ -192,6 +204,7 @@ fn last_good_survives_every_fault_class() {
 fn healthy_loop_handles_the_surge() {
     let mut l = make_loop();
     surge(&mut l);
+    decision_log::check(&l.decision_log_jsonl());
     let s = l.summary();
     assert!(s.replans_triggered >= 1, "{s:?}");
     assert_eq!(s.samples_rejected, 0);
@@ -201,7 +214,7 @@ fn healthy_loop_handles_the_surge() {
     assert_eq!(l.current(), l.last_good());
 }
 
-/// Decision logs round-trip through serde (the schema CI validates).
+/// Decision logs round-trip through serde and meet their bounds.
 #[test]
 fn decision_log_round_trips() {
     let mut l = make_loop().with_strategy(Box::new(Failing));
@@ -209,10 +222,53 @@ fn decision_log_round_trips() {
     surge(&mut l);
     let log = l.decision_log_jsonl();
     assert!(!log.is_empty());
-    for line in log.lines() {
-        let d: Decision = serde_json::from_str(line).expect("decision deserialises");
-        assert_eq!(serde_json::to_string(&d).unwrap(), line);
+    decision_log::check(&log);
+}
+
+/// Between them, two fault scenarios emit all nine decision kinds, so
+/// the type-derived log check covers every one.
+#[test]
+fn fault_scenarios_emit_every_decision_kind() {
+    let mut kinds = BTreeSet::new();
+
+    // Hostile telemetry and a panicking planner under sustained overload:
+    // rejections, aborted and suppressed replans, and the ladder's way
+    // down to advising shedding.
+    let mut l = make_loop().with_strategy(Box::new(Panicking));
+    l.observe_line("corrupt {{{");
+    for burst in 0..6 {
+        let t0 = 1000.0 * burst as f64;
+        for i in 0..8 {
+            l.observe_line(&sample_line(t0 + i as f64, &[1.0, 1.0], &[0.11, 0.11]));
+        }
     }
+    kinds.extend(decision_log::check(&l.decision_log_jsonl()));
+
+    // Every operator stacked on node 0, then a surge only a spread plan
+    // survives: the rescue plan commits, and an executor that fails every
+    // attempt retries each step, then aborts it.
+    let model = LoadModel::derive(&figure4_graph()).unwrap();
+    let mut stacked = Allocation::new(model.num_operators(), 2);
+    for op in 0..model.num_operators() {
+        stacked.assign(rod_core::ids::OperatorId(op), rod_core::ids::NodeId(0));
+    }
+    let mut l = ControlLoop::new(
+        model,
+        Cluster::homogeneous(2, 1.0),
+        stacked,
+        ControlConfig::default(),
+    )
+    .unwrap()
+    .with_executor(Box::new(ChaosExecutor::new(0.999_999, 42)));
+    for i in 0..6 {
+        l.observe_line(&sample_line(1.0 + i as f64, &[0.2, 0.0], &[0.01, 0.01]));
+    }
+    for i in 0..20 {
+        l.observe_line(&sample_line(100.0 + i as f64, &[1.0, 0.0], &[0.07, 0.07]));
+    }
+    kinds.extend(decision_log::check(&l.decision_log_jsonl()));
+
+    assert_eq!(kinds.len(), 9, "{kinds:?}");
 }
 
 /// The loop distrusts its estimator warm-up: no replan fires before the
@@ -223,6 +279,7 @@ fn first_hot_sample_still_replans_only_with_an_estimate() {
     l.observe_line(&sample_line(1.0, &[1.0, 1.0], &[0.11, 0.11]));
     // One sample is an estimate; the loop may replan, but must not panic
     // and must keep complete plans.
+    decision_log::check(&l.decision_log_jsonl());
     assert!(l.current().is_complete());
     let model = LoadModel::derive(&figure4_graph()).unwrap();
     assert_eq!(l.current().num_operators(), model.num_operators());

@@ -1,24 +1,26 @@
 //! Replays the committed CI fixture — a calm-then-surge telemetry trace
 //! with one corrupted line — through a control loop seeded with the
 //! committed (deliberately sub-optimal, connected-algorithm) plan, and
-//! pins the behaviour CI asserts on the `rodd` binary:
+//! pins the behaviour CI asserts on `rodctl daemon`:
 //!
 //! * the corrupted line is counted and classified, not fatal;
 //! * the mid-run surge triggers at least one replan;
 //! * a rescue plan commits with feasible headroom at the estimate;
-//! * every decision-log line round-trips through serde and carries
-//!   exactly one externally-tagged variant key, matching the shape the
-//!   checked-in `decision_log.schema.json` describes.
+//! * the fast path decodes every clean sample, and only the corrupted
+//!   line falls back to the full parser;
+//! * every decision-log line passes the check derived from the
+//!   `Decision` type (`decision_log/mod.rs`).
+
+mod decision_log;
 
 use std::fs;
-use std::io::BufReader;
 use std::path::PathBuf;
 
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::load_model::LoadModel;
 use rod_core::QueryGraph;
-use rod_ctrl::{ControlConfig, ControlLoop, Decision};
+use rod_ctrl::{ControlConfig, ControlLoop, Decision, INGEST_BATCH};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,22 +28,27 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn replay_fixture() -> ControlLoop {
+/// A loop on the fixture graph and plan, before any telemetry.
+fn fixture_loop() -> ControlLoop {
     let graph: QueryGraph =
         serde_json::from_str(&fs::read_to_string(fixture("graph.json")).unwrap()).unwrap();
     graph.validate().unwrap();
     let initial: Allocation =
         serde_json::from_str(&fs::read_to_string(fixture("plan.json")).unwrap()).unwrap();
     let model = LoadModel::derive(&graph).unwrap();
-    let mut loop_ = ControlLoop::new(
+    ControlLoop::new(
         model,
         Cluster::homogeneous(3, 1.0),
         initial,
         ControlConfig::default(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn replay_fixture() -> ControlLoop {
+    let mut loop_ = fixture_loop();
     let file = fs::File::open(fixture("surge.jsonl")).unwrap();
-    loop_.replay(BufReader::new(file)).unwrap();
+    loop_.replay_batched(file, INGEST_BATCH).unwrap();
     loop_
 }
 
@@ -98,52 +105,42 @@ fn surge_triggers_replan_and_rescue_commit() {
     assert_ne!(loop_.current(), &seeded);
 }
 
-/// Field lookup on the vendored `Value`'s ordered-pair object repr.
-fn obj_get<'a>(pairs: &'a [(String, serde::Value)], key: &str) -> Option<&'a serde::Value> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+#[test]
+fn fast_path_decodes_every_clean_sample() {
+    let loop_ = replay_fixture();
+    let m = loop_.metrics();
+    assert_eq!(m.counter("ctrl.ingest_fast_path_lines"), 35);
+    assert_eq!(m.counter("ctrl.ingest_fallback_lines"), 1);
+    assert!(m.counter("ctrl.ingest_batches") >= 1);
 }
 
 #[test]
-fn decision_log_matches_schema_shape() {
-    let loop_ = replay_fixture();
-    let log = loop_.decision_log_jsonl();
-    assert!(!log.is_empty());
-    let schema: serde::Value =
-        serde_json::from_str(&fs::read_to_string(fixture("decision_log.schema.json")).unwrap())
-            .unwrap();
-    let kinds = obj_get(schema.as_object().unwrap(), "properties")
-        .unwrap()
-        .as_object()
-        .unwrap();
-    for line in log.lines() {
-        // Serde round-trip (the binary writes exactly these bytes).
-        let decision: Decision = serde_json::from_str(line).unwrap();
-        assert_eq!(serde_json::to_string(&decision).unwrap(), line);
-        // Externally tagged: exactly one key, and the schema knows it.
-        let value: serde::Value = serde_json::from_str(line).unwrap();
-        let object = value.as_object().unwrap();
-        assert_eq!(object.len(), 1, "not externally tagged: {line}");
-        let (kind, payload) = &object[0];
-        let spec = obj_get(kinds, kind)
-            .unwrap_or_else(|| panic!("decision kind {kind} missing from schema"))
-            .as_object()
-            .unwrap();
-        let payload = payload.as_object().unwrap();
-        for field in obj_get(spec, "required").unwrap().as_array().unwrap() {
-            let serde::Value::Str(field) = field else {
-                panic!("schema 'required' entries must be strings");
-            };
-            assert!(
-                obj_get(payload, field).is_some(),
-                "{kind} missing required field {field}: {line}"
-            );
+fn decision_log_passes_the_type_derived_check() {
+    let log = replay_fixture().decision_log_jsonl();
+    let kinds = decision_log::check(&log);
+    assert!(kinds.contains("SampleRejected"), "{kinds:?}");
+    assert!(kinds.contains("PlanCommitted"), "{kinds:?}");
+}
+
+/// One extra line that is not valid UTF-8 is the fixture's second
+/// rejection, not the end of the run: every decision before it is the
+/// plain fixture's.
+#[test]
+fn invalid_utf8_line_is_counted_not_fatal() {
+    let plain = replay_fixture();
+    let mut stream = fs::read(fixture("surge.jsonl")).unwrap();
+    stream.extend_from_slice(b"\xff\n");
+    let mut loop_ = fixture_loop();
+    let s = loop_.replay_batched(&stream[..], INGEST_BATCH).unwrap();
+    assert_eq!((s.lines, s.samples_rejected), (37, 2), "{s:?}");
+    let (last, before) = loop_.decisions().split_last().unwrap();
+    assert_eq!(
+        last,
+        &Decision::SampleRejected {
+            line: 37,
+            reason: rod_ctrl::RejectReason::InvalidUtf8,
         }
-        let allowed = obj_get(spec, "properties").unwrap().as_object().unwrap();
-        for (field, _) in payload {
-            assert!(
-                obj_get(allowed, field).is_some(),
-                "{kind} has unknown field {field}"
-            );
-        }
-    }
+    );
+    assert_eq!(before, plain.decisions());
+    decision_log::check(&loop_.decision_log_jsonl());
 }

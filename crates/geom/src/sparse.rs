@@ -103,16 +103,24 @@ impl SparseRow {
 
     /// The L2 norm, accumulated over the stored terms in ascending column
     /// order — bit-identical to the dense norm (zero terms contribute
-    /// `+0.0`, which IEEE-754 addition ignores).
+    /// `+0.0`, which IEEE-754 addition ignores). The fold starts at `+0.0`
+    /// like a dense loop: `Iterator::sum` starts at `-0.0`, which would
+    /// give an all-zero row the norm `-0.0`.
     pub fn norm(&self) -> f64 {
-        self.terms.iter().map(|&(_, v)| v * v).sum::<f64>().sqrt()
+        self.terms
+            .iter()
+            .fold(0.0, |acc, &(_, v)| acc + v * v)
+            .sqrt()
     }
 
     /// Dot product with a dense vector, skipping zero columns —
-    /// bit-identical to the dense dot for finite operands.
+    /// bit-identical to a dense `acc += a·b` loop from `+0.0` for finite
+    /// operands (see [`norm`](Self::norm) for why it folds).
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
         assert_eq!(dense.len(), self.dim, "dimension mismatch");
-        self.terms.iter().map(|&(k, v)| v * dense[k as usize]).sum()
+        self.terms
+            .iter()
+            .fold(0.0, |acc, &(k, v)| acc + v * dense[k as usize])
     }
 }
 
@@ -216,17 +224,6 @@ impl SparseLoadMatrix {
         }
         sums
     }
-
-    /// Materialises the dense matrix as a flat row-major vector.
-    pub fn to_dense_flat(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows.len() * self.cols];
-        for (j, row) in self.rows.iter().enumerate() {
-            for (k, v) in row.iter() {
-                out[j * self.cols + k] = v;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -249,6 +246,14 @@ mod tests {
         let sparse = SparseRow::from_dense(&dense);
         let dense_norm = dense.iter().map(|&v| v * v).sum::<f64>().sqrt();
         assert_eq!(sparse.norm().to_bits(), dense_norm.to_bits());
+        // An all-zero row: the dense sum of +0.0 terms is +0.0.
+        let zeros = [0.0; 3];
+        let dense_norm = zeros.iter().map(|&v| v * v).sum::<f64>().sqrt();
+        assert_eq!(dense_norm.to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            SparseRow::from_dense(&zeros).norm().to_bits(),
+            dense_norm.to_bits()
+        );
     }
 
     #[test]
@@ -258,6 +263,14 @@ mod tests {
         let sparse = SparseRow::from_dense(&row_dense);
         let dense_dot: f64 = row_dense.iter().zip(&x).map(|(a, b)| a * b).sum();
         assert_eq!(sparse.dot_dense(&x).to_bits(), dense_dot.to_bits());
+        // An all-zero row dots to +0.0, as the dense loop does.
+        let zeros = [0.0; 5];
+        let dense_dot: f64 = zeros.iter().zip(&x).map(|(a, b)| a * b).sum();
+        assert_eq!(dense_dot.to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            SparseRow::from_dense(&zeros).dot_dense(&x).to_bits(),
+            dense_dot.to_bits()
+        );
     }
 
     #[test]
@@ -296,7 +309,8 @@ mod tests {
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&m.col_sums()), bits(&dense_sums));
-        assert_eq!(m.to_dense_flat(), rows.concat());
+        let dense: Vec<Vec<f64>> = m.rows().iter().map(SparseRow::to_dense).collect();
+        assert_eq!(dense, rows);
     }
 
     #[test]

@@ -111,8 +111,7 @@ fn usage() -> String {
      \u{20}        (--fault-tolerance is an alias for --failover)\n\
      trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]\n\
      daemon   --graph FILE --nodes N --trace-in FILE [--capacity C]\n\
-     \u{20}        [--plan FILE] [--plan-out FILE] [--log-out FILE] [--budget SECONDS]\n\
-     \u{20}        [--ingest-batch N]"
+     \u{20}        [--plan FILE] [--plan-out FILE] [--log-out FILE] [--budget SECONDS]"
         .to_string()
 }
 
@@ -753,15 +752,10 @@ fn cmd_daemon(flags: &Flags) -> Result<String, String> {
         rod::ctrl::bootstrap(&graph, cluster, cfg)?
     };
 
-    let ingest_batch: usize = flags.parse_num("ingest-batch", 256)?;
-    if ingest_batch == 0 {
-        return Err("--ingest-batch: bad value '0' (want an integer >= 1)".to_string());
-    }
-
     let trace_path = flags.require("trace-in")?;
     let file = fs::File::open(trace_path).map_err(|e| format!("open {trace_path}: {e}"))?;
     let summary = loop_
-        .replay_batched(std::io::BufReader::new(file), ingest_batch)
+        .replay_batched(file, rod::ctrl::INGEST_BATCH)
         .map_err(|e| format!("read {trace_path}: {e}"))?;
 
     if let Some(out) = flags.get("plan-out") {
@@ -1692,19 +1686,23 @@ mod tests {
     #[test]
     fn plan_timings_keeps_stdout_json_clean() {
         let (dir, graph_path, _plan) = graph_and_plan("timings");
-        let f = Flags::parse(&strings(&[
-            "--graph",
-            &graph_path,
-            "--nodes",
-            "2",
-            "--timings",
-        ]))
-        .unwrap();
-        // stdout payload must still be exactly the plan JSON (the timing
-        // table goes to stderr).
-        let json = cmd_plan(&f).unwrap();
-        let plan: Allocation = serde_json::from_str(&json).unwrap();
-        assert!(plan.is_complete());
+        for algorithm in ["rod", "resilient"] {
+            let f = Flags::parse(&strings(&[
+                "--graph",
+                &graph_path,
+                "--nodes",
+                "2",
+                "--algorithm",
+                algorithm,
+                "--timings",
+            ]))
+            .unwrap();
+            // stdout payload must still be exactly the plan JSON (the
+            // timing table goes to stderr).
+            let json = cmd_plan(&f).unwrap();
+            let plan: Allocation = serde_json::from_str(&json).unwrap();
+            assert!(plan.is_complete(), "{algorithm}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,8 +22,8 @@
 //! * [`sim`] (from `rod-sim`) — a discrete-event distributed SPE
 //!   simulator standing in for the Borealis prototype, with the paper's
 //!   utilisation-based feasibility probing;
-//! * [`ctrl`] (from `rod-ctrl`) — the `rodd` online replanning control
-//!   loop: tolerant telemetry ingestion, drift detection with
+//! * [`ctrl`] (from `rod-ctrl`) — the online replanning control loop
+//!   behind `rodctl daemon`: tolerant telemetry ingestion, drift detection with
 //!   hysteresis, guarded replanning under a deadline budget, and
 //!   chaos-hardened migration execution with a degradation ladder.
 //!

@@ -138,6 +138,7 @@ impl RandomTreeGenerator {
 mod tests {
     use super::*;
     use rod_core::graph::StreamSource;
+    use rod_core::ids::OperatorId;
     use rod_core::load_model::LoadModel;
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
         let g = RandomTreeGenerator::paper_default(3, 10).generate(7);
         let model = LoadModel::derive(&g).unwrap();
         for j in 0..model.num_operators() {
-            let row = model.lo().row(j);
+            let row = model.operator_sparse_row(OperatorId(j)).to_dense();
             let nonzero = row.iter().filter(|&&v| v > 0.0).count();
             assert_eq!(nonzero, 1, "operator {j} row {row:?}");
         }

@@ -28,8 +28,8 @@ fn main() {
     // 2. Derive the linear load model: load(op) = Σ_k l_ok · rate_k.
     let model = LoadModel::derive(&graph).unwrap();
     println!("Load coefficient matrix L^o:");
-    for op in graph.operators() {
-        println!("  {:12} {:?}", op.name, model.operator_row(op.id));
+    for (op, row) in graph.operators().iter().zip(model.sparse_lo().rows()) {
+        println!("  {:12} {:?}", op.name, row.to_dense());
     }
 
     // 3. Place resiliently on two nodes with the ROD algorithm.

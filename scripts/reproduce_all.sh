@@ -12,7 +12,7 @@ BINARIES=(
   exp_clustering exp_sim_crosscheck
   exp_dynamic_vs_static exp_hybrid exp_timescales
   exp_heterogeneous exp_shedding exp_capacity
-  exp_failover exp_online
+  exp_failover exp_online exp_ablations
 )
 
 mkdir -p results/logs

@@ -11,9 +11,11 @@ use rod::prelude::*;
 #[test]
 fn table2_node_load_matrices() {
     let model = LoadModel::derive(&figure4_graph()).unwrap();
+    let cluster = Cluster::homogeneous(2, 1.0);
+    let ev = PlanEvaluator::new(&model, &cluster);
     let [a, b, c] = example2_plans();
     let check = |alloc: &Allocation, rows: [[f64; 2]; 2]| {
-        let ln = alloc.node_load_matrix(model.lo());
+        let ln = ev.node_load_matrix(alloc);
         assert_eq!(ln.row(0), &rows[0]);
         assert_eq!(ln.row(1), &rows[1]);
     };
@@ -126,8 +128,8 @@ fn example3_join_load_is_c_over_s_of_its_output() {
     let g = example3_graph();
     let model = LoadModel::derive(&g).unwrap();
     // o5: cost_per_pair 4.0, selectivity 0.25 → load = 16 · r4.
-    let join_row = model.operator_row(rod::core::ids::OperatorId(4));
-    assert_eq!(join_row, &[0.0, 0.0, 0.0, 16.0]);
+    let join_row = model.operator_sparse_row(rod::core::ids::OperatorId(4));
+    assert_eq!(join_row.to_dense(), [0.0, 0.0, 0.0, 16.0]);
 }
 
 #[test]

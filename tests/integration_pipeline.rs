@@ -163,7 +163,7 @@ fn public_artefacts_serde_round_trip() {
     // Model round-trip preserves the matrix.
     let json = serde_json::to_string(&model).unwrap();
     let model2: LoadModel = serde_json::from_str(&json).unwrap();
-    assert_eq!(model2.lo(), model.lo());
+    assert_eq!(model2.sparse_lo(), model.sparse_lo());
 
     // Trace round-trip.
     let trace = Trace::new(vec![1.0, 2.5, 0.0], 0.5);
