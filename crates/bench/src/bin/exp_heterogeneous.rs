@@ -47,6 +47,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut payload = Vec::new();
+    let mut names = Vec::new();
     for (label, caps) in &shapes {
         let cluster = Cluster::heterogeneous(caps.clone());
         let results = compare_algorithms(
@@ -72,6 +73,7 @@ fn main() {
         let u = ev.utilisations_at(&rod, &centroid);
         let spread = u.max() - u.min();
 
+        names = results.iter().map(|r| r.name.clone()).collect();
         let mut row = vec![label.to_string()];
         for r in &results {
             row.push(fmt(r.mean_ratio));
@@ -86,17 +88,13 @@ fn main() {
         rows.push(row);
     }
 
+    let header: Vec<&str> = std::iter::once("capacities")
+        .chain(names.iter().map(String::as_str))
+        .chain(["ROD util spread"])
+        .collect();
     print_table(
         "Heterogeneous clusters (total capacity fixed at 4.0), d=4, 80 ops",
-        &[
-            "capacities",
-            "ROD",
-            "Correlation",
-            "LLF",
-            "Random",
-            "Connected",
-            "ROD util spread",
-        ],
+        &header,
         &rows,
     );
     println!(

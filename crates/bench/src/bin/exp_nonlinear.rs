@@ -58,6 +58,7 @@ fn main() {
     // Part 2: baselines on join workloads.
     let mut rows = Vec::new();
     let mut payload = Vec::new();
+    let mut names = Vec::new();
     let workloads = [
         ("joins (2 pairs)", JoinConfig::default()),
         (
@@ -83,6 +84,7 @@ fn main() {
                 ..ComparisonConfig::default()
             },
         );
+        names = results.iter().map(|r| r.name.clone()).collect();
         let mut row = vec![label.to_string(), model.num_vars().to_string()];
         for r in &results {
             row.push(fmt(r.mean_ratio));
@@ -94,17 +96,13 @@ fn main() {
         }
         rows.push(row);
     }
+    let header: Vec<&str> = ["workload", "d'"]
+        .into_iter()
+        .chain(names.iter().map(String::as_str))
+        .collect();
     print_table(
         "Feasible-set ratio (linearised space) on join workloads, n=4",
-        &[
-            "workload",
-            "d'",
-            "ROD",
-            "Correlation",
-            "LLF",
-            "Random",
-            "Connected",
-        ],
+        &header,
         &rows,
     );
     println!(

@@ -12,12 +12,11 @@
 
 use serde::Serialize;
 
-use rod_bench::comparison::{compare_algorithms, ComparisonConfig};
+use rod_bench::comparison::{compare_algorithms, mean_per_algorithm, ComparisonConfig};
 use rod_bench::output::{fmt, print_table, write_json};
 use rod_core::cluster::Cluster;
 use rod_core::load_model::LoadModel;
 use rod_geom::rng::derive_seed;
-use rod_geom::OnlineStats;
 use rod_workloads::RandomTreeGenerator;
 
 #[derive(Serialize)]
@@ -35,16 +34,13 @@ fn main() {
     let graphs_per_size = 3; // independent random graphs averaged per size
     let operator_counts = [40usize, 80, 120, 160, 200];
 
-    let mut rows_ideal = Vec::new();
-    let mut rows_rod = Vec::new();
-    let mut payload: Vec<FigurePoint> = Vec::new();
-
-    // One task per (size, graph) pair, fanned out over worker threads.
+    // One pool job per (size, graph) pair; the results come back in task
+    // order whatever the worker count.
     let tasks: Vec<(usize, usize)> = operator_counts
         .iter()
         .flat_map(|&m| (0..graphs_per_size).map(move |g| (m, g)))
         .collect();
-    let task_results = rod_bench::parallel_map(tasks, 8, |(m, g)| {
+    let run = |(m, g): (usize, usize)| {
         let graph = RandomTreeGenerator::paper_default(inputs, m / inputs)
             .generate(derive_seed(14, (m * 10 + g) as u64));
         let model = LoadModel::derive(&graph).unwrap();
@@ -60,56 +56,60 @@ fn main() {
             },
         );
         (m, results)
-    });
+    };
+    let task_results = rod_pool::global().map_reduce(
+        tasks.len(),
+        |t| run(tasks[t]),
+        Vec::new(),
+        |mut all, result| {
+            all.push(result);
+            all
+        },
+    );
+    let names: Vec<&str> = task_results[0].1.iter().map(|r| r.name.as_str()).collect();
 
+    let mut rows_ideal = Vec::new();
+    let mut rows_rod = Vec::new();
+    let mut payload: Vec<FigurePoint> = Vec::new();
     for &m in &operator_counts {
-        // Accumulate per-algorithm stats over this size's random graphs.
-        let mut acc: Vec<(String, OnlineStats)> = Vec::new();
-        for (_, results) in task_results.iter().filter(|(tm, _)| *tm == m) {
-            for r in results {
-                match acc.iter_mut().find(|(n, _)| *n == r.name) {
-                    Some((_, s)) => s.push(r.mean_ratio),
-                    None => {
-                        let mut s = OnlineStats::new();
-                        s.push(r.mean_ratio);
-                        acc.push((r.name.clone(), s));
-                    }
-                }
-            }
-        }
-        let rod_ratio = acc
-            .iter()
-            .find(|(n, _)| n == "ROD")
-            .expect("ROD ran")
-            .1
-            .mean();
+        // Average each algorithm over this size's random graphs.
+        let means = mean_per_algorithm(
+            task_results
+                .iter()
+                .filter(|(tm, _)| *tm == m)
+                .map(|(_, results)| results.as_slice()),
+            |r, _| r.mean_ratio,
+        );
+        let rod_ratio = means[0].1;
         let mut row_i = vec![m.to_string()];
         let mut row_r = vec![m.to_string()];
-        for (name, stats) in &acc {
-            row_i.push(fmt(stats.mean()));
-            if name != "ROD" {
-                row_r.push(fmt(stats.mean() / rod_ratio));
+        for (a, (name, mean)) in means.into_iter().enumerate() {
+            row_i.push(fmt(mean));
+            if a > 0 {
+                row_r.push(fmt(mean / rod_ratio));
             }
             payload.push(FigurePoint {
                 operators: m,
-                algorithm: name.clone(),
-                ratio_to_ideal: stats.mean(),
-                ratio_to_rod: stats.mean() / rod_ratio,
+                algorithm: name,
+                ratio_to_ideal: mean,
+                ratio_to_rod: mean / rod_ratio,
             });
         }
         rows_ideal.push(row_i);
         rows_rod.push(row_r);
     }
 
+    let header: Vec<&str> = std::iter::once("ops")
+        .chain(names.iter().copied())
+        .collect();
     print_table(
         "Figure 14 (left): avg feasible-set ratio A/Ideal vs #operators (d=5, n=5)",
-        &["ops", "ROD", "Correlation", "LLF", "Random", "Connected"],
+        &header,
         &rows_ideal,
     );
     // Figure-style rendering of the left panel.
     let x_labels: Vec<String> = operator_counts.iter().map(|m| m.to_string()).collect();
-    let algos = ["ROD", "Correlation", "LLF", "Random", "Connected"];
-    let series: Vec<(&str, Vec<f64>)> = algos
+    let series: Vec<(&str, Vec<f64>)> = names
         .iter()
         .map(|&name| {
             let ys = operator_counts
@@ -128,9 +128,12 @@ fn main() {
         "\n{}",
         rod_bench::plot::line_chart("Figure 14 (left), rendered:", &x_labels, &series, 14)
     );
+    let header_rod: Vec<&str> = std::iter::once("ops")
+        .chain(names[1..].iter().copied())
+        .collect();
     print_table(
         "Figure 14 (right): avg feasible-set ratio A/ROD vs #operators",
-        &["ops", "Correlation", "LLF", "Random", "Connected"],
+        &header_rod,
         &rows_rod,
     );
     println!(

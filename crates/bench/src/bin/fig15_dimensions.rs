@@ -13,12 +13,11 @@
 
 use serde::Serialize;
 
-use rod_bench::comparison::{compare_algorithms, ComparisonConfig};
+use rod_bench::comparison::{compare_algorithms, mean_per_algorithm, ComparisonConfig};
 use rod_bench::output::{fmt, print_table, write_json};
 use rod_core::cluster::Cluster;
 use rod_core::load_model::LoadModel;
 use rod_geom::rng::derive_seed;
-use rod_geom::OnlineStats;
 use rod_workloads::RandomTreeGenerator;
 
 #[derive(Serialize)]
@@ -35,14 +34,13 @@ fn main() {
     let graphs_per_dim = 3;
     let dims = [2usize, 3, 4, 5, 6, 7, 8];
 
-    let mut rows = Vec::new();
-    let mut payload: Vec<FigurePoint> = Vec::new();
-
+    // One pool job per (dimension, graph) pair; the results come back in task
+    // order whatever the worker count.
     let tasks: Vec<(usize, usize)> = dims
         .iter()
         .flat_map(|&d| (0..graphs_per_dim).map(move |g| (d, g)))
         .collect();
-    let task_results = rod_bench::parallel_map(tasks, 8, |(d, g)| {
+    let run = |(d, g): (usize, usize)| {
         let graph = RandomTreeGenerator::paper_default(d, ops_per_tree)
             .generate(derive_seed(150, (d * 10 + g) as u64));
         let model = LoadModel::derive(&graph).unwrap();
@@ -58,39 +56,52 @@ fn main() {
             },
         );
         (d, results)
-    });
+    };
+    let task_results = rod_pool::global().map_reduce(
+        tasks.len(),
+        |t| run(tasks[t]),
+        Vec::new(),
+        |mut all, result| {
+            all.push(result);
+            all
+        },
+    );
 
+    let mut rows = Vec::new();
+    let mut payload: Vec<FigurePoint> = Vec::new();
     for &d in &dims {
-        let mut acc: Vec<(String, OnlineStats)> = Vec::new();
-        for (_, results) in task_results.iter().filter(|(td, _)| *td == d) {
-            let rod = results[0].mean_ratio;
-            for r in &results[1..] {
-                let rel = if rod > 0.0 { r.mean_ratio / rod } else { 0.0 };
-                match acc.iter_mut().find(|(n, _)| *n == r.name) {
-                    Some((_, s)) => s.push(rel),
-                    None => {
-                        let mut s = OnlineStats::new();
-                        s.push(rel);
-                        acc.push((r.name.clone(), s));
-                    }
+        // Each graph's ratio to its own ROD plan, averaged per algorithm.
+        let means = mean_per_algorithm(
+            task_results
+                .iter()
+                .filter(|(td, _)| *td == d)
+                .map(|(_, results)| results.as_slice()),
+            |r, rod| {
+                if rod.mean_ratio > 0.0 {
+                    r.mean_ratio / rod.mean_ratio
+                } else {
+                    0.0
                 }
-            }
-        }
+            },
+        );
         let mut row = vec![d.to_string()];
-        for (name, stats) in &acc {
-            row.push(fmt(stats.mean()));
+        for (name, mean) in means.into_iter().skip(1) {
+            row.push(fmt(mean));
             payload.push(FigurePoint {
                 inputs: d,
-                algorithm: name.clone(),
-                ratio_to_rod: stats.mean(),
+                algorithm: name,
+                ratio_to_rod: mean,
             });
         }
         rows.push(row);
     }
 
+    let header: Vec<&str> = std::iter::once("d")
+        .chain(task_results[0].1[1..].iter().map(|r| r.name.as_str()))
+        .collect();
     print_table(
         "Figure 15: feasible-set ratio A/ROD vs #input streams (16 ops/tree, n=5)",
-        &["d", "Correlation", "LLF", "Random", "Connected"],
+        &header,
         &rows,
     );
     println!(

@@ -55,42 +55,6 @@ pub struct AlgorithmResult {
     pub reps: usize,
 }
 
-/// Maps `f` over `items` on `threads` worker threads (scoped, so `f` can
-/// borrow), preserving order. The experiment sweeps are embarrassingly
-/// parallel across independent random graphs; this keeps the heavier
-/// figures (14, 15) fast without any shared mutable state.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    assert!(threads >= 1);
-    let items: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let chunk = items.len().div_ceil(threads);
-    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest = items;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let batch: Vec<(usize, T)> = rest.drain(..take).collect();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                batch
-                    .into_iter()
-                    .map(|(i, item)| (i, f(item)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Runs the full §7.2 algorithm set on one model + cluster. Returns
 /// results in a fixed order: ROD, Hierarchical, Correlation, LLF,
 /// Random, Connected.
@@ -183,19 +147,49 @@ pub fn compare_algorithms(
     results
 }
 
+/// Averages `value` per algorithm over several graphs'
+/// [`compare_algorithms`] results, keeping the algorithms in the order
+/// that function returns them. `value` sees each result next to the same
+/// graph's ROD result.
+pub fn mean_per_algorithm<'a>(
+    runs: impl IntoIterator<Item = &'a [AlgorithmResult]>,
+    value: impl Fn(&AlgorithmResult, &AlgorithmResult) -> f64,
+) -> Vec<(String, f64)> {
+    let mut acc: Vec<(String, OnlineStats)> = Vec::new();
+    for results in runs {
+        for (a, r) in results.iter().enumerate() {
+            if a == acc.len() {
+                acc.push((r.name.clone(), OnlineStats::new()));
+            }
+            acc[a].1.push(value(r, &results[0]));
+        }
+    }
+    acc.into_iter()
+        .map(|(name, stats)| (name, stats.mean()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rod_workloads::RandomTreeGenerator;
 
     #[test]
-    fn parallel_map_preserves_order_and_results() {
-        let items: Vec<u64> = (0..37).collect();
-        let sequential: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 3, 8] {
-            let parallel = parallel_map(items.clone(), threads, |x| x * x);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
+    fn mean_per_algorithm_keeps_order_and_pairs_each_graph_with_its_rod() {
+        let result = |name: &str, mean_ratio: f64| AlgorithmResult {
+            name: name.into(),
+            mean_ratio,
+            std_ratio: 0.0,
+            mean_plane_distance: 0.0,
+            reps: 1,
+        };
+        let a = [result("ROD", 0.8), result("LLF", 0.4)];
+        let b = [result("ROD", 0.5), result("LLF", 0.5)];
+        let means = mean_per_algorithm([&a[..], &b[..]], |r, rod| r.mean_ratio / rod.mean_ratio);
+        assert_eq!(
+            means,
+            vec![("ROD".to_string(), 1.0), ("LLF".to_string(), 0.75)]
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! design ablations (`exp_ablations`) and the `perf_*` trajectories.
 //! This library holds the shared machinery:
 //!
-//! * [`comparison`] — runs the §7.2 algorithm set (ROD, Correlation, LLF,
-//!   Random, Connected) over a workload exactly as §7.3 prescribes:
+//! * [`comparison`] — runs the §7.2 algorithm set (ROD, Hierarchical,
+//!   Correlation, LLF, Random, Connected) over a workload exactly as §7.3
+//!   prescribes:
 //!   every randomised algorithm repeated with fresh random inputs, ROD
 //!   run once (it "does not depend on the input stream rates and produces
 //!   only one operator distribution plan");
@@ -18,6 +19,6 @@ pub mod output;
 pub mod perf;
 pub mod plot;
 
-pub use comparison::{compare_algorithms, parallel_map, AlgorithmResult, ComparisonConfig};
+pub use comparison::{compare_algorithms, mean_per_algorithm, AlgorithmResult, ComparisonConfig};
 pub use output::{print_table, write_json};
 pub use plot::{downsample, line_chart, scatter, sparkline};

@@ -24,12 +24,16 @@
 
 use serde::{Deserialize, Serialize};
 
+use rod_geom::{SparseLoadMatrix, SparseRow};
+
 use crate::allocation::{Allocation, PlanEvaluator};
 use crate::cluster::Cluster;
 use crate::error::PlacementError;
-use crate::ids::{NodeId, OperatorId, StreamId};
+use crate::eval::IncrementalPlanEval;
+use crate::ids::{OperatorId, StreamId};
 use crate::load_model::LoadModel;
 use crate::operator::OperatorKind;
+use crate::rod::{norm_descending, Phase2Selector};
 
 /// Per-arc data-transfer cost model: CPU cycles per tuple shipped across
 /// the network (the "CPU overhead for data communication" that §2.1
@@ -226,8 +230,9 @@ pub fn cluster_operators(
 
 /// Places a clustered model: runs ROD over the clusters (treating each as
 /// one super-operator whose load row is the sum of its members') and
-/// expands back to an operator-level allocation. The super-operator pass
-/// uses ROD's default MaxPlaneDistance policy.
+/// expands back to an operator-level allocation. The super-operators go
+/// through ROD's own Phase 1 and Phase 2 ([`crate::rod`]), so the
+/// Class-I rule and tie-break are flat ROD's.
 pub fn place_clustered(
     model: &LoadModel,
     cluster: &Cluster,
@@ -240,82 +245,35 @@ pub fn place_clustered(
         return Err(PlacementError::EmptyModel);
     }
 
-    // Super-operator load rows.
-    let mut rows: Vec<Vec<f64>> = vec![vec![0.0; d]; nc];
-    for (c, row) in rows.iter_mut().enumerate() {
-        for &op in clustering.members(c) {
-            for (k, v) in model.operator_sparse_row(op).iter() {
-                row[k] += v;
-            }
-        }
-    }
-
-    // Re-use the ROD core by running its greedy loop directly over the
-    // super-rows. Building a synthetic LoadModel would drag a fake graph
-    // along; instead we inline the same Phase 1 + Phase 2 on the rows.
-    let n = cluster.num_nodes();
-    let ct = cluster.total_capacity();
-    let totals = model.total_coeffs();
-
-    let mut order: Vec<usize> = (0..nc).collect();
-    let norm = |row: &[f64]| row.iter().map(|v| v * v).sum::<f64>().sqrt();
-    order.sort_by(|&a, &b| norm(&rows[b]).total_cmp(&norm(&rows[a])).then(a.cmp(&b)));
-
-    let mut ln = vec![0.0; n * d];
-    let mut destination = vec![0usize; nc];
-    for &c in &order {
-        let mut class_one: Vec<usize> = Vec::new();
-        let mut w = vec![0.0; n * d];
-        for i in 0..n {
-            let rel = cluster.capacity(NodeId(i)) / ct;
-            let mut ok = true;
-            for k in 0..d {
-                let lk = totals[k];
-                let wv = if lk > 0.0 {
-                    ((ln[i * d + k] + rows[c][k]) / lk) / rel
-                } else {
-                    0.0
-                };
-                w[i * d + k] = wv;
-                if wv > 1.0 + 1e-12 {
-                    ok = false;
+    // Super-operator load rows: member rows summed in member order.
+    let rows = (0..nc)
+        .map(|c| {
+            let mut row = vec![0.0; d];
+            for &op in clustering.members(c) {
+                for (k, v) in model.operator_sparse_row(op).iter() {
+                    row[k] += v;
                 }
             }
-            if ok {
-                class_one.push(i);
-            }
-        }
-        let dist = |i: usize| -> f64 {
-            let nrm = w[i * d..(i + 1) * d]
-                .iter()
-                .map(|v| v * v)
-                .sum::<f64>()
-                .sqrt();
-            if nrm == 0.0 {
-                f64::INFINITY
-            } else {
-                1.0 / nrm
-            }
-        };
-        let pool: Vec<usize> = if class_one.is_empty() {
-            (0..n).collect()
-        } else {
-            class_one
-        };
-        let dest = pool
-            .iter()
-            .copied()
-            .max_by(|&a, &b| dist(a).total_cmp(&dist(b)))
-            .expect("non-empty pool");
-        destination[c] = dest;
-        for k in 0..d {
-            ln[dest * d + k] += rows[c][k];
-        }
-    }
-    let mut alloc = Allocation::new(model.num_operators(), n);
-    for (c, &dest) in destination.iter().enumerate() {
+            SparseRow::from_dense(&row)
+        })
+        .collect();
+    let supers = SparseLoadMatrix::from_rows(d, rows);
+
+    // Weights stay normalised by the model's column totals: the
+    // super-rows' own column sums round differently.
+    let mut eval = IncrementalPlanEval::from_rows(&supers, model.total_coeffs(), cluster);
+    let mut order: Vec<OperatorId> = (0..nc).map(OperatorId).collect();
+    norm_descending(&mut order, |c| supers.row(c.index()).norm());
+    Phase2Selector::new(true, false).place(&mut eval, &order, 0..cluster.num_nodes());
+
+    let placed = eval.into_allocation();
+    let mut alloc = Allocation::new(model.num_operators(), cluster.num_nodes());
+    for c in 0..nc {
+        let dest = placed
+            .node_of(OperatorId(c))
+            .expect("Phase 2 places every cluster");
         for &op in clustering.members(c) {
-            alloc.assign(op, NodeId(dest));
+            alloc.assign(op, dest);
         }
     }
     Ok(alloc)

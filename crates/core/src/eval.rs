@@ -85,7 +85,10 @@ pub struct PlanSnapshot {
 /// [`Allocation`] of one load model on one cluster.
 #[derive(Clone, Debug)]
 pub struct IncrementalPlanEval<'a> {
-    model: &'a LoadModel,
+    /// The placeable rows `L^o_j`, one per operator.
+    lo: &'a SparseLoadMatrix,
+    /// Column totals `l_k` the weights are normalised by.
+    totals: &'a Vector,
     cluster: &'a Cluster,
     n: usize,
     d: usize,
@@ -108,16 +111,32 @@ pub struct IncrementalPlanEval<'a> {
 }
 
 impl<'a> IncrementalPlanEval<'a> {
-    /// Evaluation state for an empty allocation. Panics on an invalid
-    /// cluster (the cluster is part of the problem statement).
+    /// Evaluation state for an empty allocation of a model's operators.
+    /// Panics on an invalid cluster (the cluster is part of the problem
+    /// statement).
     pub fn new(model: &'a LoadModel, cluster: &'a Cluster) -> Self {
+        IncrementalPlanEval::from_rows(model.sparse_lo(), model.total_coeffs(), cluster)
+    }
+
+    /// Evaluation state for an empty allocation of the rows of `lo`, with
+    /// weights normalised by `totals`. [`new`](Self::new) passes a
+    /// model's own rows and column sums; clustered placement passes
+    /// super-operator rows with the model's column sums, which the
+    /// super-rows' own sums would not reproduce bit for bit. Panics on an
+    /// invalid cluster.
+    pub(crate) fn from_rows(
+        lo: &'a SparseLoadMatrix,
+        totals: &'a Vector,
+        cluster: &'a Cluster,
+    ) -> Self {
         cluster.validate().expect("invalid cluster");
         let n = cluster.num_nodes();
-        let d = model.num_vars();
+        let d = lo.num_cols();
         let ct = cluster.total_capacity();
         let rel = (0..n).map(|i| cluster.capacity(NodeId(i)) / ct).collect();
         IncrementalPlanEval {
-            model,
+            lo,
+            totals,
             cluster,
             n,
             d,
@@ -128,7 +147,7 @@ impl<'a> IncrementalPlanEval<'a> {
             max_w: vec![0.0; n],
             support: vec![Vec::new(); n],
             lower_bound: None,
-            alloc: Allocation::new(model.num_operators(), n),
+            alloc: Allocation::new(lo.num_rows(), n),
         }
     }
 
@@ -152,22 +171,18 @@ impl<'a> IncrementalPlanEval<'a> {
         eval
     }
 
-    /// Installs the §6.1 workload lower bound, given on the *system
-    /// input* rates. The bound is propagated into variable space and
-    /// normalised (`b̃_k = b_k l_k / C_T`); candidate plane distances are
-    /// then measured from `B̃` instead of the origin.
-    pub fn set_input_lower_bound(&mut self, input_lower_bound: &[f64]) {
-        let totals = self.model.total_coeffs();
+    /// Installs the §6.1 workload lower bound, given as a point in
+    /// variable space (the [`LoadModel::variable_point`] of a bound on
+    /// the system input rates). The point is normalised
+    /// (`b̃_k = b_k l_k / C_T`); candidate plane distances are then
+    /// measured from `B̃` instead of the origin.
+    pub fn set_lower_bound(&mut self, var_point: &Vector) {
         let ct = self.cluster.total_capacity();
-        let var_b = self.model.variable_point(input_lower_bound);
         self.lower_bound = Some(Vector::new(
-            (0..self.d).map(|k| var_b[k] * totals[k] / ct).collect(),
+            (0..self.d)
+                .map(|k| var_point[k] * self.totals[k] / ct)
+                .collect(),
         ));
-    }
-
-    /// The model being evaluated.
-    pub fn model(&self) -> &LoadModel {
-        self.model
     }
 
     /// The cluster being evaluated against.
@@ -274,7 +289,7 @@ impl<'a> IncrementalPlanEval<'a> {
             "operator {op:?} already assigned"
         );
         let i = node.index();
-        let row = self.model.operator_sparse_row(op);
+        let row = self.lo.row(op.index());
         for t in 0..row.nnz() {
             let (k, v) = (row.terms()[t].0 as usize, row.terms()[t].1);
             self.apply_delta(i, k, v);
@@ -293,7 +308,7 @@ impl<'a> IncrementalPlanEval<'a> {
             "operator {op:?} is not on node {node:?}"
         );
         let i = node.index();
-        let row = self.model.operator_sparse_row(op);
+        let row = self.lo.row(op.index());
         for t in 0..row.nnz() {
             let (k, v) = (row.terms()[t].0 as usize, row.terms()[t].1);
             self.apply_delta(i, k, -v);
@@ -311,7 +326,7 @@ impl<'a> IncrementalPlanEval<'a> {
         let was_zero = *cell == 0.0;
         *cell += delta;
         let now_zero = *cell == 0.0;
-        let lk = self.model.total_coeffs()[k];
+        let lk = self.totals[k];
         self.w[i * self.d + k] = if lk > 0.0 {
             (*cell / lk) / self.rel[i]
         } else {
@@ -340,9 +355,9 @@ impl<'a> IncrementalPlanEval<'a> {
     pub fn score_candidate(&self, op: OperatorId, node: NodeId) -> CandidateScore {
         let i = node.index();
         let rel = self.rel[i];
-        let totals = self.model.total_coeffs();
+        let totals = self.totals;
         let sup = &self.support[i];
-        let terms = self.model.operator_sparse_row(op).terms();
+        let terms = self.lo.row(op.index()).terms();
         let mut sumsq = 0.0;
         let mut wb = 0.0;
         let mut class_one = true;
@@ -409,7 +424,7 @@ impl<'a> IncrementalPlanEval<'a> {
     /// consumer sees identical numbers.
     pub fn snapshot(&self) -> PlanSnapshot {
         let ln = self.node_load_matrix();
-        let weights = WeightMatrix::new(&ln, self.model.total_coeffs(), self.cluster);
+        let weights = WeightMatrix::new(&ln, self.totals, self.cluster);
         let region = FeasibleRegion::new(ln, self.cluster.capacities());
         PlanSnapshot { weights, region }
     }
@@ -679,8 +694,8 @@ mod tests {
     ) -> CandidateScore {
         let i = node.index();
         let rel = eval.rel[i];
-        let totals = eval.model.total_coeffs();
-        let lo_row = eval.model.operator_sparse_row(op).to_dense();
+        let totals = eval.totals;
+        let lo_row = eval.lo.row(op.index()).to_dense();
         let mut sumsq = 0.0;
         let mut wb = 0.0;
         let mut class_one = true;
@@ -732,7 +747,7 @@ mod tests {
             for bounded in [false, true] {
                 let mut eval = IncrementalPlanEval::new(&model, &cluster);
                 if bounded {
-                    eval.set_input_lower_bound(&vec![0.01; model.num_inputs()]);
+                    eval.set_lower_bound(&model.variable_point(&vec![0.01; model.num_inputs()]));
                 }
                 let check_all = |eval: &IncrementalPlanEval<'_>| {
                     for j in 0..m {
@@ -784,7 +799,7 @@ mod tests {
         let (model, cluster) = setup();
         let mut plain = IncrementalPlanEval::new(&model, &cluster);
         let mut bounded = IncrementalPlanEval::new(&model, &cluster);
-        bounded.set_input_lower_bound(&[0.02, 0.02]);
+        bounded.set_lower_bound(&model.variable_point(&[0.02, 0.02]));
         plain.assign(OperatorId(2), NodeId(0));
         bounded.assign(OperatorId(2), NodeId(0));
         let p = plain.score_candidate(OperatorId(1), NodeId(0));

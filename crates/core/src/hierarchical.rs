@@ -33,7 +33,7 @@ use crate::eval::IncrementalPlanEval;
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::obs::MetricsRegistry;
-use crate::rod::{Phase2Selector, RodOptions, RodPlanner};
+use crate::rod::{norm_descending, Phase2Selector, RodOptions, RodPlanner};
 
 use std::time::Instant;
 
@@ -150,23 +150,20 @@ impl HierarchicalRod {
             if ops.is_empty() {
                 continue;
             }
-            // Phase 1 within the rack: the same norm-descending order.
-            ops.sort_by(|&a, &b| {
-                model
-                    .operator_norm(b)
-                    .total_cmp(&model.operator_norm(a))
-                    .then(a.cmp(&b))
-            });
+            norm_descending(&mut ops, |op| model.operator_norm(op));
             let rack_cluster = topology.rack_cluster(cluster, r);
             let mut eval = IncrementalPlanEval::new(model, &rack_cluster);
             if let Some(b) = &self.options.input_lower_bound {
-                eval.set_input_lower_bound(b);
+                eval.set_lower_bound(&model.variable_point(b));
             }
-            let mut selector = Phase2Selector::new(&self.options, model, false);
+            let mut selector = Phase2Selector::new(self.options.use_class_one, false);
+            selector.place(&mut eval, &ops, 0..members.len());
             for &op in &ops {
-                let (local, _class) = selector.select(&eval, op);
-                eval.assign(op, NodeId(local));
-                allocation.assign(op, NodeId(members[local]));
+                let local = eval
+                    .allocation()
+                    .node_of(op)
+                    .expect("Phase 2 places every operator");
+                allocation.assign(op, NodeId(members[local.index()]));
             }
             candidates_scored += selector.candidates_scored;
         }

@@ -1,4 +1,8 @@
 //! Precomputed failover assignments and survivor feasible-set scoring.
+//!
+//! Survivor re-placement is ROD itself: [`survivor_moves`] runs the same
+//! Phase-1 order and Phase-2 selector as every other placement, over the
+//! surviving nodes only.
 
 use std::sync::{Arc, Mutex};
 
@@ -12,18 +16,19 @@ use crate::eval::{IncrementalPlanEval, SampledFeasibility};
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::resilience::FailureScenario;
+use crate::rod::{norm_descending, Phase2Selector};
 use crate::score_cache::ScoreCache;
 
 /// Computes where a scenario's orphaned operators should go: unassign
 /// every failed node's operators from the incremental state, then place
-/// the orphans back on survivors with the same greedy ROD Phase 2 uses —
-/// norm-descending order, Class I node if one exists, otherwise the
-/// survivor with the largest candidate plane distance (MMPD). Each probe
-/// is O(d) on the incremental state, so a whole scenario costs
-/// O(orphans · survivors · d).
+/// the orphans back on the survivors with ROD's own Phase 1 and Phase 2
+/// ([`crate::rod`]), weights still normalised by the whole cluster's
+/// capacity. Each probe is O(nnz) on the incremental state, and the
+/// pruned scan skips survivors that provably cannot win.
 ///
-/// Returns `(operator, destination)` pairs; destinations are always
-/// surviving nodes. The caller's allocation is untouched.
+/// Returns `(operator, destination)` pairs, heaviest orphan first;
+/// destinations are always surviving nodes. The caller's allocation is
+/// untouched.
 pub fn survivor_moves(
     model: &LoadModel,
     cluster: &Cluster,
@@ -41,45 +46,31 @@ pub fn survivor_moves(
             }
         }
     }
-    // Heaviest first, exactly like ROD Phase 1: placing high-impact
-    // orphans while the survivors still have slack.
-    orphans.sort_by(|&a, &b| {
-        model
-            .operator_norm(b)
-            .total_cmp(&model.operator_norm(a))
-            .then(a.cmp(&b))
-    });
+    norm_descending(&mut orphans, |op| model.operator_norm(op));
+    // Dead nodes host nothing now: they are left out of the candidates,
+    // not scored.
     let survivors = scenario.survivors(cluster.num_nodes());
-    let mut moves = Vec::with_capacity(orphans.len());
-    for op in orphans {
-        let mut best: Option<(NodeId, f64, bool)> = None;
-        for &node in &survivors {
-            let score = eval.score_candidate(op, node);
-            let better = match best {
-                None => true,
-                Some((_, best_dist, best_class_one)) => {
-                    // Class I dominates Class II; plane distance breaks
-                    // ties within a class (lowest index wins exact ties).
-                    (score.class_one && !best_class_one)
-                        || (score.class_one == best_class_one
-                            && score.plane_distance > best_dist + 1e-15)
-                }
-            };
-            if better {
-                best = Some((node, score.plane_distance, score.class_one));
-            }
-        }
-        let (dest, _, _) = best.expect("scenario leaves at least one survivor");
-        eval.assign(op, dest);
-        moves.push((op, dest));
-    }
-    moves
+    Phase2Selector::new(true, false).place(
+        &mut eval,
+        &orphans,
+        survivors.iter().map(|node| node.index()),
+    );
+    orphans
+        .into_iter()
+        .map(|op| {
+            (
+                op,
+                eval.allocation()
+                    .node_of(op)
+                    .expect("Phase 2 places every orphan"),
+            )
+        })
+        .collect()
 }
 
 /// For each node: where its operators go when it (alone) dies. The
-/// backup assignment is chosen by [`survivor_moves`], i.e. by the MMPD
-/// greedy, so the post-failure plan keeps the largest worst-node plane
-/// distance the greedy can manage.
+/// backup assignment is chosen by [`survivor_moves`], i.e. by ROD's
+/// greedy over the survivors.
 ///
 /// The table is a value: serialisable, diffable, and cheap to ship to a
 /// runtime that must fail over without re-planning.

@@ -13,7 +13,7 @@
 //!    k-node loss);
 //! 2. for a candidate placement, score each scenario by the feasible-set
 //!    volume that *survives* it — unassign the dead nodes' operators,
-//!    re-place them on survivors with the same MMPD greedy ROD uses, and
+//!    re-place them on survivors with ROD's own Phase 1 and Phase 2, and
 //!    count the quasi-Monte-Carlo points the survivor constraints keep
 //!    ([`survivor_moves`], [`ScenarioScorer`]);
 //! 3. choose the placement maximising the **worst-case** survivor volume

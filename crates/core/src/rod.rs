@@ -19,7 +19,19 @@
 //! is empty the operator goes to the **Class II** node with the largest
 //! candidate plane distance `1/‖W_i‖` (the MMPD heuristic) — or, under the
 //! §6.1 extension, the largest distance measured from the known
-//! lower-bound point.
+//! lower-bound point. Which Class I node wins does not change the step's
+//! feasible set (§5.2); ROD takes the one with the largest candidate plane
+//! distance too. In both classes the first node in ascending order wins
+//! unless a later one beats it by more than `1e-15`.
+//!
+//! # One greedy
+//!
+//! This module holds the only Phase-1 order and the only Phase-2 rule.
+//! Every placement runs them, each over its own candidate nodes: flat ROD
+//! ([`RodPlanner::place`], [`RodPlanner::extend`]), hierarchical level 2
+//! ([`crate::hierarchical`]), survivor re-placement
+//! ([`crate::resilience::survivor_moves`]) and clustered placement
+//! ([`crate::clustering::place_clustered`]).
 //!
 //! # Candidate pruning
 //!
@@ -31,8 +43,8 @@
 //!    distance it can produce (weights only grow under assignment; see
 //!    [`IncrementalPlanEval::plane_distance`] — the bound holds bitwise in
 //!    IEEE-754, not just in exact arithmetic). A node whose bound cannot
-//!    beat the incumbent under the `best_by` replacement rule
-//!    (`s > best + 1e-15`) is skipped without scoring.
+//!    beat the incumbent under the replacement rule (`s > best + 1e-15`)
+//!    is skipped without scoring.
 //! 2. A node whose current maximum weight already exceeds `1 + 1e-12` can
 //!    never be Class I ([`IncrementalPlanEval::max_weight_of`]), so once
 //!    any Class-I node is in hand, such nodes are skipped outright.
@@ -41,15 +53,13 @@
 //!    class per step.
 //!
 //! Every skip is justified by an inequality on the exact floating-point
-//! values the full scan would have computed, so the pruned scan chooses
-//! the *same node* as the exhaustive reference — including the
-//! lowest-index tie-break — for every policy. The exhaustive scan is kept
-//! behind [`RodPlanner::with_exhaustive_scan`] as the test oracle.
+//! values the full scan would have computed, on any ascending list of
+//! candidate nodes, so the pruned scan chooses the *same node* as the
+//! exhaustive reference — including the lowest-index tie-break. The
+//! exhaustive scan is kept behind [`RodPlanner::with_exhaustive_scan`] as
+//! the test oracle.
 
 use serde::{Deserialize, Serialize};
-
-use rand::seq::SliceRandom;
-use rod_geom::seeded_rng;
 
 use std::time::Instant;
 
@@ -62,32 +72,8 @@ use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::obs::MetricsRegistry;
 
-/// How to break ties among Class I nodes (paper §5.2: "choosing any node
-/// from Class I does not affect the final feasible set size in this step.
-/// Therefore, a random node can be selected or we can choose the
-/// destination node using some other criteria").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum ClassOnePolicy {
-    /// Pick the Class I node whose candidate plane distance is largest —
-    /// deterministic and locally consistent with the MMPD heuristic. The
-    /// default.
-    MaxPlaneDistance,
-    /// Pick the lowest-numbered Class I node.
-    FirstFit,
-    /// Pick a Class I node uniformly at random (seeded).
-    Random {
-        /// RNG seed for the random picks.
-        seed: u64,
-    },
-    /// Prefer the Class I node already hosting the most graph neighbours
-    /// of the operator, to reduce inter-node streams (the paper's example
-    /// criterion for communication-conscious deployments); plane distance
-    /// breaks remaining ties.
-    MinCommunication,
-}
-
 /// Phase-1 operator ordering (the paper uses descending norm; the other
-/// orders exist for the ablation benches).
+/// orders exist for the `exp_ablations` experiment).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OperatorOrdering {
     /// Largest load-vector norm first (the paper's choice: "dealing with
@@ -103,8 +89,6 @@ pub enum OperatorOrdering {
 /// Configuration of the ROD planner.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RodOptions {
-    /// Class I tie-breaking.
-    pub class_one_policy: ClassOnePolicy,
     /// Optional §6.1 lower bound `B` on the *system input* rates. Lower
     /// bounds for introduced variables are derived by propagating `B`
     /// through the graph (all operators are rate-monotone, so propagated
@@ -121,7 +105,6 @@ pub struct RodOptions {
 impl Default for RodOptions {
     fn default() -> Self {
         RodOptions {
-            class_one_policy: ClassOnePolicy::MaxPlaneDistance,
             input_lower_bound: None,
             ordering: OperatorOrdering::NormDescending,
             use_class_one: true,
@@ -235,19 +218,16 @@ impl RodPlanner {
         // candidate plane distance it reports.
         let mut eval = IncrementalPlanEval::new(model, cluster);
         if let Some(b) = &self.options.input_lower_bound {
-            eval.set_input_lower_bound(b);
+            eval.set_lower_bound(&model.variable_point(b));
         }
 
         // ---- Phase 1: order the operators. ----
         let phase1_start = Instant::now();
         let mut order: Vec<OperatorId> = (0..m).map(OperatorId).collect();
         match self.options.ordering {
-            OperatorOrdering::NormDescending => order.sort_by(|&a, &b| {
-                model
-                    .operator_norm(b)
-                    .total_cmp(&model.operator_norm(a))
-                    .then(a.cmp(&b))
-            }),
+            OperatorOrdering::NormDescending => {
+                norm_descending(&mut order, |op| model.operator_norm(op))
+            }
             OperatorOrdering::NormAscending => order.sort_by(|&a, &b| {
                 model
                     .operator_norm(a)
@@ -264,13 +244,8 @@ impl RodPlanner {
 
         // ---- Phase 2: greedy assignment. ----
         let phase2_start = Instant::now();
-        let mut selector = Phase2Selector::new(&self.options, model, self.exhaustive_scan);
-        let mut step_classes = Vec::with_capacity(m);
-        for &op in &order {
-            let (dest, class) = selector.select(&eval, op);
-            eval.assign(op, NodeId(dest));
-            step_classes.push(class);
-        }
+        let mut selector = Phase2Selector::new(self.options.use_class_one, self.exhaustive_scan);
+        let step_classes = selector.place(&mut eval, &order, 0..n);
         let candidates_scored = selector.candidates_scored;
         if let Some(metrics) = metrics {
             metrics.observe("rod.phase2_seconds", phase2_start.elapsed().as_secs_f64());
@@ -300,110 +275,81 @@ impl RodPlanner {
     }
 }
 
-/// Phase-2 destination selection shared by [`RodPlanner::place`] and
-/// [`RodPlanner::extend`] — either the exhaustive all-nodes scan or the
-/// pruned scan described in the module docs. Both are guaranteed to pick
-/// the same node at every step.
-pub(crate) struct Phase2Selector<'o> {
-    options: &'o RodOptions,
+/// ROD's Phase 1: sorts `ops` by descending load-vector `norm`, the lower
+/// index first among equal norms.
+pub(crate) fn norm_descending(ops: &mut [OperatorId], norm: impl Fn(OperatorId) -> f64) {
+    ops.sort_by(|&a, &b| norm(b).total_cmp(&norm(a)).then(a.cmp(&b)));
+}
+
+/// ROD's Phase 2 (see the module docs): either the exhaustive scan over
+/// every candidate node or the pruned scan. Both pick the same node at
+/// every step.
+pub(crate) struct Phase2Selector {
+    /// False for the pure-MMPD ablation: no Class I / Class II split.
+    use_class_one: bool,
     exhaustive: bool,
-    /// Graph adjacency, built only for the MinCommunication policy.
-    adjacency: Vec<Vec<OperatorId>>,
-    /// Seeded RNG, built only for the Random policy.
-    rng: Option<rod_geom::rng::Rng>,
     /// Per-step memo of unloaded-node candidate scores keyed by the
     /// node's relative-capacity bits (cleared at each step).
     memo: Vec<(u64, CandidateScore)>,
-    /// Class-I members (node, score) collected when the policy needs the
-    /// full set (Random, MinCommunication); reused scratch.
-    members: Vec<(usize, CandidateScore)>,
     /// Total `score_candidate` probes issued.
     pub(crate) candidates_scored: u64,
 }
 
-impl<'o> Phase2Selector<'o> {
-    pub(crate) fn new(options: &'o RodOptions, model: &LoadModel, exhaustive: bool) -> Self {
-        let adjacency = match options.class_one_policy {
-            ClassOnePolicy::MinCommunication => model.graph().adjacency(),
-            _ => Vec::new(),
-        };
-        let rng = match options.class_one_policy {
-            ClassOnePolicy::Random { seed } => Some(seeded_rng(seed)),
-            _ => None,
-        };
+impl Phase2Selector {
+    pub(crate) fn new(use_class_one: bool, exhaustive: bool) -> Self {
         Phase2Selector {
-            options,
+            use_class_one,
             exhaustive,
-            adjacency,
-            rng,
             memo: Vec::new(),
-            members: Vec::new(),
             candidates_scored: 0,
         }
     }
 
-    /// Picks the destination node for `op` under the current state.
-    pub(crate) fn select(
+    /// Assigns each operator of `order` in turn to the node chosen among
+    /// `nodes`, which must be ascending, and returns the class of each
+    /// step.
+    pub(crate) fn place(
         &mut self,
-        eval: &IncrementalPlanEval<'_>,
-        op: OperatorId,
-    ) -> (usize, StepClass) {
-        if self.exhaustive {
-            self.select_exhaustive(eval, op)
-        } else {
-            self.select_pruned(eval, op)
-        }
+        eval: &mut IncrementalPlanEval<'_>,
+        order: &[OperatorId],
+        nodes: impl Iterator<Item = usize> + Clone,
+    ) -> Vec<StepClass> {
+        order
+            .iter()
+            .map(|&op| {
+                let (dest, class) = if self.exhaustive {
+                    self.select_exhaustive(eval, op, nodes.clone())
+                } else {
+                    self.select_pruned(eval, op, nodes.clone())
+                };
+                eval.assign(op, NodeId(dest));
+                class
+            })
+            .collect()
     }
 
-    /// The original all-nodes scan, kept verbatim as the reference oracle.
+    /// The reference oracle: scores every candidate, then applies
+    /// [`best_by`] over Class I, or over every candidate when Class I is
+    /// empty.
     fn select_exhaustive(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
+        nodes: impl Iterator<Item = usize>,
     ) -> (usize, StepClass) {
-        let n = eval.num_nodes();
-        let mut scores: Vec<CandidateScore> = Vec::with_capacity(n);
-        let mut class_one: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let score = eval.score_candidate(op, NodeId(i));
-            self.candidates_scored += 1;
-            if score.class_one {
-                class_one.push(i);
-            }
-            scores.push(score);
-        }
-        let candidate_distance = |i: usize| scores[i].plane_distance;
-
-        if self.options.use_class_one && !class_one.is_empty() {
-            let dest = match self.options.class_one_policy {
-                ClassOnePolicy::FirstFit => class_one[0],
-                ClassOnePolicy::Random { .. } => *class_one
-                    .choose(self.rng.as_mut().expect("rng for Random policy"))
-                    .expect("non-empty class one"),
-                ClassOnePolicy::MaxPlaneDistance => best_by(&class_one, candidate_distance),
-                ClassOnePolicy::MinCommunication => {
-                    let adjacency = &self.adjacency;
-                    let neighbours = |i: usize| -> usize {
-                        adjacency[op.index()]
-                            .iter()
-                            .filter(|nb| eval.allocation().node_of(**nb) == Some(NodeId(i)))
-                            .count()
-                    };
-                    // Most already-placed neighbours first; plane
-                    // distance breaks ties.
-                    let max_nb = class_one.iter().map(|&i| neighbours(i)).max().unwrap_or(0);
-                    let tied: Vec<usize> = class_one
-                        .iter()
-                        .copied()
-                        .filter(|&i| neighbours(i) == max_nb)
-                        .collect();
-                    best_by(&tied, candidate_distance)
-                }
-            };
-            (dest, StepClass::ClassOne)
+        let scores: Vec<(usize, CandidateScore)> = nodes
+            .map(|i| (i, eval.score_candidate(op, NodeId(i))))
+            .collect();
+        self.candidates_scored += scores.len() as u64;
+        let class_one = self.use_class_one && scores.iter().any(|(_, s)| s.class_one);
+        let pool = scores
+            .iter()
+            .filter(|(_, s)| s.class_one || !class_one)
+            .map(|&(i, s)| (i, s.plane_distance));
+        if class_one {
+            (best_by(pool), StepClass::ClassOne)
         } else {
-            let all: Vec<usize> = (0..n).collect();
-            (best_by(&all, candidate_distance), StepClass::ClassTwo)
+            (best_by(pool), StepClass::ClassTwo)
         }
     }
 
@@ -431,147 +377,51 @@ impl<'o> Phase2Selector<'o> {
         eval.score_candidate(op, NodeId(i))
     }
 
-    /// The pruned scan. Invariants replicated from the exhaustive oracle:
+    /// The pruned scan. It visits the candidates in ascending order and
+    /// keeps two incumbents under [`offer`]'s rule, as [`best_by`] does:
+    /// one over Class I and a Class-II fallback over every candidate.
+    /// A node is skipped only when it provably cannot change the result:
     ///
-    /// * `best_by` visits candidates in ascending node order, seeds the
-    ///   incumbent with the first member unconditionally, and replaces
-    ///   only when `s > best + 1e-15`. The scan below visits nodes
-    ///   ascending and applies the same seeding and replacement, so any
-    ///   node skipped under `bound ≤ best + 1e-15` provably could not
-    ///   have replaced the incumbent (its true score is ≤ the bound).
-    /// * Class-I membership of a node with `max_weight_of > 1 + 1e-12` is
-    ///   impossible, so such nodes only matter for the Class-II fallback
-    ///   track — and not at all once a Class-I node exists.
-    /// * The Random / MinCommunication policies inspect the *full*
-    ///   Class-I set, so every possibly-Class-I node is probed for them;
-    ///   definite-Class-II nodes are still skippable.
+    /// * a node with `max_weight_of > 1 + 1e-12` cannot be Class I, so it
+    ///   only feeds the fallback, and not at all once Class I is
+    ///   non-empty;
+    /// * a node whose current plane distance is `≤ best + 1e-15` against
+    ///   the incumbent it could join cannot replace it (its candidate
+    ///   distance is at most that bound). While Class I is empty a node
+    ///   that may be Class I is always probed, since only the probe
+    ///   settles its class.
     fn select_pruned(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
+        nodes: impl Iterator<Item = usize>,
     ) -> (usize, StepClass) {
-        let n = eval.num_nodes();
-        let needs_full_set = self.options.use_class_one
-            && matches!(
-                self.options.class_one_policy,
-                ClassOnePolicy::Random { .. } | ClassOnePolicy::MinCommunication
-            );
         self.memo.clear();
-        self.members.clear();
-        // Fallback (Class II) incumbent: (node, plane distance).
-        let mut best_all: Option<(usize, f64)> = None;
-        // Class-I incumbent for single-winner policies.
         let mut best_c1: Option<(usize, f64)> = None;
-
-        for i in 0..n {
-            let any_c1 = best_c1.is_some() || !self.members.is_empty();
-            let possibly_c1 =
-                self.options.use_class_one && eval.max_weight_of(NodeId(i)) <= 1.0 + 1e-12;
-            if !possibly_c1 {
-                // Definitely Class II: irrelevant once Class I is
-                // non-empty, otherwise only feeds the fallback track.
-                if any_c1 {
-                    continue;
-                }
-                if let Some((_, bs)) = best_all {
-                    if eval.plane_distance(NodeId(i)) <= bs + 1e-15 {
-                        continue;
-                    }
-                }
-                let s = self.probe(eval, op, i);
-                match best_all {
-                    None => best_all = Some((i, s.plane_distance)),
-                    Some((_, bs)) if s.plane_distance > bs + 1e-15 => {
-                        best_all = Some((i, s.plane_distance))
-                    }
-                    _ => {}
-                }
+        let mut best_all: Option<(usize, f64)> = None;
+        for i in nodes {
+            let possibly_c1 = self.use_class_one && eval.max_weight_of(NodeId(i)) <= 1.0 + 1e-12;
+            if best_c1.is_some() && !possibly_c1 {
                 continue;
             }
-            // Possibly Class I. For single-winner policies an incumbent
-            // Class-I node lets us skip by bound; full-set policies must
-            // resolve membership.
-            if any_c1 && !needs_full_set {
-                let (_, bs) = best_c1.expect("any_c1 implies incumbent for single-winner");
+            let incumbent = if possibly_c1 { best_c1 } else { best_all };
+            if let Some((_, bs)) = incumbent {
                 if eval.plane_distance(NodeId(i)) <= bs + 1e-15 {
                     continue;
                 }
             }
             let s = self.probe(eval, op, i);
-            if s.class_one {
-                if needs_full_set {
-                    self.members.push((i, s));
-                } else if matches!(self.options.class_one_policy, ClassOnePolicy::FirstFit) {
-                    return (i, StepClass::ClassOne);
-                } else {
-                    match best_c1 {
-                        None => best_c1 = Some((i, s.plane_distance)),
-                        Some((_, bs)) if s.plane_distance > bs + 1e-15 => {
-                            best_c1 = Some((i, s.plane_distance))
-                        }
-                        _ => {}
-                    }
-                }
-            } else if !any_c1 {
-                match best_all {
-                    None => best_all = Some((i, s.plane_distance)),
-                    Some((_, bs)) if s.plane_distance > bs + 1e-15 => {
-                        best_all = Some((i, s.plane_distance))
-                    }
-                    _ => {}
-                }
+            if possibly_c1 && s.class_one {
+                offer(&mut best_c1, i, s.plane_distance);
+            } else if best_c1.is_none() {
+                offer(&mut best_all, i, s.plane_distance);
             }
         }
-
-        if let Some((dest, _)) = best_c1 {
-            return (dest, StepClass::ClassOne);
+        match (best_c1, best_all) {
+            (Some((dest, _)), _) => (dest, StepClass::ClassOne),
+            (None, Some((dest, _))) => (dest, StepClass::ClassTwo),
+            (None, None) => panic!("Phase 2 needs at least one candidate node"),
         }
-        if !self.members.is_empty() {
-            let dest = match self.options.class_one_policy {
-                ClassOnePolicy::Random { .. } => {
-                    self.members
-                        .choose(self.rng.as_mut().expect("rng for Random policy"))
-                        .expect("non-empty class one")
-                        .0
-                }
-                ClassOnePolicy::MinCommunication => {
-                    let adjacency = &self.adjacency;
-                    let neighbours = |i: usize| -> usize {
-                        adjacency[op.index()]
-                            .iter()
-                            .filter(|nb| eval.allocation().node_of(**nb) == Some(NodeId(i)))
-                            .count()
-                    };
-                    let max_nb = self
-                        .members
-                        .iter()
-                        .map(|&(i, _)| neighbours(i))
-                        .max()
-                        .unwrap_or(0);
-                    // `members` is ascending by construction, so seeding
-                    // with the first tied entry and applying the strict
-                    // `+1e-15` replacement reproduces `best_by(tied)`.
-                    let mut best: Option<(usize, f64)> = None;
-                    for &(i, s) in &self.members {
-                        if neighbours(i) != max_nb {
-                            continue;
-                        }
-                        match best {
-                            None => best = Some((i, s.plane_distance)),
-                            Some((_, bs)) if s.plane_distance > bs + 1e-15 => {
-                                best = Some((i, s.plane_distance))
-                            }
-                            _ => {}
-                        }
-                    }
-                    best.expect("at least one tied member").0
-                }
-                _ => unreachable!("full-set collection is only for Random/MinCommunication"),
-            };
-            return (dest, StepClass::ClassOne);
-        }
-        let (dest, _) = best_all.expect("node 0 is always probed when Class I stays empty");
-        (dest, StepClass::ClassTwo)
     }
 }
 
@@ -611,23 +461,13 @@ impl RodPlanner {
             .map(OperatorId)
             .filter(|&op| existing.node_of(op).is_none())
             .collect();
-        pending.sort_by(|&a, &b| {
-            model
-                .operator_norm(b)
-                .total_cmp(&model.operator_norm(a))
-                .then(a.cmp(&b))
-        });
+        norm_descending(&mut pending, |op| model.operator_norm(op));
 
-        // The historical extend behaviour: MaxPlaneDistance with the
-        // Class-I rule, regardless of the placement-time policy options.
-        let extend_options = RodOptions::default();
-        let mut selector = Phase2Selector::new(&extend_options, model, self.exhaustive_scan);
-        let mut step_classes = Vec::with_capacity(pending.len());
-        for &op in &pending {
-            let (dest, class) = selector.select(&eval, op);
-            eval.assign(op, NodeId(dest));
-            step_classes.push(class);
-        }
+        // The historical extend behaviour: the default options, whatever
+        // the planner's own ones are.
+        let use_class_one = RodOptions::default().use_class_one;
+        let mut selector = Phase2Selector::new(use_class_one, self.exhaustive_scan);
+        let step_classes = selector.place(&mut eval, &pending, 0..cluster.num_nodes());
 
         Ok(RodPlan {
             allocation: eval.into_allocation(),
@@ -658,20 +498,27 @@ impl Planner for RodPlanner {
     }
 }
 
-/// Index in `candidates` maximising `score`, breaking ties by the lowest
-/// index for determinism.
-fn best_by(candidates: &[usize], score: impl Fn(usize) -> f64) -> usize {
-    assert!(!candidates.is_empty());
-    let mut best = candidates[0];
-    let mut best_score = score(best);
-    for &c in &candidates[1..] {
-        let s = score(c);
-        if s > best_score + 1e-15 {
-            best = c;
-            best_score = s;
-        }
+/// ROD's tie-break, fed `(node, candidate plane distance)` pairs in
+/// ascending node order: the first pair becomes the incumbent, and a later
+/// one replaces it only when its distance is larger by more than `1e-15`.
+fn offer(best: &mut Option<(usize, f64)>, node: usize, distance: f64) {
+    let replaces = match *best {
+        None => true,
+        Some((_, b)) => distance > b + 1e-15,
+    };
+    if replaces {
+        *best = Some((node, distance));
     }
-    best
+}
+
+/// The node [`offer`] keeps out of `candidates`, which must be non-empty
+/// and ascending by node.
+fn best_by(candidates: impl IntoIterator<Item = (usize, f64)>) -> usize {
+    let mut best = None;
+    for (node, distance) in candidates {
+        offer(&mut best, node, distance);
+    }
+    best.expect("at least one candidate node").0
 }
 
 #[cfg(test)]
@@ -770,26 +617,6 @@ mod tests {
         // Ideal split is (7.2, 0.8); greedy integral placement should land
         // within one operator of it.
         assert!(ln[(0, 0)] >= 6.0, "big node got {}", ln[(0, 0)]);
-    }
-
-    #[test]
-    fn all_class_one_policies_produce_complete_plans() {
-        let m = model();
-        let cluster = Cluster::homogeneous(3, 1.0);
-        for policy in [
-            ClassOnePolicy::MaxPlaneDistance,
-            ClassOnePolicy::FirstFit,
-            ClassOnePolicy::Random { seed: 7 },
-            ClassOnePolicy::MinCommunication,
-        ] {
-            let plan = RodPlanner::with_options(RodOptions {
-                class_one_policy: policy,
-                ..RodOptions::default()
-            })
-            .place(&m, &cluster)
-            .unwrap();
-            assert!(plan.allocation.is_complete(), "policy {policy:?}");
-        }
     }
 
     #[test]
@@ -910,14 +737,10 @@ mod tests {
         LoadModel::derive(&b.build().unwrap()).unwrap()
     }
 
+    /// Both Phase-2 policies (the Class-I rule and pure MMPD), with and
+    /// without a §6.1 lower bound.
     #[test]
     fn pruned_scan_matches_exhaustive_for_every_policy() {
-        let policies = [
-            ClassOnePolicy::MaxPlaneDistance,
-            ClassOnePolicy::FirstFit,
-            ClassOnePolicy::Random { seed: 17 },
-            ClassOnePolicy::MinCommunication,
-        ];
         let models = [model(), irregular_model(6, 4), irregular_model(3, 2)];
         let clusters = [
             Cluster::homogeneous(2, 1.0),
@@ -926,32 +749,29 @@ mod tests {
         ];
         for m in &models {
             for cluster in &clusters {
-                for policy in policies {
-                    for use_class_one in [true, false] {
-                        for bound in [None, Some(vec![0.05; m.num_inputs()])] {
-                            let options = RodOptions {
-                                class_one_policy: policy,
-                                input_lower_bound: bound,
-                                use_class_one,
-                                ..RodOptions::default()
-                            };
-                            let pruned = RodPlanner::with_options(options.clone())
-                                .place(m, cluster)
-                                .unwrap();
-                            let full = RodPlanner::with_options(options.clone())
-                                .with_exhaustive_scan(true)
-                                .place(m, cluster)
-                                .unwrap();
-                            assert_eq!(
-                                pruned.allocation,
-                                full.allocation,
-                                "policy {policy:?} c1 {use_class_one} on {} nodes",
-                                cluster.num_nodes()
-                            );
-                            assert_eq!(pruned.step_classes, full.step_classes);
-                            assert_eq!(pruned.order, full.order);
-                            assert!(pruned.candidates_scored <= full.candidates_scored);
-                        }
+                for use_class_one in [true, false] {
+                    for bound in [None, Some(vec![0.05; m.num_inputs()])] {
+                        let options = RodOptions {
+                            input_lower_bound: bound,
+                            use_class_one,
+                            ..RodOptions::default()
+                        };
+                        let pruned = RodPlanner::with_options(options.clone())
+                            .place(m, cluster)
+                            .unwrap();
+                        let full = RodPlanner::with_options(options.clone())
+                            .with_exhaustive_scan(true)
+                            .place(m, cluster)
+                            .unwrap();
+                        assert_eq!(
+                            pruned.allocation,
+                            full.allocation,
+                            "c1 {use_class_one} on {} nodes",
+                            cluster.num_nodes()
+                        );
+                        assert_eq!(pruned.step_classes, full.step_classes);
+                        assert_eq!(pruned.order, full.order);
+                        assert!(pruned.candidates_scored <= full.candidates_scored);
                     }
                 }
             }

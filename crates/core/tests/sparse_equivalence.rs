@@ -4,17 +4,26 @@
 //! placements** to the exhaustive scan, and a single-rack hierarchical
 //! plan must *be* the flat ROD plan. These are the invariants that let
 //! the large-instance fast paths ship without a tolerance anywhere.
+//!
+//! Survivor re-placement and clustered placement run ROD's shared
+//! Phase-2 selector; each is pinned to the private greedy loop it used
+//! to carry, kept here as the oracle.
 
 use proptest::prelude::*;
 
+use rod_core::allocation::Allocation;
 use rod_core::cluster::{Cluster, Topology};
+use rod_core::clustering::{
+    cluster_operators, place_clustered, ArcCosts, ClusteringPolicy, OperatorClustering,
+};
 use rod_core::eval::IncrementalPlanEval;
 use rod_core::graph::{GraphBuilder, QueryGraph};
 use rod_core::hierarchical::HierarchicalRod;
 use rod_core::ids::{NodeId, OperatorId, StreamId};
 use rod_core::load_model::LoadModel;
 use rod_core::operator::OperatorKind;
-use rod_core::rod::{ClassOnePolicy, RodOptions, RodPlanner};
+use rod_core::resilience::{survivor_moves, FailureScenario};
+use rod_core::rod::{RodOptions, RodPlanner};
 
 /// A compact description of a *sparse-regime* random graph: several
 /// inputs, operators that are mostly single-input but sometimes union
@@ -95,6 +104,155 @@ fn dense_plane_distance(row: &[f64]) -> f64 {
     }
 }
 
+/// The cluster shapes the selector proptests sweep: homogeneous, and
+/// heterogeneous with a dominant node.
+fn cluster_for(pick: usize) -> Cluster {
+    match pick {
+        0 => Cluster::homogeneous(4, 1.0),
+        1 => Cluster::homogeneous(5, 2.0),
+        _ => Cluster::heterogeneous(vec![3.0, 1.0, 0.5, 2.0]),
+    }
+}
+
+/// Survivor re-placement as written before it ran ROD's Phase-2
+/// selector: every survivor scored, Class I before Class II, the largest
+/// candidate plane distance within a class, ties within `1e-15` to the
+/// lowest index.
+fn survivor_moves_oracle(
+    model: &LoadModel,
+    cluster: &Cluster,
+    alloc: &Allocation,
+    scenario: &FailureScenario,
+) -> Vec<(OperatorId, NodeId)> {
+    let mut eval = IncrementalPlanEval::from_allocation(model, cluster, alloc);
+    let mut orphans: Vec<OperatorId> = Vec::new();
+    for j in 0..model.num_operators() {
+        let op = OperatorId(j);
+        if let Some(host) = alloc.node_of(op) {
+            if scenario.kills(host) {
+                eval.unassign(op, host);
+                orphans.push(op);
+            }
+        }
+    }
+    orphans.sort_by(|&a, &b| {
+        model
+            .operator_norm(b)
+            .total_cmp(&model.operator_norm(a))
+            .then(a.cmp(&b))
+    });
+    let survivors = scenario.survivors(cluster.num_nodes());
+    let mut moves = Vec::with_capacity(orphans.len());
+    for op in orphans {
+        let mut best: Option<(NodeId, f64, bool)> = None;
+        for &node in &survivors {
+            let score = eval.score_candidate(op, node);
+            let better = match best {
+                None => true,
+                Some((_, best_dist, best_class_one)) => {
+                    (score.class_one && !best_class_one)
+                        || (score.class_one == best_class_one
+                            && score.plane_distance > best_dist + 1e-15)
+                }
+            };
+            if better {
+                best = Some((node, score.plane_distance, score.class_one));
+            }
+        }
+        let (dest, _, _) = best.expect("scenario leaves at least one survivor");
+        eval.assign(op, dest);
+        moves.push((op, dest));
+    }
+    moves
+}
+
+/// Clustered placement as written before it ran ROD's shared greedy:
+/// dense super-rows and a dense O(n·d) scan per step — with ROD's
+/// first-maximum tie-break (a later node must win by more than `1e-15`)
+/// where the old loop's `Iterator::max_by` took the last maximum.
+fn place_clustered_reference(
+    model: &LoadModel,
+    cluster: &Cluster,
+    clustering: &OperatorClustering,
+) -> Allocation {
+    let d = model.num_vars();
+    let nc = clustering.num_clusters();
+    let mut rows: Vec<Vec<f64>> = vec![vec![0.0; d]; nc];
+    for (c, row) in rows.iter_mut().enumerate() {
+        for &op in clustering.members(c) {
+            for (k, v) in model.operator_sparse_row(op).iter() {
+                row[k] += v;
+            }
+        }
+    }
+    let n = cluster.num_nodes();
+    let ct = cluster.total_capacity();
+    let totals = model.total_coeffs();
+    let mut order: Vec<usize> = (0..nc).collect();
+    let norm = |row: &[f64]| row.iter().map(|v| v * v).sum::<f64>().sqrt();
+    order.sort_by(|&a, &b| norm(&rows[b]).total_cmp(&norm(&rows[a])).then(a.cmp(&b)));
+
+    let mut ln = vec![0.0; n * d];
+    let mut destination = vec![0usize; nc];
+    for &c in &order {
+        let mut class_one: Vec<usize> = Vec::new();
+        let mut w = vec![0.0; n * d];
+        for i in 0..n {
+            let rel = cluster.capacity(NodeId(i)) / ct;
+            let mut ok = true;
+            for k in 0..d {
+                let lk = totals[k];
+                let wv = if lk > 0.0 {
+                    ((ln[i * d + k] + rows[c][k]) / lk) / rel
+                } else {
+                    0.0
+                };
+                w[i * d + k] = wv;
+                if wv > 1.0 + 1e-12 {
+                    ok = false;
+                }
+            }
+            if ok {
+                class_one.push(i);
+            }
+        }
+        let dist = |i: usize| -> f64 {
+            let nrm = w[i * d..(i + 1) * d]
+                .iter()
+                .map(|v| v * v)
+                .sum::<f64>()
+                .sqrt();
+            if nrm == 0.0 {
+                f64::INFINITY
+            } else {
+                1.0 / nrm
+            }
+        };
+        let pool: Vec<usize> = if class_one.is_empty() {
+            (0..n).collect()
+        } else {
+            class_one
+        };
+        let mut dest = pool[0];
+        for &i in &pool[1..] {
+            if dist(i) > dist(dest) + 1e-15 {
+                dest = i;
+            }
+        }
+        destination[c] = dest;
+        for k in 0..d {
+            ln[dest * d + k] += rows[c][k];
+        }
+    }
+    let mut alloc = Allocation::new(model.num_operators(), n);
+    for (c, &dest) in destination.iter().enumerate() {
+        for &op in clustering.members(c) {
+            alloc.assign(op, NodeId(dest));
+        }
+    }
+    alloc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -162,13 +320,12 @@ proptest! {
     }
 
     /// The pruned Phase-2 scan (the default) picks byte-identical
-    /// placements to the exhaustive O(m·n) scan, across policies,
-    /// cluster shapes, and the class-one ablation switch.
+    /// placements to the exhaustive O(m·n) scan, across cluster shapes
+    /// and the class-one ablation switch.
     #[test]
     fn pruned_scan_places_byte_identically_to_exhaustive(
         spec in sparse_spec(),
         caps_pick in 0usize..3,
-        policy_pick in 0usize..4,
         class_one_pick in 0u8..2,
     ) {
         let graph = build(&spec);
@@ -179,12 +336,6 @@ proptest! {
             _ => Cluster::heterogeneous(vec![3.0, 1.0, 0.5, 2.0]),
         };
         let options = RodOptions {
-            class_one_policy: match policy_pick {
-                0 => ClassOnePolicy::MaxPlaneDistance,
-                1 => ClassOnePolicy::FirstFit,
-                2 => ClassOnePolicy::Random { seed: 1234 },
-                _ => ClassOnePolicy::MinCommunication,
-            },
             use_class_one: class_one_pick == 1,
             ..RodOptions::default()
         };
@@ -238,5 +389,65 @@ proptest! {
             let node = a.allocation.node_of(OperatorId(j)).unwrap().index();
             prop_assert!(topology.rack(a.rack_of[j]).contains(&node));
         }
+    }
+
+    /// Survivor re-placement through the shared selector moves exactly
+    /// the orphans its old private loop moved, to the same nodes, in the
+    /// same order: single and double failures, on ROD plans and on
+    /// arbitrary ones.
+    #[test]
+    fn survivor_moves_match_the_private_loop_they_replaced(
+        spec in sparse_spec(),
+        caps_pick in 0usize..3,
+        hosts in prop::collection::vec(0usize..64, 28),
+        rod_plan in 0u8..2,
+    ) {
+        let model = LoadModel::derive(&build(&spec)).unwrap();
+        let cluster = cluster_for(caps_pick);
+        let n = cluster.num_nodes();
+        let alloc = if rod_plan == 1 {
+            RodPlanner::new().place(&model, &cluster).unwrap().allocation
+        } else {
+            let mut alloc = Allocation::new(model.num_operators(), n);
+            for j in 0..model.num_operators() {
+                alloc.assign(OperatorId(j), NodeId(hosts[j % hosts.len()] % n));
+            }
+            alloc
+        };
+        for scenario in FailureScenario::all_up_to_k(n, 2) {
+            prop_assert_eq!(
+                survivor_moves(&model, &cluster, &alloc, &scenario),
+                survivor_moves_oracle(&model, &cluster, &alloc, &scenario),
+                "{:?}", scenario
+            );
+        }
+    }
+
+    /// Clustered placement through the shared greedy places every
+    /// operator where the dense super-row loop does, under both
+    /// clustering policies and a range of thresholds and weight caps.
+    #[test]
+    fn clustered_placement_matches_the_dense_reference(
+        spec in sparse_spec(),
+        caps_pick in 0usize..3,
+        policy_pick in 0u8..2,
+        threshold_pick in 0usize..5,
+        weight_cap_pick in 0usize..3,
+    ) {
+        let model = LoadModel::derive(&build(&spec)).unwrap();
+        let cluster = cluster_for(caps_pick);
+        let policy = if policy_pick == 0 {
+            ClusteringPolicy::LargestRatio
+        } else {
+            ClusteringPolicy::MinWeight
+        };
+        let threshold = [0.25, 0.5, 1.0, 2.0, 4.0][threshold_pick];
+        let weight_cap = [0.3, 0.6, 1.0][weight_cap_pick];
+        let clustering =
+            cluster_operators(&model, &ArcCosts::uniform(0.5), policy, threshold, weight_cap);
+        prop_assert_eq!(
+            place_clustered(&model, &cluster, &clustering).unwrap(),
+            place_clustered_reference(&model, &cluster, &clustering)
+        );
     }
 }

@@ -87,7 +87,8 @@ impl Flags {
 }
 
 fn usage() -> String {
-    "usage: rodctl <generate|plan|evaluate|explain|simulate> [--flag value]...\n\
+    "usage: rodctl <generate|plan|evaluate|explain|headroom|compare|simulate|trace|daemon>\n\
+     \u{20}      [--flag value]... (a flag the subcommand does not read is an error)\n\
      \n\
      generate --kind tree|traffic|financial|joins [--inputs N] [--ops-per-tree N] [--seed N]\n\
      plan     --graph FILE --nodes N [--capacity C]\n\
@@ -773,22 +774,58 @@ fn cmd_daemon(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Flags) -> Result<String, String>;
+
+/// Every subcommand with the flags it reads, space-separated. [`run`]
+/// rejects any other flag before the subcommand starts, so a misspelt
+/// flag is never ignored and never leaves a half-written file behind.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("generate", cmd_generate, "kind inputs ops-per-tree seed"),
+    (
+        "plan",
+        cmd_plan,
+        "graph nodes capacity algorithm rates seed samples max-plans threads racks timings out",
+    ),
+    (
+        "evaluate",
+        cmd_evaluate,
+        "graph plan nodes capacity samples",
+    ),
+    ("explain", cmd_explain, "graph plan nodes capacity"),
+    ("headroom", cmd_headroom, "graph plan nodes capacity rates"),
+    ("compare", cmd_compare, "graph nodes capacity samples seed"),
+    (
+        "simulate",
+        cmd_simulate,
+        "graph plan nodes capacity horizon seed rates traces outage failover fault-tolerance \
+         scheduling op-queue-bound batch batch-bucket trace-out metrics-interval threads",
+    ),
+    ("trace", cmd_trace, "kind bins-log2 mean seed out"),
+    (
+        "daemon",
+        cmd_daemon,
+        "graph nodes capacity plan trace-in plan-out log-out budget",
+    ),
+];
+
 fn run(args: &[String]) -> Result<String, String> {
     let command = args.first().ok_or_else(usage)?;
     let flags = Flags::parse(&args[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "plan" => cmd_plan(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "explain" => cmd_explain(&flags),
-        "headroom" => cmd_headroom(&flags),
-        "compare" => cmd_compare(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "trace" => cmd_trace(&flags),
-        "daemon" => cmd_daemon(&flags),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let Some(&(name, cmd, known)) = COMMANDS.iter().find(|(name, _, _)| name == command) else {
+        return Err(format!("unknown command '{command}'\n{}", usage()));
+    };
+    if let Some((flag, _)) = flags
+        .pairs
+        .iter()
+        .find(|(flag, _)| !known.split_whitespace().any(|k| k == flag))
+    {
+        return Err(format!("unknown flag --{flag} for rodctl {name}"));
+    }
+    cmd(&flags)
 }
 
 fn main() -> ExitCode {
@@ -826,6 +863,50 @@ mod tests {
     fn flags_reject_bad_shapes() {
         assert!(Flags::parse(&strings(&["positional"])).is_err());
         assert!(Flags::parse(&strings(&["--dangling"])).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_a_flag_it_does_not_read() {
+        let misspelt = [
+            ("generate", "--ops-per-tre"),
+            ("plan", "--algoritm"),
+            ("evaluate", "--sample"),
+            ("explain", "--capacty"),
+            ("headroom", "--rate"),
+            ("compare", "--seeds"),
+            ("simulate", "--horizn"),
+            ("trace", "--bins"),
+            ("daemon", "--ingest-batch"),
+        ];
+        assert_eq!(misspelt.len(), COMMANDS.len());
+        for (command, flag) in misspelt {
+            let err = run(&strings(&[command, flag, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for rodctl {command}"));
+        }
+    }
+
+    #[test]
+    fn a_misspelt_flag_next_to_out_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("rodctl-unknown-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("trace.csv");
+        let out_arg = out.to_str().unwrap();
+        let err = run(&strings(&[
+            "trace",
+            "--kind",
+            "poisson",
+            "--out",
+            out_arg,
+            "--bins-log",
+            "6",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --bins-log for rodctl trace");
+        assert!(!out.exists(), "a rejected run wrote {out_arg}");
+        let err = run(&strings(&["plan", "--out", out_arg, "--algoritm", "hier"])).unwrap_err();
+        assert_eq!(err, "unknown flag --algoritm for rodctl plan");
+        assert!(!out.exists(), "a rejected run wrote {out_arg}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

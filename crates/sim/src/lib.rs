@@ -50,7 +50,6 @@ pub use engine::{
     SchedulingPolicy, Simulation, SimulationConfig,
 };
 pub use probe::{FeasibilityProbe, ProbeConfig, ProbeOutcome};
-pub use replay::{read_trace, ReplayError, TraceReader};
 pub use report::{RecoveryRecord, SimReport, TimelineSample};
 pub use source::{check_expected_arrivals, SourceSpec, MAX_EXPECTED_ARRIVALS};
 pub use trace::{JsonlSink, NullSink, SampleError, TraceRecord, TraceSink, VecSink};

@@ -1,57 +1,11 @@
-//! Strict JSONL trace replay.
+//! Reading the JSONL traces [`crate::trace::JsonlSink`] writes.
 //!
-//! The inverse of [`crate::trace::JsonlSink`]: reads a JSON-Lines trace
-//! back into [`TraceRecord`]s, line by line. This reader is *strict* —
-//! any malformed line stops the replay with a [`ReplayError`] naming the
-//! line — because it serves consumers that trust their input (the
-//! `exp_online` closed-loop harness replaying traces the engine itself
-//! recorded, tests diffing golden traces). The `rod-ctrl` daemon, whose
-//! telemetry input is untrusted, layers its own tolerant classification
-//! on top: it feeds each raw line through [`parse_line`] and converts
-//! errors into counted rejections instead of failing.
-
-use std::fs::File;
-use std::io::{BufRead, BufReader};
-use std::path::Path;
+//! [`parse_line`] turns one line back into a [`TraceRecord`]. The
+//! `rod-ctrl` control loop, whose telemetry input is untrusted, runs each
+//! line through the [`scan`] fast path first and falls back to
+//! [`parse_line`], counting errors as rejections instead of failing.
 
 use crate::trace::TraceRecord;
-
-/// Why a trace replay stopped.
-#[derive(Debug)]
-pub enum ReplayError {
-    /// The underlying reader failed.
-    Io {
-        /// 1-based line number at which the failure occurred.
-        line: u64,
-        /// The I/O error message.
-        message: String,
-    },
-    /// A line was not a valid [`TraceRecord`] JSON object.
-    BadRecord {
-        /// 1-based line number of the offending line.
-        line: u64,
-        /// The parse error message.
-        message: String,
-    },
-    /// The stream held no records at all.
-    Empty,
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::Io { line, message } => {
-                write!(f, "trace replay i/o error at line {line}: {message}")
-            }
-            ReplayError::BadRecord { line, message } => {
-                write!(f, "trace line {line} is not a TraceRecord: {message}")
-            }
-            ReplayError::Empty => write!(f, "trace stream holds no records"),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
 
 /// Parses one JSONL line into a [`TraceRecord`] (no line-number context;
 /// callers that track position wrap the error themselves).
@@ -59,69 +13,11 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
     serde_json::from_str(line.trim()).map_err(|e| e.to_string())
 }
 
-/// Streaming strict reader over a JSONL trace: yields each record in
-/// order, stopping at the first malformed line. Blank lines are skipped
-/// (a trailing newline is not an error).
-#[derive(Debug)]
-pub struct TraceReader<R: BufRead> {
-    reader: R,
-    line: u64,
-}
-
-impl TraceReader<BufReader<File>> {
-    /// Opens a JSONL trace file for strict replay.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(TraceReader::new(BufReader::new(File::open(path)?)))
-    }
-}
-
-impl<R: BufRead> TraceReader<R> {
-    /// Wraps an arbitrary buffered reader.
-    pub fn new(reader: R) -> Self {
-        TraceReader { reader, line: 0 }
-    }
-
-    /// 1-based number of the last line read.
-    pub fn line(&self) -> u64 {
-        self.line
-    }
-}
-
-impl<R: BufRead> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, ReplayError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let mut buf = String::new();
-            self.line += 1;
-            match self.reader.read_line(&mut buf) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    if buf.trim().is_empty() {
-                        continue;
-                    }
-                    return Some(parse_line(&buf).map_err(|message| ReplayError::BadRecord {
-                        line: self.line,
-                        message,
-                    }));
-                }
-                Err(e) => {
-                    return Some(Err(ReplayError::Io {
-                        line: self.line,
-                        message: e.to_string(),
-                    }))
-                }
-            }
-        }
-    }
-}
-
 pub mod scan {
     //! Zero-copy JSONL scanning — the batched-ingestion fast path.
     //!
-    //! [`read_trace`](super::read_trace) and the line-at-a-time telemetry
-    //! path pay one `String` allocation plus a full `serde_json` value
-    //! tree per line. At production telemetry volumes (1M samples/s) that
+    //! The line-at-a-time telemetry path pays one `String` allocation
+    //! plus a full `serde_json` value tree per line. At production telemetry volumes (1M samples/s) that
     //! parse cost steals the CPU the control loop's planner needs, so
     //! this module provides the two pieces of a batched fast path:
     //!
@@ -491,85 +387,8 @@ pub mod scan {
     }
 }
 
-/// Reads an entire JSONL trace strictly into memory, erroring on the
-/// first malformed line or an empty stream.
-pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<TraceRecord>, ReplayError> {
-    let reader = TraceReader::open(path).map_err(|e| ReplayError::Io {
-        line: 0,
-        message: e.to_string(),
-    })?;
-    let records = reader.collect::<Result<Vec<_>, _>>()?;
-    if records.is_empty() {
-        return Err(ReplayError::Empty);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::trace::{JsonlSink, TraceSink};
-    use std::io::Cursor;
-
-    fn sample_lines() -> Vec<u8> {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceRecord::RunStart {
-            horizon: 10.0,
-            warmup: 1.0,
-            seed: 3,
-            nodes: 2,
-            operators: 4,
-        });
-        sink.record(
-            &TraceRecord::util_sample(1.0, vec![0.1, 0.4], vec![0, 2], 2, vec![30.0]).unwrap(),
-        );
-        sink.record(&TraceRecord::RunEnd {
-            time: 10.0,
-            tuples_in: 100,
-            tuples_out: 90,
-            tuples_processed: 300,
-            tuples_shed: 0,
-            saturated: false,
-        });
-        sink.into_inner()
-    }
-
-    #[test]
-    fn reader_round_trips_sink_output() {
-        let bytes = sample_lines();
-        let records: Vec<TraceRecord> = TraceReader::new(Cursor::new(bytes))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(records.len(), 3);
-        assert!(matches!(records[0], TraceRecord::RunStart { .. }));
-        assert!(matches!(
-            records[1],
-            TraceRecord::UtilSample { queued: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn blank_lines_are_skipped() {
-        let mut bytes = sample_lines();
-        bytes.extend_from_slice(b"\n\n");
-        let records: Vec<TraceRecord> = TraceReader::new(Cursor::new(bytes))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(records.len(), 3);
-    }
-
-    #[test]
-    fn malformed_line_stops_with_line_number() {
-        let mut bytes = sample_lines();
-        bytes.extend_from_slice(b"{\"UtilSample\": garbage}\n");
-        let result: Result<Vec<TraceRecord>, ReplayError> =
-            TraceReader::new(Cursor::new(bytes)).collect();
-        match result {
-            Err(ReplayError::BadRecord { line: 4, .. }) => {}
-            other => panic!("expected BadRecord at line 4, got {other:?}"),
-        }
-    }
-
     mod scan {
         use super::super::scan::{probe_util_sample, LineScanner, UtilScratch};
         use super::super::{parse_line, TraceRecord};
@@ -756,15 +575,5 @@ mod tests {
             assert_eq!(scratch.rates, vec![7.0]);
             assert_eq!(scratch.queued, 4);
         }
-    }
-
-    #[test]
-    fn empty_stream_is_an_error_for_read_trace() {
-        let dir = std::env::temp_dir().join("rod_replay_empty_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.jsonl");
-        std::fs::write(&path, "").unwrap();
-        assert!(matches!(read_trace(&path), Err(ReplayError::Empty)));
-        std::fs::remove_file(&path).ok();
     }
 }
