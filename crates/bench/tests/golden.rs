@@ -1,7 +1,8 @@
 //! Golden-value pins for the planner and the volume estimator.
 //!
-//! These tests freeze exact outputs — ROD placements as op→node vectors
-//! and QMC volume estimates down to the f64 bit pattern — for fixed
+//! These tests freeze exact outputs — ROD and ResilientRod placements as
+//! op→node vectors, failover tables, survivor point counts, and QMC
+//! volume estimates down to the f64 bit pattern — for fixed
 //! workload/QMC seeds. They exist to catch *unintentional* numeric or
 //! behavioural drift: an optimisation that reorders float accumulation,
 //! a planner tweak that silently changes placements, a sampler change
@@ -15,8 +16,9 @@
 use rod_core::allocation::{Allocation, PlanEvaluator};
 use rod_core::cluster::Cluster;
 use rod_core::hierarchical::HierarchicalRod;
-use rod_core::ids::OperatorId;
+use rod_core::ids::{NodeId, OperatorId};
 use rod_core::load_model::LoadModel;
+use rod_core::resilience::{ResilientRodOptions, ResilientRodPlanner};
 use rod_core::rod::RodPlanner;
 use rod_geom::VolumeEstimator;
 use rod_workloads::random_graphs::RandomTreeGenerator;
@@ -204,6 +206,129 @@ fn golden_scenarios_are_bit_identical_across_estimate_paths() {
                 "{}: pooled estimate (threads={threads}) drifted from the \
                  golden pin",
                 case.name
+            );
+        }
+    }
+}
+
+/// One frozen ResilientRod instance: the `d2_n4_s42` paper tree on a
+/// 4-node cluster, scored on 1,500 QMC points (not a multiple of 64).
+struct GoldenResilient {
+    name: &'static str,
+    capacities: [f64; 4],
+    max_failures: usize,
+    /// Expected op→node assignment after the hill climb.
+    placement: &'static [usize],
+    /// Expected failover table: per node, `(operator, backup)` in order.
+    failover: &'static [&'static [(usize, usize)]],
+    worst_alive: usize,
+    baseline_worst_alive: usize,
+    healthy_alive: usize,
+    moves: usize,
+}
+
+const RESILIENT_CASES: &[GoldenResilient] = &[
+    GoldenResilient {
+        // The climb empties node 2 into a hot spare: every single loss
+        // keeps the whole healthy set.
+        name: "homogeneous_k1",
+        capacities: [1.0; 4],
+        max_failures: 1,
+        placement: &[0, 3, 3, 1, 0, 1, 3, 3, 3, 0],
+        failover: &[
+            &[(9, 2), (4, 2), (0, 2)],
+            &[(3, 2), (5, 2)],
+            &[],
+            &[(1, 2), (2, 2), (6, 2), (7, 2), (8, 2)],
+        ],
+        worst_alive: 699,
+        baseline_worst_alive: 480,
+        healthy_alive: 699,
+        moves: 5,
+    },
+    GoldenResilient {
+        name: "heterogeneous_k1",
+        capacities: [2.0, 1.0, 1.0, 0.5],
+        max_failures: 1,
+        placement: &[0, 2, 3, 0, 2, 0, 0, 2, 3, 1],
+        failover: &[
+            &[(3, 1), (5, 2), (6, 3), (0, 2)],
+            &[(9, 0)],
+            &[(4, 0), (1, 1), (7, 0)],
+            &[(2, 0), (8, 0)],
+        ],
+        worst_alive: 414,
+        baseline_worst_alive: 289,
+        healthy_alive: 872,
+        moves: 5,
+    },
+    GoldenResilient {
+        name: "homogeneous_k2",
+        capacities: [1.0; 4],
+        max_failures: 2,
+        placement: &[3, 3, 1, 1, 3, 2, 3, 2, 1, 0],
+        failover: &[
+            &[(9, 3)],
+            &[(3, 2), (2, 0), (8, 3)],
+            &[(5, 3), (7, 0)],
+            &[(4, 2), (1, 0), (6, 2), (0, 0)],
+        ],
+        worst_alive: 341,
+        baseline_worst_alive: 290,
+        healthy_alive: 743,
+        moves: 3,
+    },
+];
+
+/// ResilientRod's hill climb, failover table and survivor counts, at a
+/// serial and a pooled neighbourhood scan: any change to the survivor
+/// scoring, the climb's scan order or the failover greedy shows up here.
+#[test]
+fn golden_resilient_plans_are_stable() {
+    let graph = RandomTreeGenerator::paper_default(2, 5).generate(42);
+    let model = LoadModel::derive(&graph).expect("model derives");
+    for case in RESILIENT_CASES {
+        let cluster = Cluster::heterogeneous(case.capacities.to_vec());
+        for threads in [1usize, 4] {
+            let plan = ResilientRodPlanner::with_options(ResilientRodOptions {
+                samples: 1_500,
+                seed: 2006,
+                max_failures: case.max_failures,
+                max_moves: 64,
+                threads,
+            })
+            .place(&model, &cluster)
+            .expect("ResilientRod plans");
+            let what = format!("{} at threads={threads}", case.name);
+            let placement: Vec<usize> = (0..model.num_operators())
+                .map(|j| plan.allocation.node_of(OperatorId(j)).expect("complete").0)
+                .collect();
+            assert_eq!(placement, case.placement, "{what}: placement drifted");
+            for (i, want) in case.failover.iter().enumerate() {
+                let got: Vec<(usize, usize)> = plan
+                    .failover
+                    .moves_for(NodeId(i))
+                    .iter()
+                    .map(|(op, dest)| (op.0, dest.0))
+                    .collect();
+                assert_eq!(got, *want, "{what}: failover of node {i} drifted");
+            }
+            assert_eq!(
+                (
+                    plan.worst_alive,
+                    plan.baseline_worst_alive,
+                    plan.healthy_alive,
+                    plan.num_points,
+                    plan.moves
+                ),
+                (
+                    case.worst_alive,
+                    case.baseline_worst_alive,
+                    case.healthy_alive,
+                    1_500,
+                    case.moves
+                ),
+                "{what}: (worst, baseline worst, healthy, points, moves) drifted"
             );
         }
     }
