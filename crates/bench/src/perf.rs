@@ -359,9 +359,15 @@ fn die(bin: &str, code: i32, msg: &str) -> ! {
     exit(code)
 }
 
-/// Runs a suite binary: parses the command line (exit 2 on misuse),
-/// reads the `--check` baseline through the schema check (exit 1 when it
-/// fails), calls `run(quick, repeats)` for the grid, prints and writes
+/// True when both paths name one existing file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
+}
+
+/// Runs a suite binary: parses the command line and resolves the output
+/// file (exit 2 on misuse, including an output file that is the `--check`
+/// baseline), reads the baseline through the schema check (exit 1 when
+/// it fails), calls `run(quick, repeats)` for the grid, prints and writes
 /// the file, then validates the baseline and the fresh file and applies
 /// the ratio gate (exit 1 on any violation).
 pub fn main<S: Suite>(seed: u64, repeats: usize, run: impl FnOnce(bool, usize) -> Vec<S::Cell>) {
@@ -370,6 +376,17 @@ pub fn main<S: Suite>(seed: u64, repeats: usize, run: impl FnOnce(bool, usize) -
         let usage = format!("usage: {bin} [--quick] [--out FILE] [--check FILE]");
         die(&bin, 2, &format!("{e}\n{usage}"))
     });
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = args
+        .out
+        .unwrap_or_else(|| root.join(format!("BENCH_{}.json", S::NAME)));
+    if let Some(path) = args.check.as_deref().filter(|path| same_file(path, &out)) {
+        let msg = format!(
+            "the fresh run would overwrite the --check baseline {}; pass --out FILE",
+            path.display()
+        );
+        die(&bin, 2, &msg);
+    }
     let baseline = args.check.map(|path| match read::<S>(&path) {
         Ok((file, cells)) => (path, file, cells),
         Err(e) => die(&bin, 1, &format!("baseline {e}")),
@@ -377,7 +394,6 @@ pub fn main<S: Suite>(seed: u64, repeats: usize, run: impl FnOnce(bool, usize) -
 
     let repeats = if args.quick { QUICK_REPEATS } else { repeats };
     let cells = run(args.quick, repeats);
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let file = BenchFile {
         schema_version: SCHEMA_VERSION,
         suite: S::NAME.to_string(),
@@ -394,9 +410,6 @@ pub fn main<S: Suite>(seed: u64, repeats: usize, run: impl FnOnce(bool, usize) -
     };
     print_grid(&format!("{bin} (medians)"), &file.grid);
 
-    let out = args
-        .out
-        .unwrap_or_else(|| root.join(format!("BENCH_{}.json", S::NAME)));
     let json = serde_json::to_string_pretty(&file).expect("a value tree always renders");
     if let Err(e) = std::fs::write(&out, &json) {
         die(&bin, 1, &format!("write {}: {e}", out.display()));

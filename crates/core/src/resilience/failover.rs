@@ -4,6 +4,7 @@
 //! Phase-1 order and Phase-2 selector as every other placement, over the
 //! surviving nodes only.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -12,12 +13,12 @@ use rod_geom::{PointBatch, Vector};
 
 use crate::allocation::Allocation;
 use crate::cluster::Cluster;
-use crate::eval::{IncrementalPlanEval, SampledFeasibility};
+use crate::eval::{tail_bits, IncrementalPlanEval, SampledLoads};
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::resilience::FailureScenario;
 use crate::rod::{norm_descending, Phase2Selector};
-use crate::score_cache::ScoreCache;
+use crate::score_cache::{ScoreCache, UNPLACED};
 
 /// Computes where a scenario's orphaned operators should go: unassign
 /// every failed node's operators from the incremental state, then place
@@ -133,18 +134,29 @@ impl FailoverTable {
 /// within every *survivor's* capacity after the scenario's orphans have
 /// been re-placed by [`survivor_moves`].
 ///
-/// Built on [`SampledFeasibility`], so one scenario evaluation costs
-/// O(m·P) pushes/pops instead of an O(P·n·d) from-scratch region test,
-/// and every plan is judged on the same points (noise-free comparisons).
+/// A point is alive exactly when every loaded node keeps it, so a count
+/// is the popcount of the AND of one P-bit mask per loaded node
+/// (`SampledLoads::node_mask`). A node's mask depends only on which
+/// operators it carries, and a climb keeps revisiting the same node
+/// contents, so each mask is memoised by (node, ascending operator list)
+/// for the scorer's lifetime: a scenario evaluation costs O(n·P/64) word
+/// ANDs plus O(k·P) for each node content not seen before, instead of
+/// an O(P·n·d) from-scratch region test, and every plan is judged on
+/// the same points (noise-free comparisons). The masks repeat the float
+/// operations of [`SampledFeasibility`]'s pushes, so every count equals
+/// what that tracker reads after pushing the same assignment.
 ///
 /// A scorer can be [`fork`](ScenarioScorer::fork)ed for parallel
-/// neighborhood scans: forks carry their own feasibility tracker (the
-/// mutable part) but share one memoisation cache behind a mutex, so
-/// `score_cache_*` metrics stay exact totals across workers.
+/// neighborhood scans: forks share the load table read-only and carry
+/// their own mask memo (the mutable part, so no lock), and share one
+/// score cache behind a mutex, so `score_cache_*` metrics stay exact
+/// totals across workers.
+///
+/// [`SampledFeasibility`]: crate::eval::SampledFeasibility
 pub struct ScenarioScorer<'a> {
     model: &'a LoadModel,
     cluster: &'a Cluster,
-    feas: SampledFeasibility,
+    loads: Arc<SampledLoads>,
     /// Memoised alive counts per effective assignment — scoped to this
     /// scorer's (model, cluster, point set), so sharing is always
     /// sound. Shared across forks; entries are pure (the key fully
@@ -152,6 +164,88 @@ pub struct ScenarioScorer<'a> {
     /// only *when* a value is cached, never the value — results stay
     /// deterministic, and the lock is uncontended in the serial case.
     cache: Arc<Mutex<ScoreCache>>,
+    masks: NodeMasks,
+}
+
+/// One scorer's memo of per-node feasibility masks, with the scratch a
+/// count needs, so that a count whose masks are all memoised allocates
+/// nothing. Same scope as the score cache: one (model, cluster, point
+/// set).
+struct NodeMasks {
+    /// `[node, op, op, …]` (operators ascending) → offset of the node's
+    /// mask in `words`.
+    index: HashMap<Vec<u32>, usize>,
+    /// Every memoised mask, `SampledLoads::mask_words` words each.
+    words: Vec<u64>,
+    hits: u64,
+    misses: u64,
+    /// Scratch: the effective assignment, also the score-cache key.
+    key: Vec<u32>,
+    /// Scratch: per node, the node index followed by its operators, so
+    /// each list is its own memo key.
+    node_ops: Vec<Vec<u32>>,
+    /// Scratch: the running AND of the loaded nodes' masks.
+    acc: Vec<u64>,
+    /// Scratch: one node's P-float load row.
+    row: Vec<f64>,
+}
+
+impl NodeMasks {
+    fn new(loads: &SampledLoads, num_nodes: usize) -> Self {
+        NodeMasks {
+            index: HashMap::new(),
+            words: Vec::new(),
+            hits: 0,
+            misses: 0,
+            key: Vec::new(),
+            node_ops: (0..num_nodes as u32).map(|i| vec![i]).collect(),
+            acc: vec![0; loads.mask_words()],
+            row: vec![0.0; loads.num_points()],
+        }
+    }
+
+    /// Alive count of the effective assignment in `self.key`: the
+    /// popcount of the AND over every node that carries an operator.
+    fn count(&mut self, loads: &SampledLoads) -> usize {
+        for list in &mut self.node_ops {
+            list.truncate(1);
+        }
+        for (j, &dest) in self.key.iter().enumerate() {
+            if dest != UNPLACED {
+                self.node_ops[dest as usize].push(j as u32);
+            }
+        }
+        let width = loads.mask_words();
+        self.acc.fill(u64::MAX);
+        if let Some(last) = self.acc.last_mut() {
+            *last = tail_bits(loads.num_points());
+        }
+        for list in self.node_ops.iter().filter(|list| list.len() > 1) {
+            let at = match self.index.get(list.as_slice()) {
+                Some(&at) => {
+                    self.hits += 1;
+                    at
+                }
+                None => {
+                    self.misses += 1;
+                    let at = self.words.len();
+                    self.words.resize(at + width, 0);
+                    let mask = &mut self.words[at..];
+                    loads.node_mask(list[0] as usize, &list[1..], &mut self.row, mask);
+                    self.index.insert(list.clone(), at);
+                    at
+                }
+            };
+            for (acc, mask) in self.acc.iter_mut().zip(&self.words[at..at + width]) {
+                *acc &= mask;
+            }
+        }
+        self.acc.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+fn lock(cache: &Mutex<ScoreCache>) -> std::sync::MutexGuard<'_, ScoreCache> {
+    cache.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<'a> ScenarioScorer<'a> {
@@ -165,30 +259,33 @@ impl<'a> ScenarioScorer<'a> {
     /// (typically `VolumeEstimator::batch()`), skipping the O(P·d)
     /// re-transpose.
     pub fn from_batch(model: &'a LoadModel, cluster: &'a Cluster, batch: &PointBatch) -> Self {
+        let loads =
+            SampledLoads::from_batch(model.sparse_lo(), batch, cluster.capacities().as_slice());
+        ScenarioScorer::with_cache(model, cluster, Arc::new(loads), Arc::default())
+    }
+
+    fn with_cache(
+        model: &'a LoadModel,
+        cluster: &'a Cluster,
+        loads: Arc<SampledLoads>,
+        cache: Arc<Mutex<ScoreCache>>,
+    ) -> Self {
         ScenarioScorer {
             model,
             cluster,
-            feas: SampledFeasibility::from_batch(
-                model.sparse_lo(),
-                batch,
-                cluster.capacities().as_slice(),
-            ),
-            cache: Arc::new(Mutex::new(ScoreCache::new())),
+            masks: NodeMasks::new(&loads, cluster.num_nodes()),
+            loads,
+            cache,
         }
     }
 
-    /// A worker-side copy for parallel neighborhood scans: its own
-    /// feasibility tracker (cloned pristine — `SampledFeasibility`
-    /// unwinds to exact bits between scores), the *same* shared score
-    /// cache. Scoring through a fork is bit-identical to scoring
+    /// A worker-side copy for parallel neighborhood scans: the shared
+    /// load table, an empty mask memo of its own, and the *same* shared
+    /// score cache. Scoring through a fork is bit-identical to scoring
     /// through the original.
     pub fn fork(&self) -> ScenarioScorer<'a> {
-        ScenarioScorer {
-            model: self.model,
-            cluster: self.cluster,
-            feas: self.feas.clone(),
-            cache: Arc::clone(&self.cache),
-        }
+        let cache = Arc::clone(&self.cache);
+        ScenarioScorer::with_cache(self.model, self.cluster, Arc::clone(&self.loads), cache)
     }
 
     /// Like [`fork`](Self::fork), but with a **private, initially empty**
@@ -202,12 +299,8 @@ impl<'a> ScenarioScorer<'a> {
     /// [`absorb_cache`](Self::absorb_cache) so the parent's
     /// `score_cache_*` counters are exact totals of all lookups anywhere.
     pub fn fork_detached(&self) -> ScenarioScorer<'a> {
-        ScenarioScorer {
-            model: self.model,
-            cluster: self.cluster,
-            feas: self.feas.clone(),
-            cache: Arc::new(Mutex::new(ScoreCache::new())),
-        }
+        let loads = Arc::clone(&self.loads);
+        ScenarioScorer::with_cache(self.model, self.cluster, loads, Arc::default())
     }
 
     /// Folds another cache (typically a detached fork's shard) into this
@@ -218,7 +311,7 @@ impl<'a> ScenarioScorer<'a> {
     }
 
     fn cache_lock(&self) -> std::sync::MutexGuard<'_, ScoreCache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.cache)
     }
 
     /// Cache lookups that were served from memory (exact total across
@@ -237,6 +330,17 @@ impl<'a> ScenarioScorer<'a> {
         self.cache_lock().len()
     }
 
+    /// Node masks this scorer found in its own memo (forks count their
+    /// own).
+    pub fn node_mask_hits(&self) -> u64 {
+        self.masks.hits
+    }
+
+    /// Node masks this scorer had to compute (forks count their own).
+    pub fn node_mask_misses(&self) -> u64 {
+        self.masks.misses
+    }
+
     /// Replaces the score cache — e.g. with one pre-seeded by an
     /// [`OptimalPlanner`](crate::baselines::optimal::OptimalPlanner) search over
     /// the **same model, cluster and point set** (see the scope rule in
@@ -248,7 +352,7 @@ impl<'a> ScenarioScorer<'a> {
 
     /// Total points tracked.
     pub fn num_points(&self) -> usize {
-        self.feas.num_points()
+        self.loads.num_points()
     }
 
     /// Feasible-point count of the healthy plan (no failure).
@@ -277,36 +381,25 @@ impl<'a> ScenarioScorer<'a> {
     /// Alive count with every operator at its allocation host except the
     /// redirected ones. The effective assignment fully determines the
     /// count (dead nodes carry nothing, so they never kill a point), so
-    /// it doubles as the [`ScoreCache`] key; on a miss, pushes all
-    /// assignments, reads the count, then pops them in LIFO order,
-    /// leaving the tracker pristine.
+    /// it doubles as the [`ScoreCache`] key; a miss is counted from the
+    /// node masks.
     fn alive_under(&mut self, alloc: &Allocation, redirects: &[(OperatorId, NodeId)]) -> usize {
-        let m = self.model.num_operators();
-        let mut key: Vec<u32> = Vec::with_capacity(m);
-        for j in 0..m {
+        let key = &mut self.masks.key;
+        key.clear();
+        for j in 0..self.model.num_operators() {
             let op = OperatorId(j);
             let dest = redirects
                 .iter()
                 .find(|(o, _)| *o == op)
                 .map(|(_, d)| *d)
                 .or_else(|| alloc.node_of(op));
-            key.push(dest.map_or(crate::score_cache::UNPLACED, |n| n.index() as u32));
+            key.push(dest.map_or(UNPLACED, |n| n.index() as u32));
         }
-        if let Some(alive) = self.cache_lock().get(&key) {
+        if let Some(alive) = lock(&self.cache).get(key) {
             return alive;
         }
-        let mut pushed: Vec<(usize, usize)> = Vec::with_capacity(m);
-        for (j, &dest) in key.iter().enumerate() {
-            if dest != crate::score_cache::UNPLACED {
-                self.feas.push_assign(j, dest as usize);
-                pushed.push((j, dest as usize));
-            }
-        }
-        let alive = self.feas.alive_count();
-        for &(j, i) in pushed.iter().rev() {
-            self.feas.pop_assign(j, i);
-        }
-        self.cache_lock().insert(key, alive);
+        let alive = self.masks.count(&self.loads);
+        lock(&self.cache).insert(self.masks.key.clone(), alive);
         alive
     }
 }
@@ -497,6 +590,29 @@ mod tests {
         let hits = scorer.cache_hits();
         assert_eq!(scorer.scenario_alive(&alloc, &scenario), via_shard);
         assert!(scorer.cache_hits() > hits);
+    }
+
+    /// A plan that loads no node keeps every point, including those in
+    /// a partial last mask word; an empty point set counts 0.
+    #[test]
+    fn an_unloaded_plan_keeps_every_point() {
+        let (model, cluster) = setup();
+        let alloc = rod_plan(&model, &cluster);
+        let unloaded = Allocation::new(model.num_operators(), cluster.num_nodes());
+        let estimator = VolumeEstimator::new(
+            model.total_coeffs().as_slice(),
+            cluster.total_capacity(),
+            1_500,
+            3,
+        );
+        for samples in [0usize, 1, 65, 1_500] {
+            let points = &estimator.points()[..samples];
+            let mut scorer = ScenarioScorer::new(&model, &cluster, points);
+            assert_eq!(scorer.healthy_alive(&unloaded), samples);
+            if samples == 0 {
+                assert_eq!(scorer.healthy_alive(&alloc), 0);
+            }
+        }
     }
 
     #[test]

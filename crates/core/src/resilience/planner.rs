@@ -89,9 +89,11 @@ impl ResilientPlan {
 /// plain ROD** on the worst-case survivor objective — by construction,
 /// on every instance.
 ///
-/// Each candidate move costs one scenario sweep, O(|scenarios|·m·P)
-/// feasibility pushes on the shared point set, so the climb is polynomial
-/// and deterministic for a fixed seed. The neighborhood scan — the
+/// Each candidate move costs one scenario sweep on the shared point set:
+/// per scenario, a survivor re-placement and an AND of n memoised P-bit
+/// node masks ([`ScenarioScorer`]); only a node content the scorer has
+/// not seen before costs O(k·P) adds. So the climb is polynomial and
+/// deterministic for a fixed seed. The neighborhood scan — the
 /// planner's hot loop — is dealt out in contiguous candidate chunks to
 /// the persistent [`rod_pool::global`] workers
 /// ([`ResilientRodOptions::threads`]); the ordered reduction keeps the
@@ -126,7 +128,9 @@ impl ResilientRodPlanner {
     /// phase timings (`resilient_rod.qmc_seconds`,
     /// `resilient_rod.hill_climb_seconds`) and hill-climb work counters
     /// (`resilient_rod.iterations`, `resilient_rod.accepted_moves`,
-    /// `resilient_rod.candidate_moves`) into `metrics`.
+    /// `resilient_rod.candidate_moves`, the `score_cache_*` and
+    /// `node_mask_*` memo counters summed over every scan worker) into
+    /// `metrics`.
     pub fn place_with_metrics(
         &self,
         model: &LoadModel,
@@ -155,8 +159,8 @@ impl ResilientRodPlanner {
         // timed here because rod-geom cannot depend on the core registry.
         // The kernel-path snapshot also starts here: the geometry work
         // (the per-operator `dot_into` load table) happens during scorer
-        // construction, not in the hill-climb, which only pushes/pops
-        // the precomputed loads.
+        // construction, not in the hill-climb, which only sums the
+        // precomputed loads into node masks.
         let kernel_before = rod_geom::simd::path_counts();
         let qmc_start = Instant::now();
         let estimator = VolumeEstimator::new(
@@ -184,15 +188,16 @@ impl ResilientRodPlanner {
 
         // Parallelism degree for the neighborhood scan, clamped to the
         // largest neighborhood this instance can ever have — extra
-        // workers would only hold idle tracker clones.
+        // workers would only hold idle forks.
         let threads = match self.options.threads {
             0 => rod_pool::global().size(),
             t => t,
         }
         .clamp(1, (m * n.saturating_sub(1)).max(1));
         // One forked scorer per chunk, built once and reused across
-        // iterations. Each fork carries its own *detached* cache shard —
-        // a shared cache would serialise every candidate score on one
+        // iterations, so each keeps its node-mask memo for the whole
+        // climb. Each fork carries its own *detached* cache shard — a
+        // shared cache would serialise every candidate score on one
         // mutex. Entries are pure, so shards change nothing about the
         // chosen moves; the shards are folded back into the parent after
         // the climb so score_cache_* metrics stay exact lookup totals.
@@ -304,13 +309,15 @@ impl ResilientRodPlanner {
         // Fold every worker's cache shard back into the parent: the
         // merged map is the union of all memoised keys and the hit/miss
         // counters sum, so the metrics below count every lookup made
-        // anywhere — exactly as the old single shared cache did.
+        // anywhere — exactly as the old single shared cache did. The
+        // node-mask memos stay per worker; their counters sum.
+        let mut mask_hits = scorer.node_mask_hits();
+        let mut mask_misses = scorer.node_mask_misses();
         for worker in &worker_scorers {
-            let shard = worker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .swap_cache(crate::score_cache::ScoreCache::new());
-            scorer.absorb_cache(shard);
+            let mut worker = worker.lock().unwrap_or_else(|e| e.into_inner());
+            scorer.absorb_cache(worker.swap_cache(crate::score_cache::ScoreCache::new()));
+            mask_hits += worker.node_mask_hits();
+            mask_misses += worker.node_mask_misses();
         }
         if let Some(metrics) = metrics {
             let climb_wall = climb_start.elapsed().as_secs_f64();
@@ -320,6 +327,8 @@ impl ResilientRodPlanner {
             metrics.add("resilient_rod.candidate_moves", candidate_moves);
             metrics.add("resilient_rod.score_cache_hits", scorer.cache_hits());
             metrics.add("resilient_rod.score_cache_misses", scorer.cache_misses());
+            metrics.add("resilient_rod.node_mask_hits", mask_hits);
+            metrics.add("resilient_rod.node_mask_misses", mask_misses);
             metrics.set_gauge(
                 "resilient_rod.score_cache_entries",
                 scorer.cache_len() as f64,

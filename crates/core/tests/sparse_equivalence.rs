@@ -7,7 +7,9 @@
 //!
 //! Survivor re-placement and clustered placement run ROD's shared
 //! Phase-2 selector; each is pinned to the private greedy loop it used
-//! to carry, kept here as the oracle.
+//! to carry, kept here as the oracle. The survivor scorer's memoised
+//! node masks are pinned to a fresh push/read/pop on
+//! [`SampledFeasibility`], the tracker it used to drive.
 
 use proptest::prelude::*;
 
@@ -16,14 +18,16 @@ use rod_core::cluster::{Cluster, Topology};
 use rod_core::clustering::{
     cluster_operators, place_clustered, ArcCosts, ClusteringPolicy, OperatorClustering,
 };
-use rod_core::eval::IncrementalPlanEval;
+use rod_core::eval::{IncrementalPlanEval, SampledFeasibility};
 use rod_core::graph::{GraphBuilder, QueryGraph};
 use rod_core::hierarchical::HierarchicalRod;
 use rod_core::ids::{NodeId, OperatorId, StreamId};
 use rod_core::load_model::LoadModel;
 use rod_core::operator::OperatorKind;
-use rod_core::resilience::{survivor_moves, FailureScenario};
+use rod_core::resilience::{survivor_moves, FailureScenario, ScenarioScorer};
 use rod_core::rod::{RodOptions, RodPlanner};
+use rod_core::score_cache::ScoreCache;
+use rod_geom::{Vector, VolumeEstimator};
 
 /// A compact description of a *sparse-regime* random graph: several
 /// inputs, operators that are mostly single-input but sometimes union
@@ -253,6 +257,50 @@ fn place_clustered_reference(
     alloc
 }
 
+/// The alive count the survivor scorer used to read: push every
+/// operator of the effective assignment (its allocation host unless
+/// redirected) onto a fresh [`SampledFeasibility`] in ascending order,
+/// read the count, and pop them all again.
+fn tracker_count(
+    model: &LoadModel,
+    cluster: &Cluster,
+    points: &[Vector],
+    alloc: &Allocation,
+    redirects: &[(OperatorId, NodeId)],
+) -> usize {
+    let caps = cluster.capacities();
+    let mut feas = SampledFeasibility::new(model.sparse_lo(), points, caps.as_slice());
+    let mut pushed = Vec::new();
+    for j in 0..model.num_operators() {
+        let op = OperatorId(j);
+        let dest = redirects
+            .iter()
+            .find(|(o, _)| *o == op)
+            .map(|(_, d)| *d)
+            .or_else(|| alloc.node_of(op));
+        if let Some(node) = dest {
+            feas.push_assign(j, node.index());
+            pushed.push((j, node.index()));
+        }
+    }
+    let alive = feas.alive_count();
+    for &(j, i) in pushed.iter().rev() {
+        feas.pop_assign(j, i);
+    }
+    alive
+}
+
+/// The scorer's healthy count, then its count under every scenario.
+fn scorer_counts(
+    scorer: &mut ScenarioScorer<'_>,
+    alloc: &Allocation,
+    scenarios: &[FailureScenario],
+) -> Vec<usize> {
+    let mut counts = vec![scorer.healthy_alive(alloc)];
+    counts.extend(scenarios.iter().map(|s| scorer.scenario_alive(alloc, s)));
+    counts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -449,5 +497,73 @@ proptest! {
             place_clustered(&model, &cluster, &clustering).unwrap(),
             place_clustered_reference(&model, &cluster, &clustering)
         );
+    }
+
+    /// Every count the survivor scorer reports equals a fresh tracker's
+    /// push-all/read/pop-all over the same effective assignment: on
+    /// complete and partial plans, under the redirects of every scenario
+    /// of up to two losses, at point counts around the 64-bit word edge,
+    /// cold and from the node-mask memo, and through both kinds of fork.
+    #[test]
+    fn scenario_scorer_counts_match_a_fresh_tracker(
+        spec in sparse_spec(),
+        caps_pick in 0usize..3,
+        hosts in prop::collection::vec(0usize..64, 28),
+        unplaced_every in 0usize..4,
+        points_pick in 0usize..5,
+        qmc_seed in 0u64..1_000,
+    ) {
+        let model = LoadModel::derive(&build(&spec)).unwrap();
+        let cluster = cluster_for(caps_pick);
+        let n = cluster.num_nodes();
+        let m = model.num_operators();
+        // unplaced_every = 0 gives a complete plan; k > 0 leaves every
+        // k-th operator UNPLACED.
+        let mut alloc = Allocation::new(m, n);
+        for j in 0..m {
+            if unplaced_every == 0 || j % (unplaced_every + 1) != 0 {
+                alloc.assign(OperatorId(j), NodeId(hosts[j % hosts.len()] % n));
+            }
+        }
+        let samples = [1usize, 63, 64, 65, 1_500][points_pick];
+        let estimator = VolumeEstimator::new(
+            model.total_coeffs().as_slice(),
+            cluster.total_capacity(),
+            samples,
+            qmc_seed,
+        );
+        let points = estimator.points();
+        let scenarios = FailureScenario::all_up_to_k(n, 2);
+        let want_for = |alloc: &Allocation| -> Vec<usize> {
+            let mut want = vec![tracker_count(&model, &cluster, points, alloc, &[])];
+            want.extend(scenarios.iter().map(|s| {
+                let moves = survivor_moves(&model, &cluster, alloc, s);
+                tracker_count(&model, &cluster, points, alloc, &moves)
+            }));
+            want
+        };
+        let want = want_for(&alloc);
+
+        let mut scorer = ScenarioScorer::new(&model, &cluster, points);
+        prop_assert_eq!(scorer_counts(&mut scorer, &alloc, &scenarios), want.clone());
+        // An emptied score cache makes every count a miss again, and
+        // every node mask a memo hit.
+        let mask_misses = scorer.node_mask_misses();
+        scorer.swap_cache(ScoreCache::new());
+        prop_assert_eq!(scorer_counts(&mut scorer, &alloc, &scenarios), want.clone());
+        prop_assert_eq!(scorer.node_mask_misses(), mask_misses);
+
+        let mut shared = scorer.fork();
+        prop_assert_eq!(scorer_counts(&mut shared, &alloc, &scenarios), want.clone());
+        let mut detached = scorer.fork_detached();
+        prop_assert_eq!(scorer_counts(&mut detached, &alloc, &scenarios), want);
+
+        // A neighbouring plan through the warm scorer and the warm
+        // detached fork: new keys, partly memoised node contents.
+        let mut moved = alloc.clone();
+        moved.assign(OperatorId(0), NodeId((hosts[0] + 1) % n));
+        let want = want_for(&moved);
+        prop_assert_eq!(scorer_counts(&mut scorer, &moved, &scenarios), want.clone());
+        prop_assert_eq!(scorer_counts(&mut detached, &moved, &scenarios), want);
     }
 }

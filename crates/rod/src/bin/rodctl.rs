@@ -12,6 +12,7 @@
 //! the pieces compose with shell pipelines and other tooling.
 
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use rod::core::baselines::{build_planner, PlannerSpec};
@@ -830,16 +831,20 @@ fn run(args: &[String]) -> Result<String, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let message = match run(&args) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                // A reader that stopped early (`rodctl … | head -1`) is
+                // not an error of this program.
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => format!("write stdout: {e}"),
+                _ => return ExitCode::SUCCESS,
+            }
         }
-        Err(message) => {
-            eprintln!("rodctl: {message}");
-            ExitCode::FAILURE
-        }
-    }
+        Err(message) => message,
+    };
+    eprintln!("rodctl: {message}");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
