@@ -129,9 +129,9 @@ fn placement_fingerprint(alloc: &Allocation) -> u64 {
 /// miniature): 64 inputs, 5000 operators with ≤ 4-nonzero load rows, 64
 /// nodes. QMC volume is unavailable past 16 dimensions, so the pins are
 /// the placement fingerprints of the flat (pruned) and hierarchical
-/// planners, plus the pruned scan's exact probe count — any change to
-/// the pruning logic, the sparse evaluation order, or the two-level
-/// split shows up here as a bit-level diff.
+/// planners, plus each one's exact probe and delta-bound counts — any
+/// change to the pruning logic, the sparse evaluation order, or the
+/// two-level split shows up here as a bit-level diff.
 #[test]
 fn golden_large_sparse_placements_are_stable() {
     let graph = SparseGraphGenerator::sized(64, 5_000).generate(42);
@@ -150,9 +150,10 @@ fn golden_large_sparse_placements_are_stable() {
         placement_fingerprint(&flat.allocation)
     );
     assert_eq!(
-        flat.candidates_scored, 228_772,
-        "pruned-scan probe count drifted — if intentional, re-pin and \
-         document in the commit message"
+        (flat.candidates_scored, flat.candidates_bounded),
+        (23_993, 180_659),
+        "pruned-scan probe and bound counts drifted — if intentional, \
+         re-pin and document in the commit message"
     );
 
     let hier = HierarchicalRod::new()
@@ -164,6 +165,12 @@ fn golden_large_sparse_placements_are_stable() {
         "hierarchical placement drifted (got {:#018x}) — if intentional, \
          re-pin and document in the commit message",
         placement_fingerprint(&hier.allocation)
+    );
+    assert_eq!(
+        (hier.candidates_scored, hier.candidates_bounded),
+        (27_099, 49_002),
+        "hierarchical probe and bound counts drifted — if intentional, \
+         re-pin and document in the commit message"
     );
 }
 

@@ -134,6 +134,16 @@ pub enum PlacementError {
     },
     /// A topology has no racks at all.
     EmptyTopology,
+    /// An allocation to extend is sized for another model or cluster.
+    AllocationMismatch {
+        /// What the sizes count: `"operators"` (the model's) or
+        /// `"nodes"` (the cluster's).
+        what: &'static str,
+        /// The allocation's size.
+        allocation: usize,
+        /// The model's or cluster's size.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -170,6 +180,14 @@ impl fmt::Display for PlacementError {
                 write!(f, "node {node} is not covered by any rack")
             }
             PlacementError::EmptyTopology => write!(f, "topology has no racks"),
+            PlacementError::AllocationMismatch {
+                what,
+                allocation,
+                expected,
+            } => write!(
+                f,
+                "existing allocation covers {allocation} {what}, but the problem has {expected}"
+            ),
         }
     }
 }

@@ -73,6 +73,19 @@ pub struct CandidateScore {
     pub class_one: bool,
 }
 
+/// What [`IncrementalPlanEval::candidate_bound`] proves about a
+/// hypothetical single-operator assignment in O(nnz of the operator),
+/// without walking the node's support.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CandidateBound {
+    /// Never below the `plane_distance` that
+    /// [`IncrementalPlanEval::score_candidate`] reports for the same
+    /// assignment, bit for bit.
+    pub plane_distance: f64,
+    /// Exactly the `class_one` that `score_candidate` reports.
+    pub class_one: bool,
+}
+
 /// A from-scratch view of the current partial plan, materialised by
 /// [`IncrementalPlanEval::snapshot`]. Identical to what
 /// [`crate::allocation::PlanEvaluator`] builds for the same allocation.
@@ -97,20 +110,78 @@ pub struct IncrementalPlanEval<'a> {
     d: usize,
     /// Per-node relative capacity `C_i / C_T`.
     rel: Vec<f64>,
+    /// Per-node `1/(C_i/C_T)²`, the pre-bound's scale.
+    inv_rel_sq: Vec<f64>,
     /// Node load coefficients `l^n_ik`, flat n×d.
     ln: Vec<f64>,
     /// Normalised weights `w_ik`, flat n×d, kept consistent with `ln`.
     w: Vec<f64>,
     /// Per-node plane distance `1/‖W_i‖₂` (`+inf` for an empty node).
     plane: Vec<f64>,
+    /// Per-node squared weight norm `‖W_i‖₂²`, the sum `plane` is the
+    /// inverse square root of.
+    sumsq: Vec<f64>,
     /// Per-node largest weight `max_k w_ik` (0 for an empty node).
     max_w: Vec<f64>,
+    /// Per-node count of load cells below zero (unassign residues).
+    negative_cells: Vec<u32>,
     /// Per-node sorted column support: exactly the `k` with
     /// `ln[i·d + k] != 0.0`.
     support: Vec<Vec<u32>>,
+    /// Relative rounding margin of the candidate bounds, `(3d' + 32)·2⁻⁵³`
+    /// (DESIGN.md §10, "Pruned Phase-2 scan").
+    bound_margin: f64,
     /// Normalised §6.1 lower-bound point `B̃`, if configured.
     lower_bound: Option<Vector>,
+    /// False when `B̃` has a negative or NaN component: then
+    /// `1 − W'·B̃` can exceed 1 and no distance bound holds.
+    lower_bound_nonnegative: bool,
     alloc: Allocation,
+}
+
+/// `2⁻¹⁰⁰⁰`, added to the sum a bound's margin scales, so the margin
+/// also covers the absolute error of products that underflow (DESIGN.md
+/// §10).
+const UNDERFLOW_FLOOR: f64 = 9.332_636_185_032_189e-302;
+
+/// `1/√x`, the plane distance of squared norm `x`, or `+inf` when `x` is
+/// not positive (an empty row, or a lower estimate the margin wiped out).
+/// Non-increasing in `x`: both roundings are monotone.
+pub(crate) fn distance_of_sumsq(x: f64) -> f64 {
+    if x > 0.0 {
+        1.0 / x.sqrt()
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// A squared norm from which on [`distance_of_sumsq`] is at most `t`:
+/// `distance_of_sumsq(x) <= t` for every `x >= sumsq_floor(t)`, since
+/// the distance is non-increasing. The pruned Phase-2 scan compares its
+/// squared-norm bounds with this floor instead of taking a square root
+/// and a division per node. NaN, which no comparison passes, when `t` is
+/// not positive or is NaN; `-inf` when `t` is `+inf`.
+pub(crate) fn sumsq_floor(t: f64) -> f64 {
+    if t.is_nan() || t <= 0.0 {
+        return f64::NAN;
+    }
+    if t == f64::INFINITY {
+        return f64::NEG_INFINITY;
+    }
+    let x = 1.0 / t / t;
+    if x >= f64::MIN_POSITIVE {
+        // No rounding underflowed: `x ≥ (1 − u)²/t²`, and with the factor
+        // the result is `≥ (1 − u)⁻²/t²`, where `fl(√·) ≥ (1 − u)·√·`
+        // puts `1/fl(√·)` at or below `t` before its own rounding.
+        return x * (1.0 + 8.0 * (f64::EPSILON / 2.0));
+    }
+    // Past the normal range the relative bounds fail: step up one float
+    // at a time (`x` is non-negative and finite) until it holds.
+    let mut x = x;
+    while distance_of_sumsq(x) > t {
+        x = f64::from_bits(x.to_bits() + 1);
+    }
+    x
 }
 
 impl<'a> IncrementalPlanEval<'a> {
@@ -136,7 +207,8 @@ impl<'a> IncrementalPlanEval<'a> {
         let n = cluster.num_nodes();
         let d = lo.num_cols();
         let ct = cluster.total_capacity();
-        let rel = (0..n).map(|i| cluster.capacity(NodeId(i)) / ct).collect();
+        let rel: Vec<f64> = (0..n).map(|i| cluster.capacity(NodeId(i)) / ct).collect();
+        let inv_rel_sq = rel.iter().map(|r| 1.0 / (r * r)).collect();
         IncrementalPlanEval {
             lo,
             totals,
@@ -144,12 +216,17 @@ impl<'a> IncrementalPlanEval<'a> {
             n,
             d,
             rel,
+            inv_rel_sq,
             ln: vec![0.0; n * d],
             w: vec![0.0; n * d],
             plane: vec![f64::INFINITY; n],
+            sumsq: vec![0.0; n],
             max_w: vec![0.0; n],
+            negative_cells: vec![0; n],
             support: vec![Vec::new(); n],
+            bound_margin: (3 * d + 32) as f64 * (f64::EPSILON / 2.0),
             lower_bound: None,
+            lower_bound_nonnegative: true,
             alloc: Allocation::new(lo.num_rows(), n),
         }
     }
@@ -181,11 +258,11 @@ impl<'a> IncrementalPlanEval<'a> {
     /// measured from `B̃` instead of the origin.
     pub fn set_lower_bound(&mut self, var_point: &Vector) {
         let ct = self.cluster.total_capacity();
-        self.lower_bound = Some(Vector::new(
-            (0..self.d)
-                .map(|k| var_point[k] * self.totals[k] / ct)
-                .collect(),
-        ));
+        let point: Vec<f64> = (0..self.d)
+            .map(|k| var_point[k] * self.totals[k] / ct)
+            .collect();
+        self.lower_bound_nonnegative = point.iter().all(|&b| b >= 0.0);
+        self.lower_bound = Some(Vector::new(point));
     }
 
     /// The cluster being evaluated against.
@@ -225,17 +302,132 @@ impl<'a> IncrementalPlanEval<'a> {
 
     /// Plane distance `1/‖W_i‖₂` of one node (`+inf` when empty).
     ///
-    /// This is also a rigorous upper bound — in IEEE-754 round-to-nearest,
-    /// not merely in exact arithmetic — on the `plane_distance` that
-    /// [`Self::score_candidate`] can report for *any* operator on this
-    /// node, in both distance modes: candidate weights dominate current
-    /// weights componentwise (loads only grow, and every float operation
-    /// involved is monotone), so the candidate norm dominates the current
-    /// norm, and under a §6.1 bound the numerator `1 − W'·B̃ ≤ 1`. The
-    /// pruned phase-2 scan relies on this to skip nodes without scoring
-    /// them.
+    /// On a node that passes [`Self::admits_bounds`] this is also a
+    /// rigorous upper bound — in IEEE-754 round-to-nearest, not merely in
+    /// exact arithmetic — on the `plane_distance` that
+    /// [`Self::score_candidate`] can report for *any* operator with
+    /// non-negative loads on this node, in both distance modes: candidate
+    /// weights dominate current weights componentwise (loads only grow,
+    /// and every float operation involved is monotone), so the candidate
+    /// norm dominates the current norm, and under a non-negative §6.1
+    /// bound the numerator `1 − W'·B̃ ≤ 1`. A negative load cell breaks
+    /// both steps: adding to it can shrink `|w_ik|`, and a negative
+    /// weight can push `1 − W'·B̃` above 1. The pruned phase-2 scan relies
+    /// on this to skip nodes without scoring them.
     pub fn plane_distance(&self, node: NodeId) -> f64 {
         self.plane[node.index()]
+    }
+
+    /// True when the candidate-distance bounds hold on this node: none of
+    /// its load cells is negative, and the §6.1 point, if set, has no
+    /// negative component. Cells only go negative through unassign
+    /// residues (assign `1.0` then `1e16` to one cell, unassign the
+    /// `1e16` operator, then the `1.0` one: the cell reads `−1.0`), so a
+    /// node that has only received assigns always passes.
+    pub fn admits_bounds(&self, node: NodeId) -> bool {
+        self.lower_bound_nonnegative && self.negative_cells[node.index()] == 0
+    }
+
+    /// `Σ_k (l^o_jk / l_k)²` over the operator's columns with `l_k > 0`:
+    /// the per-operator input of [`Self::pre_bound`], computed once per
+    /// Phase-2 step. `None` when no bound holds for this operator: a
+    /// negative or NaN load coefficient, or a §6.1 point with a negative
+    /// component.
+    pub fn bound_input(&self, op: OperatorId) -> Option<f64> {
+        if !self.lower_bound_nonnegative {
+            return None;
+        }
+        let mut q = 0.0;
+        for &(k, v) in self.lo.row(op.index()).terms() {
+            if v.is_nan() || v < 0.0 {
+                return None;
+            }
+            let lk = self.totals[k as usize];
+            if lk > 0.0 {
+                let p = v / lk;
+                q += p * p;
+            }
+        }
+        Some(q)
+    }
+
+    /// O(1) upper bound on the `plane_distance` [`Self::score_candidate`]
+    /// reports for the operator whose [`Self::bound_input`] is `q` on
+    /// `node`, or `None` when the node fails [`Self::admits_bounds`].
+    /// With every cell and load non-negative, `(a + b)² ≥ a² + b²` puts
+    /// the candidate's squared norm at or above `‖W_i‖₂² + q/(C_i/C_T)²`;
+    /// that estimate less its rounding margin is at or below the sum the
+    /// probe computes (DESIGN.md §10).
+    pub fn pre_bound(&self, q: f64, node: NodeId) -> Option<f64> {
+        self.pre_bound_sumsq(q, node).map(distance_of_sumsq)
+    }
+
+    /// [`Self::pre_bound`] before its `1/√`: the lower bound on the
+    /// candidate's squared weight norm, which the pruned scan compares
+    /// with a squared-norm floor.
+    pub(crate) fn pre_bound_sumsq(&self, q: f64, node: NodeId) -> Option<f64> {
+        if !self.admits_bounds(node) {
+            return None;
+        }
+        let i = node.index();
+        let estimate = self.sumsq[i] + q * self.inv_rel_sq[i];
+        Some(estimate - self.bound_margin * (estimate + UNDERFLOW_FLOOR))
+    }
+
+    /// O(nnz of the operator) upper bound on the `plane_distance`
+    /// [`Self::score_candidate`] reports for `op` on `node`, and its exact
+    /// Class-I verdict, or `None` when the node fails
+    /// [`Self::admits_bounds`] or the operator has a negative load. The
+    /// candidate's squared norm is the node's cached one, minus the
+    /// squares of the operator's columns' current weights, plus the
+    /// squares of their new weights — computed with `score_candidate`'s
+    /// own expression — less a rounding margin (DESIGN.md §10). The node
+    /// is Class I exactly when its current maximum weight and each new
+    /// weight stay at or below `1 + 1e-12`: columns outside the operator
+    /// keep their bits, and on its columns the new weight is never below
+    /// the current one.
+    pub fn candidate_bound(&self, op: OperatorId, node: NodeId) -> Option<CandidateBound> {
+        self.candidate_bound_sumsq(op, node)
+            .map(|(sumsq, class_one)| CandidateBound {
+                plane_distance: distance_of_sumsq(sumsq),
+                class_one,
+            })
+    }
+
+    /// [`Self::candidate_bound`] before its `1/√`: the lower bound on the
+    /// candidate's squared weight norm, which the pruned scan compares
+    /// with a squared-norm floor, and the Class-I verdict.
+    pub(crate) fn candidate_bound_sumsq(
+        &self,
+        op: OperatorId,
+        node: NodeId,
+    ) -> Option<(f64, bool)> {
+        if !self.admits_bounds(node) {
+            return None;
+        }
+        let i = node.index();
+        let rel = self.rel[i];
+        let (mut old, mut new) = (0.0, 0.0);
+        let mut class_one = self.max_w[i] <= 1.0 + 1e-12;
+        for &(k, v) in self.lo.row(op.index()).terms() {
+            if v.is_nan() || v < 0.0 {
+                return None;
+            }
+            let k = k as usize;
+            let lk = self.totals[k];
+            if lk > 0.0 {
+                let w = self.w[i * self.d + k];
+                let w_new = ((self.ln[i * self.d + k] + v) / lk) / rel;
+                if w_new > 1.0 + 1e-12 {
+                    class_one = false;
+                }
+                old += w * w;
+                new += w_new * w_new;
+            }
+        }
+        let s = self.sumsq[i];
+        let margin = self.bound_margin * (s + new + UNDERFLOW_FLOOR);
+        Some(((s - old) + new - margin, class_one))
     }
 
     /// The MMPD objective `min_i 1/‖W_i‖₂` over the current rows.
@@ -321,14 +513,22 @@ impl<'a> IncrementalPlanEval<'a> {
     }
 
     /// Adds `delta` to load cell `(i, k)`, recomputes its cached weight,
-    /// and keeps the support sorted by cell value (a cell is in the
-    /// support iff it is nonzero — including unassign residues, which the
-    /// dense reference would also fold into the norm).
+    /// keeps the support sorted by cell value (a cell is in the support
+    /// iff it is nonzero — including unassign residues, which the dense
+    /// reference would also fold into the norm), and counts the node's
+    /// negative cells.
     fn apply_delta(&mut self, i: usize, k: usize, delta: f64) {
         let cell = &mut self.ln[i * self.d + k];
-        let was_zero = *cell == 0.0;
+        let (was_zero, was_negative) = (*cell == 0.0, *cell < 0.0);
         *cell += delta;
-        let now_zero = *cell == 0.0;
+        let (now_zero, now_negative) = (*cell == 0.0, *cell < 0.0);
+        if was_negative != now_negative {
+            if now_negative {
+                self.negative_cells[i] += 1;
+            } else {
+                self.negative_cells[i] -= 1;
+            }
+        }
         let lk = self.totals[k];
         self.w[i * self.d + k] = if lk > 0.0 {
             (*cell / lk) / self.rel[i]
@@ -432,11 +632,11 @@ impl<'a> IncrementalPlanEval<'a> {
         PlanSnapshot { weights, region }
     }
 
-    /// Rebuilds the cached plane distance and max weight of one node from
-    /// its current weight row, walking the support columns ascending
-    /// (O(support)). Weights outside the support are exactly `+0.0`, so
-    /// their squared terms never change the accumulation and the result
-    /// is bit-identical to the dense O(d) sweep.
+    /// Rebuilds the cached squared norm, plane distance and max weight of
+    /// one node from its current weight row, walking the support columns
+    /// ascending (O(support)). Weights outside the support are exactly
+    /// `+0.0`, so their squared terms never change the accumulation and
+    /// the result is bit-identical to the dense O(d) sweep.
     fn refresh_node(&mut self, i: usize) {
         let mut sumsq = 0.0;
         let mut max_w = 0.0f64;
@@ -451,6 +651,7 @@ impl<'a> IncrementalPlanEval<'a> {
         } else {
             1.0 / norm
         };
+        self.sumsq[i] = sumsq;
         self.max_w[i] = max_w;
     }
 }
@@ -867,6 +1068,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sumsq_floor_caps_every_distance_above_it() {
+        assert_eq!(UNDERFLOW_FLOOR, 2f64.powi(-1000));
+        let mut t = 1e-300f64;
+        while t < f64::MAX {
+            // Floats `k` steps from a positive `x`.
+            let step = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+            for t in [t, step(t, 1), t * 1.000_000_1] {
+                let floor = sumsq_floor(t);
+                let up = if floor.is_finite() {
+                    step(floor, 1)
+                } else {
+                    floor
+                };
+                for x in [floor, up, floor * 1.5, f64::INFINITY] {
+                    assert!(distance_of_sumsq(x) <= t, "t {t:e} x {x:e}");
+                }
+                // Within a few ulps of the least such sum.
+                let below = step(floor, -16);
+                assert!(distance_of_sumsq(below) > t, "t {t:e} floor {floor:e}");
+            }
+            t *= 1.37;
+        }
+        assert!(sumsq_floor(0.0).is_nan());
+        assert!(sumsq_floor(-1.0).is_nan());
+        assert!(sumsq_floor(f64::NAN).is_nan());
+        assert_eq!(sumsq_floor(f64::INFINITY), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn a_negative_lower_bound_point_voids_every_bound() {
+        let (model, cluster) = setup();
+        let mut eval = IncrementalPlanEval::new(&model, &cluster);
+        eval.set_lower_bound(&model.variable_point(&[0.02, 0.02]));
+        assert!(eval.bound_input(OperatorId(0)).is_some());
+        eval.set_lower_bound(&model.variable_point(&[-0.02, 0.02]));
+        assert_eq!(eval.bound_input(OperatorId(0)), None);
+        assert!(!eval.admits_bounds(NodeId(0)));
+        assert_eq!(eval.candidate_bound(OperatorId(0), NodeId(0)), None);
     }
 
     #[test]

@@ -48,6 +48,8 @@ pub struct HierPlan {
     pub topology: Topology,
     /// Total `score_candidate` probes across both levels.
     pub candidates_scored: u64,
+    /// Total O(nnz) delta bounds evaluated across both levels.
+    pub candidates_bounded: u64,
 }
 
 /// The hierarchical ROD planner.
@@ -142,6 +144,7 @@ impl HierarchicalRod {
         let level2_start = Instant::now();
         let mut allocation = Allocation::new(m, cluster.num_nodes());
         let mut candidates_scored = level1.candidates_scored;
+        let mut candidates_bounded = level1.candidates_bounded;
         for (r, members) in topology.racks().iter().enumerate() {
             let mut ops: Vec<OperatorId> = (0..m)
                 .map(OperatorId)
@@ -166,12 +169,14 @@ impl HierarchicalRod {
                 allocation.assign(op, NodeId(members[local.index()]));
             }
             candidates_scored += selector.candidates_scored;
+            candidates_bounded += selector.candidates_bounded;
         }
         if let Some(metrics) = metrics {
             metrics.observe("hier.level1_seconds", level1_seconds);
             metrics.observe("hier.level2_seconds", level2_start.elapsed().as_secs_f64());
             metrics.set_gauge("hier.racks", topology.num_racks() as f64);
             metrics.add("hier.candidates_scored", candidates_scored);
+            metrics.add("hier.candidates_bounded", candidates_bounded);
         }
 
         Ok(HierPlan {
@@ -179,6 +184,7 @@ impl HierarchicalRod {
             rack_of,
             topology,
             candidates_scored,
+            candidates_bounded,
         })
     }
 }
@@ -306,6 +312,10 @@ mod tests {
         assert_eq!(
             metrics.counter("hier.candidates_scored"),
             plan.candidates_scored
+        );
+        assert_eq!(
+            metrics.counter("hier.candidates_bounded"),
+            plan.candidates_bounded
         );
     }
 }

@@ -36,21 +36,42 @@
 //! # Candidate pruning
 //!
 //! Scoring every node for every operator costs O(n) probes per step —
-//! prohibitive at n ≈ 1000 nodes and m ≈ 50 000 operators. The default
-//! scan therefore skips nodes it can prove irrelevant, using three facts:
+//! prohibitive at n ≈ 1000 nodes and m ≈ 50 000 operators — and each
+//! probe walks the node's whole load support. The default scan therefore
+//! skips nodes it can prove irrelevant, cheapest check first:
 //!
-//! 1. A node's **current** plane distance upper-bounds every candidate
-//!    distance it can produce (weights only grow under assignment; see
-//!    [`IncrementalPlanEval::plane_distance`] — the bound holds bitwise in
-//!    IEEE-754, not just in exact arithmetic). A node whose bound cannot
-//!    beat the incumbent under the replacement rule (`s > best + 1e-15`)
-//!    is skipped without scoring.
-//! 2. A node whose current maximum weight already exceeds `1 + 1e-12` can
+//! 1. A node whose current maximum weight already exceeds `1 + 1e-12` can
 //!    never be Class I ([`IncrementalPlanEval::max_weight_of`]), so once
 //!    any Class-I node is in hand, such nodes are skipped outright.
-//! 3. All **unloaded** nodes of equal relative capacity yield bitwise
+//! 2. A node's **current** plane distance upper-bounds every candidate
+//!    distance it can produce: weights only grow under assignment (see
+//!    [`IncrementalPlanEval::plane_distance`]).
+//! 3. The O(1) **pre-bound** ([`IncrementalPlanEval::pre_bound`]):
+//!    `(a + b)² ≥ a² + b²` puts the candidate's squared norm at or above
+//!    the node's plus `Σ (l^o_jk / l_k)² / (C_i/C_T)²`, a per-step
+//!    constant per capacity.
+//! 4. All **unloaded** nodes of equal relative capacity yield bitwise
 //!    identical candidate scores, so one probe is memoised per capacity
 //!    class per step.
+//! 5. The O(nnz) **delta bound**
+//!    ([`IncrementalPlanEval::candidate_bound`]): the candidate's squared
+//!    norm is the node's cached one, minus the squares of the operator's
+//!    columns' current weights, plus the squares of their new weights.
+//!    The same new weights decide Class I exactly, so a Class-II node is
+//!    skipped once a Class-I one is in hand, and any other node is
+//!    compared only with the incumbent it could join.
+//!
+//! Bounds 2, 3 and 5 hold in IEEE-754 round-to-nearest, not just in exact
+//! arithmetic (3 and 5 after subtracting a rounding margin derived in
+//! DESIGN.md §10): none is ever below the plane distance the probe would
+//! report, and a node is skipped only when its bound cannot beat the
+//! incumbent under the replacement rule (`s > best + 1e-15`). All three
+//! need the node's load cells, the operator's loads and any §6.1 point to
+//! be non-negative. Cells go negative only through unassign residues, so
+//! a node that has only received assigns qualifies; a node that does not
+//! ([`IncrementalPlanEval::admits_bounds`]) gets no bound and is probed,
+//! and an operator with a negative load runs the exhaustive scan for its
+//! step.
 //!
 //! Every skip is justified by an inequality on the exact floating-point
 //! values the full scan would have computed, on any ascending list of
@@ -67,7 +88,7 @@ use crate::allocation::Allocation;
 use crate::baselines::Planner;
 use crate::cluster::Cluster;
 use crate::error::PlacementError;
-use crate::eval::{CandidateScore, IncrementalPlanEval};
+use crate::eval::{sumsq_floor, CandidateScore, IncrementalPlanEval};
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::obs::MetricsRegistry;
@@ -135,6 +156,9 @@ pub struct RodPlan {
     /// exhaustive scan always issues `m·n`; the pruned scan typically far
     /// fewer.
     pub candidates_scored: u64,
+    /// Number of O(nnz) delta bounds the pruned scan evaluated (0 for the
+    /// exhaustive scan).
+    pub candidates_bounded: u64,
 }
 
 impl RodPlan {
@@ -247,9 +271,11 @@ impl RodPlanner {
         let mut selector = Phase2Selector::new(self.options.use_class_one, self.exhaustive_scan);
         let step_classes = selector.place(&mut eval, &order, 0..n);
         let candidates_scored = selector.candidates_scored;
+        let candidates_bounded = selector.candidates_bounded;
         if let Some(metrics) = metrics {
             metrics.observe("rod.phase2_seconds", phase2_start.elapsed().as_secs_f64());
             metrics.add("rod.candidates_scored", candidates_scored);
+            metrics.add("rod.candidates_bounded", candidates_bounded);
             metrics.add(
                 "rod.steps_class_one",
                 step_classes
@@ -271,6 +297,7 @@ impl RodPlanner {
             order,
             step_classes,
             candidates_scored,
+            candidates_bounded,
         })
     }
 }
@@ -293,6 +320,8 @@ pub(crate) struct Phase2Selector {
     memo: Vec<(u64, CandidateScore)>,
     /// Total `score_candidate` probes issued.
     pub(crate) candidates_scored: u64,
+    /// Total O(nnz) delta bounds evaluated.
+    pub(crate) candidates_bounded: u64,
 }
 
 impl Phase2Selector {
@@ -302,6 +331,7 @@ impl Phase2Selector {
             exhaustive,
             memo: Vec::new(),
             candidates_scored: 0,
+            candidates_bounded: 0,
         }
     }
 
@@ -353,75 +383,152 @@ impl Phase2Selector {
         }
     }
 
-    /// Scores `op` on node `i`, memoising unloaded nodes by their
-    /// relative-capacity bits: an unloaded node's candidate score is a
-    /// pure function of `(op, C_i/C_T)`, so the memoised value is bitwise
-    /// the score a fresh probe would return.
+    /// The memoised score of an unloaded node, if this step already
+    /// probed one of its relative capacity: an unloaded node's candidate
+    /// score is a pure function of `(op, C_i/C_T)`, so the memoised value
+    /// is bitwise the score a fresh probe would return.
+    fn memoised(&self, eval: &IncrementalPlanEval<'_>, node: NodeId) -> Option<CandidateScore> {
+        if !eval.node_is_unloaded(node) {
+            return None;
+        }
+        let key = eval.relative_capacity_of(node).to_bits();
+        self.memo.iter().find(|(k, _)| *k == key).map(|&(_, s)| s)
+    }
+
+    /// Scores `op` on `node`, memoising an unloaded node's score for the
+    /// rest of the step.
     fn probe(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
-        i: usize,
+        node: NodeId,
     ) -> CandidateScore {
-        if eval.node_is_unloaded(NodeId(i)) {
-            let key = eval.relative_capacity_of(NodeId(i)).to_bits();
-            if let Some(&(_, s)) = self.memo.iter().find(|(k, _)| *k == key) {
-                return s;
-            }
-            let s = eval.score_candidate(op, NodeId(i));
-            self.candidates_scored += 1;
-            self.memo.push((key, s));
-            return s;
-        }
+        let s = eval.score_candidate(op, node);
         self.candidates_scored += 1;
-        eval.score_candidate(op, NodeId(i))
+        if eval.node_is_unloaded(node) {
+            let key = eval.relative_capacity_of(node).to_bits();
+            self.memo.push((key, s));
+        }
+        s
     }
 
     /// The pruned scan. It visits the candidates in ascending order and
     /// keeps two incumbents under [`offer`]'s rule, as [`best_by`] does:
     /// one over Class I and a Class-II fallback over every candidate.
-    /// A node is skipped only when it provably cannot change the result:
+    /// A node is skipped only when it provably cannot change the result,
+    /// by the first of these checks that applies, each costlier than the
+    /// one before:
     ///
-    /// * a node with `max_weight_of > 1 + 1e-12` cannot be Class I, so it
-    ///   only feeds the fallback, and not at all once Class I is
-    ///   non-empty;
-    /// * a node whose current plane distance is `≤ best + 1e-15` against
-    ///   the incumbent it could join cannot replace it (its candidate
-    ///   distance is at most that bound). While Class I is empty a node
-    ///   that may be Class I is always probed, since only the probe
-    ///   settles its class.
+    /// 1. a node with `max_weight_of > 1 + 1e-12` cannot be Class I, so
+    ///    it only feeds the fallback, and not at all once Class I is
+    ///    non-empty;
+    /// 2. O(1): the node's current plane distance, then the pre-bound,
+    ///    against the incumbent the node could join (the Class-I one when
+    ///    the prefilter leaves Class I open);
+    /// 3. an unloaded node of a capacity already probed this step reuses
+    ///    that probe;
+    /// 4. O(nnz): the delta bound, whose exact Class-I verdict picks the
+    ///    incumbent: a Class-I node competes with the Class-I incumbent,
+    ///    and a Class-II node is out once Class I is non-empty.
+    ///
+    /// A node that fails [`IncrementalPlanEval::admits_bounds`] gets no
+    /// bound (checks 2 and 4). An operator with a negative load
+    /// coefficient voids the prefilter and every bound, so its step runs
+    /// the exhaustive scan.
     fn select_pruned(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
         nodes: impl Iterator<Item = usize>,
     ) -> (usize, StepClass) {
+        let Some(q) = eval.bound_input(op) else {
+            return self.select_exhaustive(eval, op, nodes);
+        };
         self.memo.clear();
-        let mut best_c1: Option<(usize, f64)> = None;
-        let mut best_all: Option<(usize, f64)> = None;
+        let mut class_one = Incumbent::default();
+        let mut all = Incumbent::default();
         for i in nodes {
-            let possibly_c1 = self.use_class_one && eval.max_weight_of(NodeId(i)) <= 1.0 + 1e-12;
-            if best_c1.is_some() && !possibly_c1 {
+            let node = NodeId(i);
+            let possibly_c1 = self.use_class_one && eval.max_weight_of(node) <= 1.0 + 1e-12;
+            if class_one.best.is_some() && !possibly_c1 {
                 continue;
             }
-            let incumbent = if possibly_c1 { best_c1 } else { best_all };
-            if let Some((_, bs)) = incumbent {
-                if eval.plane_distance(NodeId(i)) <= bs + 1e-15 {
-                    continue;
-                }
+            let bounded = eval.admits_bounds(node);
+            let joins = if possibly_c1 { &class_one } else { &all };
+            if bounded
+                && (joins.excludes_distance(eval.plane_distance(node))
+                    || eval
+                        .pre_bound_sumsq(q, node)
+                        .is_some_and(|x| joins.excludes_sumsq(x)))
+            {
+                continue;
             }
-            let s = self.probe(eval, op, i);
+            let s = match self.memoised(eval, node) {
+                Some(s) => s,
+                None => {
+                    // With no incumbent yet, no bound can exclude the node.
+                    if bounded && (class_one.best.is_some() || all.best.is_some()) {
+                        self.candidates_bounded += 1;
+                        if let Some((sumsq, c1)) = eval.candidate_bound_sumsq(op, node) {
+                            let joins = if possibly_c1 && c1 {
+                                &class_one
+                            } else if class_one.best.is_some() {
+                                continue;
+                            } else {
+                                &all
+                            };
+                            if joins.excludes_sumsq(sumsq) {
+                                continue;
+                            }
+                        }
+                    }
+                    self.probe(eval, op, node)
+                }
+            };
             if possibly_c1 && s.class_one {
-                offer(&mut best_c1, i, s.plane_distance);
-            } else if best_c1.is_none() {
-                offer(&mut best_all, i, s.plane_distance);
+                class_one.offer(i, s.plane_distance);
+            } else if class_one.best.is_none() {
+                all.offer(i, s.plane_distance);
             }
         }
-        match (best_c1, best_all) {
+        match (class_one.best, all.best) {
             (Some((dest, _)), _) => (dest, StepClass::ClassOne),
             (None, Some((dest, _))) => (dest, StepClass::ClassTwo),
             (None, None) => panic!("Phase 2 needs at least one candidate node"),
         }
+    }
+}
+
+/// One incumbent of the pruned scan: the best `(node, distance)` under
+/// [`offer`]'s rule, and the squared-norm threshold a bound must stay
+/// under to replace it.
+#[derive(Default)]
+struct Incumbent {
+    best: Option<(usize, f64)>,
+    /// A candidate whose squared weight norm is at least this has a
+    /// plane distance of at most `best + 1e-15` ([`sumsq_floor`]).
+    floor: f64,
+}
+
+impl Incumbent {
+    /// [`offer`], refreshing the floor when the incumbent changes.
+    fn offer(&mut self, node: usize, distance: f64) {
+        if offer(&mut self.best, node, distance) {
+            self.floor = sumsq_floor(distance + 1e-15);
+        }
+    }
+
+    /// True when a candidate whose plane distance is at most `bound`
+    /// cannot replace the incumbent. With no incumbent, or a NaN bound,
+    /// nothing is excluded.
+    fn excludes_distance(&self, bound: f64) -> bool {
+        matches!(self.best, Some((_, b)) if bound <= b + 1e-15)
+    }
+
+    /// True when a candidate whose squared weight norm is at least
+    /// `sumsq` cannot replace the incumbent.
+    fn excludes_sumsq(&self, sumsq: f64) -> bool {
+        self.best.is_some() && sumsq >= self.floor
     }
 }
 
@@ -436,7 +543,8 @@ impl RodPlanner {
     /// `model` must describe the *whole* graph (old + new operators);
     /// `existing.node_of(op)` is `None` exactly for the operators to
     /// place. With an entirely empty `existing` this is identical to
-    /// [`RodPlanner::place`].
+    /// [`RodPlanner::place`]. An `existing` sized for another model or
+    /// cluster is [`PlacementError::AllocationMismatch`].
     pub fn extend(
         &self,
         model: &LoadModel,
@@ -444,12 +552,18 @@ impl RodPlanner {
         existing: &Allocation,
     ) -> Result<RodPlan, PlacementError> {
         cluster.validate()?;
-        assert_eq!(
-            existing.num_operators(),
-            model.num_operators(),
-            "existing allocation must cover the full model"
-        );
-        assert_eq!(existing.num_nodes(), cluster.num_nodes());
+        for (what, allocation, expected) in [
+            ("operators", existing.num_operators(), model.num_operators()),
+            ("nodes", existing.num_nodes(), cluster.num_nodes()),
+        ] {
+            if allocation != expected {
+                return Err(PlacementError::AllocationMismatch {
+                    what,
+                    allocation,
+                    expected,
+                });
+            }
+        }
         let m = model.num_operators();
         if m == 0 {
             return Err(PlacementError::EmptyModel);
@@ -474,6 +588,7 @@ impl RodPlanner {
             order: pending,
             step_classes,
             candidates_scored: selector.candidates_scored,
+            candidates_bounded: selector.candidates_bounded,
         })
     }
 }
@@ -501,7 +616,8 @@ impl Planner for RodPlanner {
 /// ROD's tie-break, fed `(node, candidate plane distance)` pairs in
 /// ascending node order: the first pair becomes the incumbent, and a later
 /// one replaces it only when its distance is larger by more than `1e-15`.
-fn offer(best: &mut Option<(usize, f64)>, node: usize, distance: f64) {
+/// Returns whether it replaced.
+fn offer(best: &mut Option<(usize, f64)>, node: usize, distance: f64) -> bool {
     let replaces = match *best {
         None => true,
         Some((_, b)) => distance > b + 1e-15,
@@ -509,6 +625,7 @@ fn offer(best: &mut Option<(usize, f64)>, node: usize, distance: f64) {
     if replaces {
         *best = Some((node, distance));
     }
+    replaces
 }
 
 /// The node [`offer`] keeps out of `candidates`, which must be non-empty
@@ -673,6 +790,46 @@ mod tests {
     }
 
     #[test]
+    fn extend_rejects_an_allocation_for_another_model() {
+        let m = model();
+        let err = RodPlanner::new()
+            .extend(&m, &Cluster::homogeneous(2, 1.0), &Allocation::new(3, 2))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlacementError::AllocationMismatch {
+                what: "operators",
+                allocation: 3,
+                expected: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "existing allocation covers 3 operators, but the problem has 4"
+        );
+    }
+
+    #[test]
+    fn extend_rejects_an_allocation_for_another_cluster() {
+        let m = model();
+        let err = RodPlanner::new()
+            .extend(&m, &Cluster::homogeneous(2, 1.0), &Allocation::new(4, 3))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlacementError::AllocationMismatch {
+                what: "nodes",
+                allocation: 3,
+                expected: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "existing allocation covers 3 nodes, but the problem has 2"
+        );
+    }
+
+    #[test]
     fn extend_of_empty_matches_place() {
         let m = model();
         let cluster = Cluster::homogeneous(3, 1.0);
@@ -772,6 +929,7 @@ mod tests {
                         assert_eq!(pruned.step_classes, full.step_classes);
                         assert_eq!(pruned.order, full.order);
                         assert!(pruned.candidates_scored <= full.candidates_scored);
+                        assert_eq!(full.candidates_bounded, 0);
                     }
                 }
             }
@@ -816,6 +974,61 @@ mod tests {
             full_probes
         );
         assert_eq!(pruned.allocation, full.allocation);
+    }
+
+    /// A node whose load cell went negative through unassign residues
+    /// gets no bound and is probed; the scan still places exactly like
+    /// the exhaustive one from the same state.
+    #[test]
+    fn a_node_with_a_negative_cell_is_probed_not_bounded() {
+        let mut b = GraphBuilder::new();
+        let i = b.add_input();
+        for (j, cost) in [1.0, 1e16, 3.0, 2.0, 2.5, 1.5, 0.5].into_iter().enumerate() {
+            b.add_operator(format!("f{j}"), OperatorKind::filter(cost, 1.0), &[i])
+                .unwrap();
+        }
+        let m = LoadModel::derive(&b.build().unwrap()).unwrap();
+        let cluster = Cluster::heterogeneous(vec![1.0, 2.0, 1.0]);
+        let mut eval = IncrementalPlanEval::new(&m, &cluster);
+        eval.assign(OperatorId(0), NodeId(0));
+        eval.assign(OperatorId(1), NodeId(0));
+        eval.unassign(OperatorId(1), NodeId(0));
+        eval.unassign(OperatorId(0), NodeId(0));
+        assert!(!eval.admits_bounds(NodeId(0)));
+        let order: Vec<OperatorId> = (2..7).map(OperatorId).collect();
+        for use_class_one in [true, false] {
+            let mut pruned = eval.clone();
+            let mut full = eval.clone();
+            let mut selector = Phase2Selector::new(use_class_one, false);
+            let classes = selector.place(&mut pruned, &order, 0..3);
+            let want = Phase2Selector::new(use_class_one, true).place(&mut full, &order, 0..3);
+            assert_eq!(pruned.allocation(), full.allocation());
+            assert_eq!(classes, want);
+        }
+    }
+
+    /// A negative §6.1 point voids every bound: each step runs the
+    /// exhaustive scan.
+    #[test]
+    fn a_negative_lower_bound_runs_the_exhaustive_scan() {
+        let m = irregular_model(4, 3);
+        let cluster = Cluster::homogeneous(4, 1.0);
+        let mut bound = vec![0.05; m.num_inputs()];
+        bound[0] = -0.05;
+        let options = RodOptions {
+            input_lower_bound: Some(bound),
+            ..RodOptions::default()
+        };
+        let pruned = RodPlanner::with_options(options.clone())
+            .place(&m, &cluster)
+            .unwrap();
+        let full = RodPlanner::with_options(options)
+            .with_exhaustive_scan(true)
+            .place(&m, &cluster)
+            .unwrap();
+        assert_eq!(pruned.allocation, full.allocation);
+        assert_eq!(pruned.candidates_scored, full.candidates_scored);
+        assert_eq!(pruned.candidates_bounded, 0);
     }
 
     #[test]

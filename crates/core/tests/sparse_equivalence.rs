@@ -5,6 +5,10 @@
 //! plan must *be* the flat ROD plan. These are the invariants that let
 //! the large-instance fast paths ship without a tolerance anywhere.
 //!
+//! The pruned scan's O(1) and O(nnz) bounds are checked against the
+//! probe they stand in for at every (operator, node) pair of churned
+//! evaluator states.
+//!
 //! Survivor re-placement and clustered placement run ROD's shared
 //! Phase-2 selector; each is pinned to the private greedy loop it used
 //! to carry, kept here as the oracle. The survivor scorer's memoised
@@ -40,8 +44,16 @@ struct SparseSpec {
 }
 
 fn sparse_spec() -> impl Strategy<Value = SparseSpec> {
+    sparse_spec_sized(2..6, 1..28)
+}
+
+/// [`sparse_spec`] with chosen ranges of inputs and operators.
+fn sparse_spec_sized(
+    inputs: std::ops::Range<usize>,
+    ops: std::ops::Range<usize>,
+) -> impl Strategy<Value = SparseSpec> {
     (
-        2usize..6,
+        inputs,
         prop::collection::vec(
             (
                 0usize..1000,
@@ -50,7 +62,7 @@ fn sparse_spec() -> impl Strategy<Value = SparseSpec> {
                 1u16..1000,
                 500u16..1000,
             ),
-            1..28,
+            ops,
         ),
     )
         .prop_map(|(inputs, ops)| SparseSpec { inputs, ops })
@@ -115,6 +127,16 @@ fn cluster_for(pick: usize) -> Cluster {
         0 => Cluster::homogeneous(4, 1.0),
         1 => Cluster::homogeneous(5, 2.0),
         _ => Cluster::heterogeneous(vec![3.0, 1.0, 0.5, 2.0]),
+    }
+}
+
+/// [`cluster_for`]'s shapes, then `nodes`-node homogeneous and
+/// heterogeneous clusters, where the pruned scan has nodes to skip.
+fn wide_cluster_for(pick: usize, nodes: usize) -> Cluster {
+    match pick {
+        0..=2 => cluster_for(pick),
+        3 => Cluster::homogeneous(nodes, 1.0),
+        _ => Cluster::heterogeneous((0..nodes).map(|i| [3.0, 1.0, 0.5, 2.0][i % 4]).collect()),
     }
 }
 
@@ -290,6 +312,82 @@ fn tracker_count(
     alive
 }
 
+/// `a >= b`, false when either is NaN.
+fn at_least(a: f64, b: f64) -> bool {
+    a >= b
+}
+
+/// Checks [`IncrementalPlanEval`]'s Phase-2 bounds against
+/// `score_candidate` at every (operator, node) pair of the current state;
+/// `Err` names the first pair that breaks one.
+fn check_bounds(eval: &IncrementalPlanEval<'_>, m: usize, n: usize) -> Result<(), String> {
+    for j in 0..m {
+        let op = OperatorId(j);
+        let q = eval
+            .bound_input(op)
+            .ok_or(format!("op {j}: no bound input"))?;
+        for i in 0..n {
+            let node = NodeId(i);
+            let probe = eval.score_candidate(op, node);
+            let negative = eval.node_load_row(node).iter().any(|&c| c < 0.0);
+            let at = format!("op {j} node {i} probe {probe:?}");
+            if eval.admits_bounds(node) == negative {
+                return Err(format!(
+                    "{at}: admits_bounds with negative cells {negative}"
+                ));
+            }
+            match (eval.pre_bound(q, node), eval.candidate_bound(op, node)) {
+                (None, None) if negative => {}
+                (Some(pre), Some(bound)) if !negative => {
+                    if !at_least(pre, probe.plane_distance) {
+                        return Err(format!("{at}: pre-bound {pre:e} below the probe"));
+                    }
+                    if !at_least(bound.plane_distance, probe.plane_distance) {
+                        return Err(format!("{at}: delta bound {bound:?} below the probe"));
+                    }
+                    if bound.class_one != probe.class_one {
+                        return Err(format!("{at}: delta bound's class {bound:?}"));
+                    }
+                }
+                (pre, bound) => {
+                    return Err(format!(
+                        "{at}: negative {negative}, bounds {pre:?} {bound:?}"
+                    ))
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A load cell that went negative through unassign residues — assign
+/// `1.0` and then `1e16` to one cell, unassign the `1e16` operator, then
+/// the `1.0` one — leaves its node without a bound while every other
+/// node keeps sound bounds, until an assign lifts the cell back.
+#[test]
+fn a_negative_cell_gets_no_bound() {
+    let mut b = GraphBuilder::new();
+    let input = b.add_input();
+    for (j, cost) in [1.0, 1e16, 3.0, 2.0].into_iter().enumerate() {
+        b.add_operator(format!("f{j}"), OperatorKind::filter(cost, 1.0), &[input])
+            .unwrap();
+    }
+    let model = LoadModel::derive(&b.build().unwrap()).unwrap();
+    let cluster = Cluster::homogeneous(3, 1.0);
+    let mut eval = IncrementalPlanEval::new(&model, &cluster);
+    eval.assign(OperatorId(0), NodeId(0));
+    eval.assign(OperatorId(1), NodeId(0));
+    eval.assign(OperatorId(2), NodeId(1));
+    eval.unassign(OperatorId(1), NodeId(0));
+    eval.unassign(OperatorId(0), NodeId(0));
+    assert_eq!(eval.node_load_row(NodeId(0)), &[-1.0]);
+    assert!(!eval.admits_bounds(NodeId(0)));
+    assert_eq!(check_bounds(&eval, 4, 3), Ok(()));
+    eval.assign(OperatorId(3), NodeId(0));
+    assert!(eval.admits_bounds(NodeId(0)));
+    assert_eq!(check_bounds(&eval, 4, 3), Ok(()));
+}
+
 /// The scorer's healthy count, then its count under every scenario.
 fn scorer_counts(
     scorer: &mut ScenarioScorer<'_>,
@@ -368,23 +466,27 @@ proptest! {
     }
 
     /// The pruned Phase-2 scan (the default) picks byte-identical
-    /// placements to the exhaustive O(m·n) scan, across cluster shapes
-    /// and the class-one ablation switch.
+    /// placements to the exhaustive O(m·n) scan, across cluster shapes of
+    /// 4 to 64 nodes, the class-one ablation switch and §6.1 lower
+    /// bounds, and so does `extend` from a partial allocation.
     #[test]
     fn pruned_scan_places_byte_identically_to_exhaustive(
-        spec in sparse_spec(),
-        caps_pick in 0usize..3,
+        spec in sparse_spec_sized(2..12, 1..160),
+        caps_pick in 0usize..5,
+        nodes in 16usize..=64,
         class_one_pick in 0u8..2,
+        bound_pick in 0usize..3,
+        hosts in prop::collection::vec(0usize..64, 28),
+        placed_every in 2usize..5,
     ) {
         let graph = build(&spec);
         let model = LoadModel::derive(&graph).unwrap();
-        let cluster = match caps_pick {
-            0 => Cluster::homogeneous(3, 1.0),
-            1 => Cluster::homogeneous(5, 2.0),
-            _ => Cluster::heterogeneous(vec![3.0, 1.0, 0.5, 2.0]),
-        };
+        let cluster = wide_cluster_for(caps_pick, nodes);
+        let n = cluster.num_nodes();
         let options = RodOptions {
             use_class_one: class_one_pick == 1,
+            input_lower_bound: [None, Some(0.01), Some(0.2)][bound_pick]
+                .map(|b| vec![b; model.num_inputs()]),
             ..RodOptions::default()
         };
         let pruned = RodPlanner::with_options(options.clone())
@@ -397,6 +499,50 @@ proptest! {
         prop_assert_eq!(&pruned.allocation, &full.allocation);
         prop_assert_eq!(&pruned.step_classes, &full.step_classes);
         prop_assert!(pruned.candidates_scored <= full.candidates_scored);
+
+        let mut partial = Allocation::new(model.num_operators(), n);
+        for j in (0..model.num_operators()).step_by(placed_every) {
+            partial.assign(OperatorId(j), NodeId(hosts[j % hosts.len()] % n));
+        }
+        let pruned = RodPlanner::new().extend(&model, &cluster, &partial).unwrap();
+        let full = RodPlanner::new()
+            .with_exhaustive_scan(true)
+            .extend(&model, &cluster, &partial)
+            .unwrap();
+        prop_assert_eq!(&pruned.allocation, &full.allocation);
+        prop_assert_eq!(&pruned.step_classes, &full.step_classes);
+    }
+
+    /// The pruned scan's bounds against the probe they stand in for, at
+    /// every (operator, node) pair of fresh, partly assigned and churned
+    /// evaluator states, with and without a §6.1 lower bound: neither
+    /// bound falls below `score_candidate`'s plane distance, the delta
+    /// bound's Class-I verdict is the probe's, and exactly the nodes
+    /// holding a negative load cell get no bound.
+    #[test]
+    fn phase2_bounds_never_undercut_the_probe(
+        spec in sparse_spec(),
+        caps_pick in 0usize..3,
+        lower_bound in 0u8..2,
+        moves in prop::collection::vec((0usize..64, 0usize..8, 0u8..3), 0..40),
+    ) {
+        let model = LoadModel::derive(&build(&spec)).unwrap();
+        let cluster = cluster_for(caps_pick);
+        let (m, n) = (model.num_operators(), cluster.num_nodes());
+        let mut eval = IncrementalPlanEval::new(&model, &cluster);
+        if lower_bound == 1 {
+            eval.set_lower_bound(&model.variable_point(&vec![0.05; model.num_inputs()]));
+        }
+        prop_assert_eq!(check_bounds(&eval, m, n), Ok(()));
+        for (op_pick, node_pick, action) in moves {
+            let op = OperatorId(op_pick % m);
+            match (action, eval.allocation().node_of(op)) {
+                (0 | 1, None) => eval.assign(op, NodeId(node_pick % n)),
+                (2, Some(host)) => eval.unassign(op, host),
+                _ => continue,
+            }
+            prop_assert_eq!(check_bounds(&eval, m, n), Ok(()));
+        }
     }
 
     /// A one-rack topology makes the hierarchical planner *be* flat ROD:
