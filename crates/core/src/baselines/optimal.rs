@@ -112,31 +112,6 @@ impl OptimalPlanner {
         model: &LoadModel,
         cluster: &Cluster,
     ) -> Result<(Allocation, f64), PlacementError> {
-        self.search_impl(model, cluster, None)
-    }
-
-    /// [`search`](Self::search) that additionally memoises every
-    /// improving incumbent's exact alive count into `cache`, so callers
-    /// re-rating the winner (or near-winners) through a
-    /// [`ScenarioScorer`](crate::resilience::ScenarioScorer) over the
-    /// **same point set** get those scores for free. The scope rule of
-    /// [`crate::score_cache`] applies: the shared point set must be built
-    /// with this planner's `samples`/`seed`.
-    pub fn search_with_cache(
-        &self,
-        model: &LoadModel,
-        cluster: &Cluster,
-        cache: &mut crate::score_cache::ScoreCache,
-    ) -> Result<(Allocation, f64), PlacementError> {
-        self.search_impl(model, cluster, Some(cache))
-    }
-
-    fn search_impl(
-        &self,
-        model: &LoadModel,
-        cluster: &Cluster,
-        mut cache: Option<&mut crate::score_cache::ScoreCache>,
-    ) -> Result<(Allocation, f64), PlacementError> {
         check_inputs(model, cluster)?;
         let m = model.num_operators();
         let n = cluster.num_nodes();
@@ -165,18 +140,14 @@ impl OptimalPlanner {
         // natural node order and the incumbent is replaced only on a
         // strict improvement, so ties resolve exactly as the
         // enumerate-then-rescore search did.
-        struct Search<'c> {
+        struct Search {
             feas: SampledFeasibility,
             n: usize,
             homogeneous: bool,
             best: Option<(Vec<usize>, usize)>,
             assignment: Vec<usize>,
-            /// Improving incumbents' exact counts are memoised here —
-            /// only incumbents, so the per-leaf overhead stays zero on
-            /// the pruned bulk of the tree.
-            cache: Option<&'c mut crate::score_cache::ScoreCache>,
         }
-        impl Search<'_> {
+        impl Search {
             fn recurse(&mut self, j: usize, used: usize) {
                 let m = self.assignment.len();
                 // Bound: the partial plan already excludes everything a
@@ -190,9 +161,6 @@ impl OptimalPlanner {
                 if j == m {
                     // `upper` is the exact count of the complete plan.
                     self.best = Some((self.assignment.clone(), upper));
-                    if let Some(cache) = self.cache.as_deref_mut() {
-                        cache.insert(self.assignment.iter().map(|&i| i as u32).collect(), upper);
-                    }
                     return;
                 }
                 let limit = if self.homogeneous {
@@ -246,21 +214,18 @@ impl OptimalPlanner {
             Vec::new()
         };
 
-        let (best, chunk_caches) = if frontier.len() > 1 {
-            let want_cache = cache.is_some();
+        let best = if frontier.len() > 1 {
             // More chunks than subtrees would idle (`chunks` clamps).
             let ranges = rod_pool::chunks(frontier.len(), threads);
             rod_pool::global().map_reduce(
                 ranges.len(),
                 |c| {
-                    let mut local_cache = want_cache.then(crate::score_cache::ScoreCache::new);
                     let mut search = Search {
                         feas: base_feas.clone(),
                         n,
                         homogeneous,
                         best: None,
                         assignment: vec![0; m],
-                        cache: local_cache.as_mut(),
                     };
                     for idx in ranges[c].clone() {
                         let (prefix, used) = &frontier[idx];
@@ -273,21 +238,15 @@ impl OptimalPlanner {
                             search.feas.pop_assign(j, node);
                         }
                     }
-                    let best = search.best.take();
-                    drop(search);
-                    (best, local_cache)
+                    search.best
                 },
-                (None::<(Vec<usize>, usize)>, Vec::new()),
+                None::<(Vec<usize>, usize)>,
                 // Ordered reduction: chunk winners arrive in range order;
                 // strict `>` keeps the earliest on ties.
-                |(mut best, mut caches), (chunk_best, chunk_cache)| {
-                    if let Some((assignment, hits)) = chunk_best {
-                        if best.as_ref().map_or(true, |&(_, b)| hits > b) {
-                            best = Some((assignment, hits));
-                        }
-                    }
-                    caches.extend(chunk_cache);
-                    (best, caches)
+                |best, chunk_best| match (best, chunk_best) {
+                    (best, None) => best,
+                    (None, chunk_best) => chunk_best,
+                    (Some(b), Some(c)) => Some(if c.1 > b.1 { c } else { b }),
                 },
             )
         } else {
@@ -297,16 +256,10 @@ impl OptimalPlanner {
                 homogeneous,
                 best: None,
                 assignment: vec![0; m],
-                cache: cache.as_deref_mut(),
             };
             search.recurse(0, 0);
-            (search.best, Vec::new())
+            search.best
         };
-        if let Some(cache) = cache {
-            for chunk in chunk_caches {
-                cache.absorb(chunk);
-            }
-        }
         let (assignment, hits) = best.expect("at least one plan enumerated");
         let ratio = hits as f64 / estimator.samples() as f64;
         let mut alloc = Allocation::new(m, n);
@@ -390,42 +343,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn search_with_cache_seeds_scorer_rescoring() {
-        use crate::resilience::ScenarioScorer;
-        use crate::score_cache::ScoreCache;
-
-        let model = LoadModel::derive(&figure4_graph()).unwrap();
-        let cluster = Cluster::homogeneous(2, 1.0);
-        let planner = OptimalPlanner::new();
-        let mut cache = ScoreCache::new();
-        let (opt, ratio) = planner
-            .search_with_cache(&model, &cluster, &mut cache)
-            .unwrap();
-        assert!(!cache.is_empty(), "no incumbent was memoised");
-
-        // A scorer over the same point set answers the winner's healthy
-        // score straight from the shared cache.
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            planner.samples,
-            planner.seed,
-        );
-        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
-        scorer.swap_cache(cache);
-        let healthy = scorer.healthy_alive(&opt);
-        assert_eq!(healthy as f64 / planner.samples as f64, ratio);
-        assert_eq!(scorer.cache_hits(), 1);
-        assert_eq!(scorer.cache_misses(), 0);
-    }
-
     /// The parallel frontier search must return the serial winner bit
     /// for bit — same assignment, same hit count — at every chunk
-    /// count, and the winner must be memoised whichever path ran.
+    /// count, and that count must be the one a survivor scorer over the
+    /// same point set reads for the winner.
     #[test]
     fn incumbents_are_bit_identical_across_thread_counts() {
-        use crate::score_cache::ScoreCache;
+        use crate::resilience::ScenarioScorer;
 
         let model = LoadModel::derive(&figure4_graph()).unwrap();
         for cluster in [
@@ -439,28 +363,26 @@ mod tests {
                 ..OptimalPlanner::new()
             };
             let (base_alloc, base_ratio) = serial.search(&model, &cluster).unwrap();
+            let estimator = VolumeEstimator::new(
+                model.total_coeffs().as_slice(),
+                cluster.total_capacity(),
+                serial.samples,
+                serial.seed,
+            );
+            let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
+            let healthy = scorer.healthy_alive(&base_alloc);
+            assert_eq!(healthy as f64 / serial.samples as f64, base_ratio);
             for threads in [2usize, 4, 7] {
                 let planner = OptimalPlanner {
                     threads,
                     ..serial.clone()
                 };
-                let mut cache = ScoreCache::new();
-                let (alloc, ratio) = planner
-                    .search_with_cache(&model, &cluster, &mut cache)
-                    .unwrap();
+                let (alloc, ratio) = planner.search(&model, &cluster).unwrap();
                 assert_eq!(
                     alloc, base_alloc,
                     "threads={threads}: winner diverged from serial"
                 );
                 assert_eq!(ratio.to_bits(), base_ratio.to_bits());
-                let key: Vec<u32> = (0..model.num_operators())
-                    .map(|j| alloc.node_of(OperatorId(j)).unwrap().0 as u32)
-                    .collect();
-                assert_eq!(
-                    cache.get(&key),
-                    Some((ratio * planner.samples as f64).round() as usize),
-                    "threads={threads}: winner missing from the merged cache"
-                );
             }
         }
     }

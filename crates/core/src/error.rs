@@ -134,6 +134,20 @@ pub enum PlacementError {
     },
     /// A topology has no racks at all.
     EmptyTopology,
+    /// A §6.1 input lower bound does not give one rate per system input.
+    LowerBoundLength {
+        /// The model's number of system inputs.
+        expected: usize,
+        /// Rates the bound gives.
+        given: usize,
+    },
+    /// A §6.1 input lower bound holds a NaN or infinite rate.
+    LowerBoundNotFinite {
+        /// Index of the offending system input.
+        input: usize,
+        /// Its bound.
+        value: f64,
+    },
     /// An allocation to extend is sized for another model or cluster.
     AllocationMismatch {
         /// What the sizes count: `"operators"` (the model's) or
@@ -180,6 +194,16 @@ impl fmt::Display for PlacementError {
                 write!(f, "node {node} is not covered by any rack")
             }
             PlacementError::EmptyTopology => write!(f, "topology has no racks"),
+            PlacementError::LowerBoundLength { expected, given } => write!(
+                f,
+                "input lower bound gives {given} rates, but the model has {expected} inputs"
+            ),
+            PlacementError::LowerBoundNotFinite { input, value } => {
+                write!(
+                    f,
+                    "input {input} has lower bound {value}, not a finite rate"
+                )
+            }
             PlacementError::AllocationMismatch {
                 what,
                 allocation,

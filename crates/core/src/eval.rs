@@ -49,8 +49,8 @@
 //! the bound O(1) to read and O(P) to maintain per move instead of
 //! O(P·n·d) to recompute. Its read-only half, the per-operator load
 //! table, also answers from `&self` which points one node keeps under a
-//! given operator set: the survivor scorer ANDs those per-node masks
-//! instead of pushing and popping whole assignments.
+//! given operator set: the survivor scorer memoises those per-node masks
+//! and ANDs them instead of pushing and popping whole assignments.
 
 use rod_geom::{FeasibleRegion, Matrix, PointBatch, SparseLoadMatrix, Vector};
 
@@ -665,7 +665,8 @@ impl<'a> IncrementalPlanEval<'a> {
 /// point is feasible under a whole assignment exactly when every loaded
 /// node keeps it, so the AND of the loaded nodes' masks is the alive set
 /// a [`SampledFeasibility`] reaches after pushing the same assignment.
-/// Being `&self`, one table can be shared read-only by parallel scorers.
+/// Being `&self`, one table is shared read-only by a survivor scorer and
+/// its forks, each of which memoises the masks it computes.
 #[derive(Clone, Debug)]
 pub(crate) struct SampledLoads {
     num_points: usize,

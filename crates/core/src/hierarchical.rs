@@ -145,6 +145,13 @@ impl HierarchicalRod {
         let mut allocation = Allocation::new(m, cluster.num_nodes());
         let mut candidates_scored = level1.candidates_scored;
         let mut candidates_bounded = level1.candidates_bounded;
+        // Level 1 has checked the bound; its variable point is the same
+        // for every rack.
+        let lower_bound = self
+            .options
+            .input_lower_bound
+            .as_ref()
+            .map(|b| model.variable_point(b));
         for (r, members) in topology.racks().iter().enumerate() {
             let mut ops: Vec<OperatorId> = (0..m)
                 .map(OperatorId)
@@ -156,8 +163,8 @@ impl HierarchicalRod {
             norm_descending(&mut ops, |op| model.operator_norm(op));
             let rack_cluster = topology.rack_cluster(cluster, r);
             let mut eval = IncrementalPlanEval::new(model, &rack_cluster);
-            if let Some(b) = &self.options.input_lower_bound {
-                eval.set_lower_bound(&model.variable_point(b));
+            if let Some(point) = &lower_bound {
+                eval.set_lower_bound(point);
             }
             let mut selector = Phase2Selector::new(self.options.use_class_one, false);
             selector.place(&mut eval, &ops, 0..members.len());
@@ -286,6 +293,40 @@ mod tests {
         assert_eq!(
             planner.place(&model, &cluster).unwrap_err(),
             PlacementError::UncoveredNode { node: 2 }
+        );
+    }
+
+    #[test]
+    fn a_lower_bound_of_the_wrong_length_is_an_error() {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let options = RodOptions {
+            input_lower_bound: Some(vec![0.1]),
+            ..RodOptions::default()
+        };
+        assert_eq!(
+            HierarchicalRod::with_options(options, None)
+                .place(&model, &Cluster::homogeneous(4, 1.0))
+                .unwrap_err(),
+            PlacementError::LowerBoundLength {
+                expected: 2,
+                given: 1
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_finite_lower_bound_is_an_error() {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let options = RodOptions {
+            input_lower_bound: Some(vec![f64::NAN, 0.1]),
+            ..RodOptions::default()
+        };
+        let err = HierarchicalRod::with_options(options, None)
+            .place(&model, &Cluster::homogeneous(4, 1.0))
+            .unwrap_err();
+        assert!(
+            matches!(err, PlacementError::LowerBoundNotFinite { input: 0, value } if value.is_nan()),
+            "{err:?}"
         );
     }
 

@@ -68,7 +68,6 @@ pub mod obs;
 pub mod operator;
 pub mod resilience;
 pub mod rod;
-pub mod score_cache;
 
 pub use allocation::{Allocation, PlanEvaluator, WeightMatrix};
 pub use baselines::{build_planner, PlannerSpec};
@@ -85,7 +84,6 @@ pub use resilience::{
     FailoverTable, FailureScenario, ResilientPlan, ResilientRodOptions, ResilientRodPlanner,
 };
 pub use rod::{RodOptions, RodPlan, RodPlanner};
-pub use score_cache::ScoreCache;
 
 /// Convenient glob import for downstream users.
 pub mod prelude {
@@ -107,5 +105,4 @@ pub mod prelude {
         FailoverTable, FailureScenario, ResilientPlan, ResilientRodOptions, ResilientRodPlanner,
     };
     pub use crate::rod::{RodOptions, RodPlan, RodPlanner};
-    pub use crate::score_cache::ScoreCache;
 }

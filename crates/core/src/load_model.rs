@@ -183,6 +183,24 @@ impl Deserialize for LoadModel {
                 graph.num_operators()
             )));
         }
+        if sparse.num_cols() != linearization.num_vars() {
+            return Err(DeError::custom(format!(
+                "LoadModel sparse matrix has {} columns for {} rate variables",
+                sparse.num_cols(),
+                linearization.num_vars()
+            )));
+        }
+        // Every planner relies on loads only growing as operators are
+        // added (the `eval` module docs).
+        for (j, row) in sparse.rows().iter().enumerate() {
+            if let Some((k, v)) = row.iter().find(|&(_, v)| !(v >= 0.0 && v.is_finite())) {
+                return Err(DeError::custom(format!(
+                    "LoadModel operator {} has load coefficient {v} in column {k}; \
+                     coefficients must be finite and non-negative",
+                    OperatorId(j)
+                )));
+            }
+        }
         Ok(LoadModel::from_parts(graph, linearization, sparse))
     }
 }
@@ -290,6 +308,49 @@ mod tests {
             bits(model.total_coeffs().as_slice())
         );
         assert_eq!(bits(&back.norms), bits(&model.norms));
+    }
+
+    /// Figure 4's model as a JSON object, with its `sparse` matrix
+    /// swapped for `sparse`.
+    fn with_sparse(sparse: SparseLoadMatrix) -> Value {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let Value::Object(mut pairs) = model.to_value() else {
+            panic!("a model serialises to an object");
+        };
+        for (name, value) in &mut pairs {
+            if name == "sparse" {
+                *value = sparse.to_value();
+            }
+        }
+        Value::Object(pairs)
+    }
+
+    #[test]
+    fn a_matrix_of_the_wrong_width_is_rejected() {
+        let rows = [
+            [4.0, 0.0, 0.0],
+            [6.0, 0.0, 0.0],
+            [0.0, 9.0, 0.0],
+            [0.0, 2.0, 0.0],
+        ];
+        let sparse = SparseLoadMatrix::from_dense_rows(3, rows.iter().map(|r| r.as_slice()));
+        let err = LoadModel::from_value(&with_sparse(sparse)).unwrap_err();
+        assert!(
+            err.to_string().contains("3 columns for 2 rate variables"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_negative_load_coefficient_is_rejected() {
+        let rows = [[4.0, 0.0], [6.0, 0.0], [0.0, -9.0], [0.0, 2.0]];
+        let sparse = SparseLoadMatrix::from_dense_rows(2, rows.iter().map(|r| r.as_slice()));
+        let err = LoadModel::from_value(&with_sparse(sparse)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("operator o2 has load coefficient -9 in column 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Survivor re-placement is ROD itself: [`survivor_moves`] runs the same
 //! Phase-1 order and Phase-2 selector as every other placement, over the
-//! surviving nodes only.
+//! surviving nodes only. Survivor scoring ([`ScenarioScorer`]) counts
+//! feasible points from one memo of per-node masks.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +19,6 @@ use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::resilience::FailureScenario;
 use crate::rod::{norm_descending, Phase2Selector};
-use crate::score_cache::{ScoreCache, UNPLACED};
 
 /// Computes where a scenario's orphaned operators should go: unassign
 /// every failed node's operators from the incremental state, then place
@@ -148,29 +148,19 @@ impl FailoverTable {
 ///
 /// A scorer can be [`fork`](ScenarioScorer::fork)ed for parallel
 /// neighborhood scans: forks share the load table read-only and carry
-/// their own mask memo (the mutable part, so no lock), and share one
-/// score cache behind a mutex, so `score_cache_*` metrics stay exact
-/// totals across workers.
+/// their own mask memo (the mutable part, so no lock).
 ///
 /// [`SampledFeasibility`]: crate::eval::SampledFeasibility
 pub struct ScenarioScorer<'a> {
     model: &'a LoadModel,
     cluster: &'a Cluster,
     loads: Arc<SampledLoads>,
-    /// Memoised alive counts per effective assignment — scoped to this
-    /// scorer's (model, cluster, point set), so sharing is always
-    /// sound. Shared across forks; entries are pure (the key fully
-    /// determines the count), so concurrent interleavings can change
-    /// only *when* a value is cached, never the value — results stay
-    /// deterministic, and the lock is uncontended in the serial case.
-    cache: Arc<Mutex<ScoreCache>>,
     masks: NodeMasks,
 }
 
 /// One scorer's memo of per-node feasibility masks, with the scratch a
 /// count needs, so that a count whose masks are all memoised allocates
-/// nothing. Same scope as the score cache: one (model, cluster, point
-/// set).
+/// nothing. Scoped to one (model, cluster, point set).
 struct NodeMasks {
     /// `[node, op, op, …]` (operators ascending) → offset of the node's
     /// mask in `words`.
@@ -179,8 +169,6 @@ struct NodeMasks {
     words: Vec<u64>,
     hits: u64,
     misses: u64,
-    /// Scratch: the effective assignment, also the score-cache key.
-    key: Vec<u32>,
     /// Scratch: per node, the node index followed by its operators, so
     /// each list is its own memo key.
     node_ops: Vec<Vec<u32>>,
@@ -197,24 +185,15 @@ impl NodeMasks {
             words: Vec::new(),
             hits: 0,
             misses: 0,
-            key: Vec::new(),
             node_ops: (0..num_nodes as u32).map(|i| vec![i]).collect(),
             acc: vec![0; loads.mask_words()],
             row: vec![0.0; loads.num_points()],
         }
     }
 
-    /// Alive count of the effective assignment in `self.key`: the
-    /// popcount of the AND over every node that carries an operator.
+    /// Alive count of the assignment in `self.node_ops`: the popcount of
+    /// the AND over every node that carries an operator.
     fn count(&mut self, loads: &SampledLoads) -> usize {
-        for list in &mut self.node_ops {
-            list.truncate(1);
-        }
-        for (j, &dest) in self.key.iter().enumerate() {
-            if dest != UNPLACED {
-                self.node_ops[dest as usize].push(j as u32);
-            }
-        }
         let width = loads.mask_words();
         self.acc.fill(u64::MAX);
         if let Some(last) = self.acc.last_mut() {
@@ -244,10 +223,6 @@ impl NodeMasks {
     }
 }
 
-fn lock(cache: &Mutex<ScoreCache>) -> std::sync::MutexGuard<'_, ScoreCache> {
-    cache.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl<'a> ScenarioScorer<'a> {
     /// A scorer over an explicit point set (typically
     /// `VolumeEstimator::points()`).
@@ -261,73 +236,23 @@ impl<'a> ScenarioScorer<'a> {
     pub fn from_batch(model: &'a LoadModel, cluster: &'a Cluster, batch: &PointBatch) -> Self {
         let loads =
             SampledLoads::from_batch(model.sparse_lo(), batch, cluster.capacities().as_slice());
-        ScenarioScorer::with_cache(model, cluster, Arc::new(loads), Arc::default())
+        ScenarioScorer::with_loads(model, cluster, Arc::new(loads))
     }
 
-    fn with_cache(
-        model: &'a LoadModel,
-        cluster: &'a Cluster,
-        loads: Arc<SampledLoads>,
-        cache: Arc<Mutex<ScoreCache>>,
-    ) -> Self {
+    fn with_loads(model: &'a LoadModel, cluster: &'a Cluster, loads: Arc<SampledLoads>) -> Self {
         ScenarioScorer {
             model,
             cluster,
             masks: NodeMasks::new(&loads, cluster.num_nodes()),
             loads,
-            cache,
         }
     }
 
     /// A worker-side copy for parallel neighborhood scans: the shared
-    /// load table, an empty mask memo of its own, and the *same* shared
-    /// score cache. Scoring through a fork is bit-identical to scoring
-    /// through the original.
+    /// load table and an empty mask memo of its own. Scoring through a
+    /// fork is bit-identical to scoring through the original.
     pub fn fork(&self) -> ScenarioScorer<'a> {
-        let cache = Arc::clone(&self.cache);
-        ScenarioScorer::with_cache(self.model, self.cluster, Arc::clone(&self.loads), cache)
-    }
-
-    /// Like [`fork`](Self::fork), but with a **private, initially empty**
-    /// score cache instead of the shared one — a cache *shard*. Long
-    /// parallel scans hammer the shared mutex on every candidate score;
-    /// a detached fork never contends, at the cost of re-computing keys
-    /// another worker already saw. Entries are pure (the key fully
-    /// determines the count), so detached scoring is still bit-identical
-    /// to shared scoring. After the scan, drain each shard with
-    /// [`swap_cache`](Self::swap_cache) and fold it into the parent via
-    /// [`absorb_cache`](Self::absorb_cache) so the parent's
-    /// `score_cache_*` counters are exact totals of all lookups anywhere.
-    pub fn fork_detached(&self) -> ScenarioScorer<'a> {
-        let loads = Arc::clone(&self.loads);
-        ScenarioScorer::with_cache(self.model, self.cluster, loads, Arc::default())
-    }
-
-    /// Folds another cache (typically a detached fork's shard) into this
-    /// scorer's cache: entries union (pure values, so collisions agree)
-    /// and hit/miss counters add, keeping the totals exact.
-    pub fn absorb_cache(&self, other: ScoreCache) {
-        self.cache_lock().absorb(other);
-    }
-
-    fn cache_lock(&self) -> std::sync::MutexGuard<'_, ScoreCache> {
-        lock(&self.cache)
-    }
-
-    /// Cache lookups that were served from memory (exact total across
-    /// all forks sharing this cache).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_lock().hits()
-    }
-
-    /// Cache lookups that had to recompute (exact total across forks).
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_lock().misses()
-    }
-
-    /// Number of memoised assignments.
-    pub fn cache_len(&self) -> usize {
-        self.cache_lock().len()
+        ScenarioScorer::with_loads(self.model, self.cluster, Arc::clone(&self.loads))
     }
 
     /// Node masks this scorer found in its own memo (forks count their
@@ -339,15 +264,6 @@ impl<'a> ScenarioScorer<'a> {
     /// Node masks this scorer had to compute (forks count their own).
     pub fn node_mask_misses(&self) -> u64 {
         self.masks.misses
-    }
-
-    /// Replaces the score cache — e.g. with one pre-seeded by an
-    /// [`OptimalPlanner`](crate::baselines::optimal::OptimalPlanner) search over
-    /// the **same model, cluster and point set** (see the scope rule in
-    /// [`crate::score_cache`]). Returns the cache previously installed.
-    /// Forks share the cache, so the swap is visible to all of them.
-    pub fn swap_cache(&mut self, cache: ScoreCache) -> ScoreCache {
-        std::mem::replace(&mut *self.cache_lock(), cache)
     }
 
     /// Total points tracked.
@@ -379,13 +295,14 @@ impl<'a> ScenarioScorer<'a> {
     }
 
     /// Alive count with every operator at its allocation host except the
-    /// redirected ones. The effective assignment fully determines the
-    /// count (dead nodes carry nothing, so they never kill a point), so
-    /// it doubles as the [`ScoreCache`] key; a miss is counted from the
-    /// node masks.
+    /// redirected ones: each node's operator list is built straight from
+    /// the allocation and the redirects, and counted from the node
+    /// masks. Dead nodes carry nothing, so they never kill a point.
     fn alive_under(&mut self, alloc: &Allocation, redirects: &[(OperatorId, NodeId)]) -> usize {
-        let key = &mut self.masks.key;
-        key.clear();
+        let node_ops = &mut self.masks.node_ops;
+        for list in node_ops.iter_mut() {
+            list.truncate(1);
+        }
         for j in 0..self.model.num_operators() {
             let op = OperatorId(j);
             let dest = redirects
@@ -393,14 +310,11 @@ impl<'a> ScenarioScorer<'a> {
                 .find(|(o, _)| *o == op)
                 .map(|(_, d)| *d)
                 .or_else(|| alloc.node_of(op));
-            key.push(dest.map_or(UNPLACED, |n| n.index() as u32));
+            if let Some(node) = dest {
+                node_ops[node.index()].push(j as u32);
+            }
         }
-        if let Some(alive) = lock(&self.cache).get(key) {
-            return alive;
-        }
-        let alive = self.masks.count(&self.loads);
-        lock(&self.cache).insert(self.masks.key.clone(), alive);
-        alive
+        self.masks.count(&self.loads)
     }
 }
 
@@ -517,18 +431,18 @@ mod tests {
             .count();
         assert_eq!(scorer.scenario_alive(&alloc, &scenario), fresh_post);
 
-        // The scorer is reusable: a second healthy query is unchanged —
-        // and answered from the score cache without re-pushing.
-        let misses = scorer.cache_misses();
+        // The scorer is reusable: a second healthy query is unchanged,
+        // and every node mask it needs comes from the memo.
+        let misses = scorer.node_mask_misses();
         assert_eq!(scorer.healthy_alive(&alloc), fresh);
-        assert_eq!(scorer.cache_misses(), misses);
-        assert!(scorer.cache_hits() > 0);
+        assert_eq!(scorer.node_mask_misses(), misses);
+        assert!(scorer.node_mask_hits() > 0);
     }
 
-    /// Forks score identically to the original and share one cache: a
-    /// query answered by the original is a pure hit through any fork.
+    /// A fork scores identically to the original from a cold mask memo
+    /// of its own, and its memo then serves the same query again.
     #[test]
-    fn forked_scorers_share_the_cache_and_agree_bit_for_bit() {
+    fn forked_scorers_agree_bit_for_bit() {
         let (model, cluster) = setup();
         let alloc = rod_plan(&model, &cluster);
         let estimator = VolumeEstimator::new(
@@ -539,57 +453,17 @@ mod tests {
         );
         let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
         let healthy = scorer.healthy_alive(&alloc);
+        let scenario = FailureScenario::single(NodeId(1));
+        let survived = scorer.scenario_alive(&alloc, &scenario);
+
         let mut fork = scorer.fork();
-        let misses = fork.cache_misses();
+        assert_eq!((fork.node_mask_hits(), fork.node_mask_misses()), (0, 0));
         assert_eq!(fork.healthy_alive(&alloc), healthy);
-        assert_eq!(fork.cache_misses(), misses, "fork re-computed a cached key");
-        // A fresh query through the fork lands in the shared cache and
-        // is then a hit for the original.
-        let scenario = FailureScenario::single(NodeId(1));
-        let via_fork = fork.scenario_alive(&alloc, &scenario);
-        let hits = scorer.cache_hits();
-        assert_eq!(scorer.scenario_alive(&alloc, &scenario), via_fork);
-        assert!(scorer.cache_hits() > hits);
-    }
-
-    /// Detached forks score bit-identically from a cold private shard,
-    /// and absorbing the shard makes the parent's counters the exact sum
-    /// of all lookups while turning the shard's keys into parent hits.
-    #[test]
-    fn detached_forks_score_identically_and_merge_exactly() {
-        let (model, cluster) = setup();
-        let alloc = rod_plan(&model, &cluster);
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            2_000,
-            3,
-        );
-        let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
-        let healthy = scorer.healthy_alive(&alloc);
-        let parent_hits = scorer.cache_hits();
-        let parent_misses = scorer.cache_misses();
-
-        let mut shard_scorer = scorer.fork_detached();
-        // Cold shard: the healthy key is recomputed (a miss), and the
-        // parent's counters don't move.
-        assert_eq!(shard_scorer.healthy_alive(&alloc), healthy);
-        assert_eq!(shard_scorer.cache_misses(), 1);
-        assert_eq!(scorer.cache_misses(), parent_misses);
-
-        let scenario = FailureScenario::single(NodeId(1));
-        let via_shard = shard_scorer.scenario_alive(&alloc, &scenario);
-        let shard_hits = shard_scorer.cache_hits();
-        let shard_misses = shard_scorer.cache_misses();
-
-        let shard = shard_scorer.swap_cache(ScoreCache::new());
-        scorer.absorb_cache(shard);
-        assert_eq!(scorer.cache_hits(), parent_hits + shard_hits);
-        assert_eq!(scorer.cache_misses(), parent_misses + shard_misses);
-        // The shard's scenario key is now a pure hit through the parent.
-        let hits = scorer.cache_hits();
-        assert_eq!(scorer.scenario_alive(&alloc, &scenario), via_shard);
-        assert!(scorer.cache_hits() > hits);
+        assert_eq!(fork.scenario_alive(&alloc, &scenario), survived);
+        assert!(fork.node_mask_misses() > 0, "a fork starts cold");
+        let misses = fork.node_mask_misses();
+        assert_eq!(fork.scenario_alive(&alloc, &scenario), survived);
+        assert_eq!(fork.node_mask_misses(), misses);
     }
 
     /// A plan that loads no node keeps every point, including those in

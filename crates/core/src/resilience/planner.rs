@@ -96,9 +96,10 @@ impl ResilientPlan {
 /// deterministic for a fixed seed. The neighborhood scan — the
 /// planner's hot loop — is dealt out in contiguous candidate chunks to
 /// the persistent [`rod_pool::global`] workers
-/// ([`ResilientRodOptions::threads`]); the ordered reduction keeps the
-/// chosen move, and therefore the whole placement, bit-identical to the
-/// serial scan at any thread count.
+/// ([`ResilientRodOptions::threads`]), each scoring through a
+/// [`fork`](ScenarioScorer::fork) with its own mask memo; the ordered
+/// reduction keeps the chosen move, and therefore the whole placement,
+/// bit-identical to the serial scan at any thread count.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientRodPlanner {
     options: ResilientRodOptions,
@@ -128,9 +129,8 @@ impl ResilientRodPlanner {
     /// phase timings (`resilient_rod.qmc_seconds`,
     /// `resilient_rod.hill_climb_seconds`) and hill-climb work counters
     /// (`resilient_rod.iterations`, `resilient_rod.accepted_moves`,
-    /// `resilient_rod.candidate_moves`, the `score_cache_*` and
-    /// `node_mask_*` memo counters summed over every scan worker) into
-    /// `metrics`.
+    /// `resilient_rod.candidate_moves`, and the `node_mask_*` memo
+    /// counters summed over every scan worker) into `metrics`.
     pub fn place_with_metrics(
         &self,
         model: &LoadModel,
@@ -196,15 +196,11 @@ impl ResilientRodPlanner {
         .clamp(1, (m * n.saturating_sub(1)).max(1));
         // One forked scorer per chunk, built once and reused across
         // iterations, so each keeps its node-mask memo for the whole
-        // climb. Each fork carries its own *detached* cache shard — a
-        // shared cache would serialise every candidate score on one
-        // mutex. Entries are pure, so shards change nothing about the
-        // chosen moves; the shards are folded back into the parent after
-        // the climb so score_cache_* metrics stay exact lookup totals.
+        // climb. A count is a pure function of the effective assignment,
+        // so which worker makes it changes nothing about the chosen
+        // moves.
         let worker_scorers: Vec<Mutex<ScenarioScorer>> = if threads > 1 {
-            (0..threads)
-                .map(|_| Mutex::new(scorer.fork_detached()))
-                .collect()
+            (0..threads).map(|_| Mutex::new(scorer.fork())).collect()
         } else {
             Vec::new()
         };
@@ -306,33 +302,22 @@ impl ResilientRodPlanner {
                 None => break,
             }
         }
-        // Fold every worker's cache shard back into the parent: the
-        // merged map is the union of all memoised keys and the hit/miss
-        // counters sum, so the metrics below count every lookup made
-        // anywhere — exactly as the old single shared cache did. The
-        // node-mask memos stay per worker; their counters sum.
-        let mut mask_hits = scorer.node_mask_hits();
-        let mut mask_misses = scorer.node_mask_misses();
-        for worker in &worker_scorers {
-            let mut worker = worker.lock().unwrap_or_else(|e| e.into_inner());
-            scorer.absorb_cache(worker.swap_cache(crate::score_cache::ScoreCache::new()));
-            mask_hits += worker.node_mask_hits();
-            mask_misses += worker.node_mask_misses();
-        }
         if let Some(metrics) = metrics {
             let climb_wall = climb_start.elapsed().as_secs_f64();
+            // The node-mask memos stay per worker; their counters sum.
+            let (mut mask_hits, mut mask_misses) =
+                (scorer.node_mask_hits(), scorer.node_mask_misses());
+            for worker in &worker_scorers {
+                let worker = worker.lock().unwrap_or_else(|e| e.into_inner());
+                mask_hits += worker.node_mask_hits();
+                mask_misses += worker.node_mask_misses();
+            }
             metrics.observe("resilient_rod.hill_climb_seconds", climb_wall);
             metrics.add("resilient_rod.iterations", iterations);
             metrics.add("resilient_rod.accepted_moves", moves as u64);
             metrics.add("resilient_rod.candidate_moves", candidate_moves);
-            metrics.add("resilient_rod.score_cache_hits", scorer.cache_hits());
-            metrics.add("resilient_rod.score_cache_misses", scorer.cache_misses());
             metrics.add("resilient_rod.node_mask_hits", mask_hits);
             metrics.add("resilient_rod.node_mask_misses", mask_misses);
-            metrics.set_gauge(
-                "resilient_rod.score_cache_entries",
-                scorer.cache_len() as f64,
-            );
             metrics.set_gauge("resilient_rod.threads", threads as f64);
             let pool_after = rod_pool::global().stats();
             crate::obs::record_pool_delta(metrics, &pool_before, &pool_after);
@@ -452,21 +437,31 @@ mod tests {
 
     /// The parallel neighborhood scan must reproduce the serial
     /// placement bit for bit, including for oversized thread requests
-    /// (clamped to the candidate count, never an error).
+    /// (clamped to the candidate count, never an error). Every count
+    /// looks up one mask per loaded node, whichever worker makes it, so
+    /// the total of mask lookups is the same at every thread count too
+    /// (the hit/miss split is not: each fork starts with a cold memo).
     #[test]
     fn placements_are_bit_identical_across_thread_counts() {
+        let lookups = |metrics: &MetricsRegistry| {
+            metrics.counter("resilient_rod.node_mask_hits")
+                + metrics.counter("resilient_rod.node_mask_misses")
+        };
         for n in [2, 3] {
             let (model, cluster) = setup(n);
+            let serial_metrics = MetricsRegistry::new();
             let serial = ResilientRodPlanner::with_options(small_options())
-                .place(&model, &cluster)
+                .place_with_metrics(&model, &cluster, &serial_metrics)
                 .unwrap();
+            assert!(lookups(&serial_metrics) > 0);
             for threads in [2usize, 4, 7, 1000] {
                 let opts = ResilientRodOptions {
                     threads,
                     ..small_options()
                 };
+                let metrics = MetricsRegistry::new();
                 let parallel = ResilientRodPlanner::with_options(opts)
-                    .place(&model, &cluster)
+                    .place_with_metrics(&model, &cluster, &metrics)
                     .unwrap();
                 assert_eq!(
                     parallel.allocation, serial.allocation,
@@ -475,6 +470,11 @@ mod tests {
                 assert_eq!(parallel.worst_alive, serial.worst_alive);
                 assert_eq!(parallel.healthy_alive, serial.healthy_alive);
                 assert_eq!(parallel.moves, serial.moves);
+                assert_eq!(
+                    lookups(&metrics),
+                    lookups(&serial_metrics),
+                    "n={n} threads={threads}: mask lookups differ from serial"
+                );
             }
         }
     }

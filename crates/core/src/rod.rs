@@ -236,6 +236,9 @@ impl RodPlanner {
             return Err(PlacementError::EmptyModel);
         }
         let n = cluster.num_nodes();
+        if let Some(b) = &self.options.input_lower_bound {
+            check_lower_bound(model, b)?;
+        }
 
         // The incremental evaluation layer owns the node-load and weight
         // state; the §6.1 lower bound (when set) is folded into every
@@ -306,6 +309,25 @@ impl RodPlanner {
 /// index first among equal norms.
 pub(crate) fn norm_descending(ops: &mut [OperatorId], norm: impl Fn(OperatorId) -> f64) {
     ops.sort_by(|&a, &b| norm(b).total_cmp(&norm(a)).then(a.cmp(&b)));
+}
+
+/// Rejects a §6.1 input lower bound that is not one finite rate per
+/// system input: propagating a bound of the wrong length panics, and a
+/// NaN one would plan without a word. Negative rates stay allowed.
+fn check_lower_bound(model: &LoadModel, bound: &[f64]) -> Result<(), PlacementError> {
+    if bound.len() != model.num_inputs() {
+        return Err(PlacementError::LowerBoundLength {
+            expected: model.num_inputs(),
+            given: bound.len(),
+        });
+    }
+    match bound.iter().position(|b| !b.is_finite()) {
+        Some(input) => Err(PlacementError::LowerBoundNotFinite {
+            input,
+            value: bound[input],
+        }),
+        None => Ok(()),
+    }
 }
 
 /// ROD's Phase 2 (see the module docs): either the exhaustive scan over
@@ -1029,6 +1051,38 @@ mod tests {
         assert_eq!(pruned.allocation, full.allocation);
         assert_eq!(pruned.candidates_scored, full.candidates_scored);
         assert_eq!(pruned.candidates_bounded, 0);
+    }
+
+    #[test]
+    fn a_lower_bound_of_the_wrong_length_is_an_error() {
+        let options = RodOptions {
+            input_lower_bound: Some(vec![0.1]),
+            ..RodOptions::default()
+        };
+        assert_eq!(
+            RodPlanner::with_options(options)
+                .place(&model(), &Cluster::homogeneous(2, 1.0))
+                .unwrap_err(),
+            PlacementError::LowerBoundLength {
+                expected: 2,
+                given: 1
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_finite_lower_bound_is_an_error() {
+        let options = RodOptions {
+            input_lower_bound: Some(vec![0.1, f64::NAN]),
+            ..RodOptions::default()
+        };
+        let err = RodPlanner::with_options(options)
+            .place(&model(), &Cluster::homogeneous(2, 1.0))
+            .unwrap_err();
+        assert!(
+            matches!(err, PlacementError::LowerBoundNotFinite { input: 1, value } if value.is_nan()),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -162,10 +162,27 @@ impl Deserialize for SparseRow {
 /// A row-major sparse matrix: one [`SparseRow`] per row, all of the same
 /// width. The sparse counterpart of the operator load-coefficient matrix
 /// `L^o`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SparseLoadMatrix {
     rows: Vec<SparseRow>,
     cols: usize,
+}
+
+impl Deserialize for SparseLoadMatrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", v))?;
+        let rows: Vec<SparseRow> = serde::field(pairs, "rows", "SparseLoadMatrix")?;
+        let cols: usize = serde::field(pairs, "cols", "SparseLoadMatrix")?;
+        if let Some((j, row)) = rows.iter().enumerate().find(|(_, row)| row.dim != cols) {
+            return Err(DeError::custom(format!(
+                "SparseLoadMatrix row {j} has width {} for {cols} columns",
+                row.dim
+            )));
+        }
+        Ok(SparseLoadMatrix { rows, cols })
+    }
 }
 
 impl SparseLoadMatrix {
@@ -329,5 +346,19 @@ mod tests {
             ("terms".into(), vec![(0u32, 0.0f64)].to_value()),
         ]);
         assert!(SparseRow::from_value(&bad).is_err());
+    }
+
+    #[test]
+    fn a_row_wider_than_the_matrix_is_rejected() {
+        let rows = vec![
+            SparseRow::from_terms(5, [(3, 4.0)]),
+            SparseRow::from_terms(2, [(1, 9.0)]),
+        ];
+        let value = Value::Object(vec![
+            ("rows".into(), rows.to_value()),
+            ("cols".into(), 2usize.to_value()),
+        ]);
+        let err = SparseLoadMatrix::from_value(&value).unwrap_err();
+        assert!(err.to_string().contains("row 0 has width 5"), "{err}");
     }
 }
