@@ -120,7 +120,7 @@ fn main() {
             SAMPLES,
             QMC_SEED,
         );
-        let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
         let scenarios = FailureScenario::all_single(nodes);
         // Correlated failures: two uniform racks; losing a whole rack
         // must still leave survivors, which validate() guarantees here.

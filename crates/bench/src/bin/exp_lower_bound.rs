@@ -91,8 +91,11 @@ fn main() {
 
             // Truncated-set ratio: of the ideal-simplex points with
             // x >= B, what fraction does each plan sustain?
-            let above: Vec<&rod_geom::Vector> =
-                estimator.points().iter().filter(|p| b_var.le(p)).collect();
+            let batch = estimator.batch();
+            let above: Vec<rod_geom::Vector> = (0..batch.num_points())
+                .map(|p| batch.point(p))
+                .filter(|p| b_var.le(p))
+                .collect();
             if above.is_empty() {
                 continue;
             }

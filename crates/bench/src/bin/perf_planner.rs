@@ -16,12 +16,14 @@ use rod_core::hierarchical::HierarchicalRod;
 use rod_core::load_model::LoadModel;
 use rod_core::resilience::{ResilientRodOptions, ResilientRodPlanner};
 use rod_core::rod::RodPlanner;
-use rod_geom::{KernelPath, VolumeEstimator};
+use rod_geom::{HaltonSeq, KernelPath, SimplexSampler, Vector, VolumeEstimator};
 use rod_workloads::random_graphs::RandomTreeGenerator;
 use rod_workloads::sparse_graphs::SparseGraphGenerator;
 
-/// Dimension cap of the Halton QMC point set (`rod_geom::qmc`); cells
-/// with more inputs skip the volume-estimation legs.
+/// Inputs above which a cell skips the volume-estimation legs. The
+/// Halton point set has no dimension cap of its own; the legs keep this
+/// one so that no `BENCH_planner.json` column changes between cells
+/// with and without estimate timings (`sparse_d64_*` stay null).
 const MAX_QMC_INPUTS: usize = 16;
 
 /// Workload seed — fixed so the trajectory tracks code, not instances.
@@ -165,14 +167,24 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     }
     let alloc = alloc.expect("at least one repeat");
 
-    // QMC volume estimation needs a Halton point set, which exists only
-    // up to [`MAX_QMC_INPUTS`] dimensions; past it the legs take no
+    // Past [`MAX_QMC_INPUTS`] inputs the volume-estimation legs take no
     // samples and their columns are null.
     let mut scalar_times = Vec::with_capacity(repeats);
     let mut kernel_times = Vec::with_capacity(repeats);
     let mut simd_times = Vec::with_capacity(repeats);
     let mut ratio = None;
     if cell.inputs <= MAX_QMC_INPUTS {
+        // The per-point walk's row-major copy, one `Vector` a point, built
+        // outside the timing through the point-at-a-time API (the
+        // estimator holds columns only), and before the estimator, in
+        // the allocation order the walk has always been timed in. The
+        // bit-equality assert below also checks it against the columns.
+        let sampler =
+            SimplexSampler::new(model.total_coeffs().as_slice(), cluster.total_capacity());
+        let mut seq = HaltonSeq::shifted(cell.inputs, QMC_SEED);
+        let points: Vec<Vector> = (0..cell.samples)
+            .map(|_| sampler.map_cube_point(&seq.next_point()))
+            .collect();
         let estimator = VolumeEstimator::new(
             model.total_coeffs().as_slice(),
             cluster.total_capacity(),
@@ -184,7 +196,8 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
 
         for _ in 0..repeats {
             let t = Instant::now();
-            let scalar = estimator.estimate_scalar(&region);
+            let hits = points.iter().filter(|p| region.contains(p)).count();
+            let scalar_ratio = hits as f64 / points.len() as f64;
             scalar_times.push(t.elapsed().as_secs_f64());
             // The blocked kernel pinned to its scalar loops, so
             // `kernel_speedup` measures blocking alone on every host.
@@ -192,7 +205,7 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             let kernel = estimator.estimate_kernel_scalar(&region);
             kernel_times.push(t.elapsed().as_secs_f64());
             assert_eq!(
-                scalar.ratio_to_ideal.to_bits(),
+                scalar_ratio.to_bits(),
                 kernel.ratio_to_ideal.to_bits(),
                 "{}: batched kernel diverged from the scalar path",
                 cell.name

@@ -127,11 +127,11 @@ fn placement_fingerprint(alloc: &Allocation) -> u64 {
 
 /// The large-sparse scaling scenario (the `perf_planner` v3 regime in
 /// miniature): 64 inputs, 5000 operators with ≤ 4-nonzero load rows, 64
-/// nodes. QMC volume is unavailable past 16 dimensions, so the pins are
-/// the placement fingerprints of the flat (pruned) and hierarchical
-/// planners, plus each one's exact probe and delta-bound counts — any
-/// change to the pruning logic, the sparse evaluation order, or the
-/// two-level split shows up here as a bit-level diff.
+/// nodes. The pins are the placement fingerprints of the flat (pruned)
+/// and hierarchical planners, plus each one's exact probe and
+/// delta-bound counts — any change to the pruning logic, the sparse
+/// evaluation order, or the two-level split shows up here as a
+/// bit-level diff.
 #[test]
 fn golden_large_sparse_placements_are_stable() {
     let graph = SparseGraphGenerator::sized(64, 5_000).generate(42);
@@ -197,7 +197,11 @@ fn golden_scenarios_are_bit_identical_across_estimate_paths() {
         // Every path is pinned directly against the golden bits — not
         // merely against each other — so a drift that hit all paths at
         // once (e.g. a sampler change) still fails here.
-        let scalar = estimator.estimate_scalar(&region).ratio_to_ideal.to_bits();
+        let batch = estimator.batch();
+        let hits = (0..batch.num_points())
+            .filter(|&p| region.contains(&batch.point(p)))
+            .count();
+        let scalar = (hits as f64 / batch.num_points() as f64).to_bits();
         assert_eq!(
             scalar, case.ratio_bits,
             "{}: scalar estimate drifted from the golden pin",

@@ -428,9 +428,9 @@ mod tests {
                     ln[node * d + k] += v;
                 }
             }
-            let hits = estimator
-                .points()
-                .iter()
+            let batch = estimator.batch();
+            let hits = (0..batch.num_points())
+                .map(|p| batch.point(p))
                 .filter(|p| {
                     (0..n).all(|i| {
                         let load: f64 = ln[i * d..(i + 1) * d]

@@ -812,15 +812,10 @@ pub struct SampledFeasibility {
 
 impl SampledFeasibility {
     /// Builds the tracker for `lo` (the m×d sparse operator load
-    /// coefficients), a shared QMC `points` set, and per-node `caps`.
-    pub fn new(lo: &SparseLoadMatrix, points: &[Vector], caps: &[f64]) -> Self {
-        SampledFeasibility::from_batch(lo, &PointBatch::from_points(points), caps)
-    }
-
-    /// [`new`](Self::new) over an already-transposed column store —
-    /// callers holding a [`rod_geom::VolumeEstimator`] can pass its
-    /// [`batch`](rod_geom::VolumeEstimator::batch) and skip the O(P·d)
-    /// re-transpose. The load table is `SampledLoads::from_batch`'s.
+    /// coefficients), a shared column-major QMC point set (typically a
+    /// [`rod_geom::VolumeEstimator`]'s
+    /// [`batch`](rod_geom::VolumeEstimator::batch)), and per-node `caps`.
+    /// The load table is `SampledLoads::from_batch`'s.
     pub fn from_batch(lo: &SparseLoadMatrix, batch: &PointBatch, caps: &[f64]) -> Self {
         let loads = SampledLoads::from_batch(lo, batch, caps);
         let p = loads.num_points;
@@ -1162,16 +1157,14 @@ mod tests {
             3,
         );
         let caps = cluster.capacities();
-        let mut feas =
-            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
+        let batch = estimator.batch();
+        let mut feas = SampledFeasibility::from_batch(model.sparse_lo(), batch, caps.as_slice());
         let ev = PlanEvaluator::new(&model, &cluster);
 
         let fresh_count = |alloc: &Allocation| -> usize {
             let region = ev.feasible_region(alloc);
-            estimator
-                .points()
-                .iter()
-                .filter(|p| region.contains(p))
+            (0..batch.num_points())
+                .filter(|&p| region.contains(&batch.point(p)))
                 .count()
         };
 
@@ -1209,23 +1202,22 @@ mod tests {
     fn node_masks_match_pushes_onto_one_node() {
         let (model, cluster) = setup();
         let caps = cluster.capacities();
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            130,
-            3,
-        );
         for samples in [1usize, 63, 64, 65, 130] {
-            let points = &estimator.points()[..samples];
-            let batch = PointBatch::from_points(points);
-            let loads = SampledLoads::from_batch(model.sparse_lo(), &batch, caps.as_slice());
+            let estimator = VolumeEstimator::new(
+                model.total_coeffs().as_slice(),
+                cluster.total_capacity(),
+                samples,
+                3,
+            );
+            let batch = estimator.batch();
+            let loads = SampledLoads::from_batch(model.sparse_lo(), batch, caps.as_slice());
             let mut row = vec![0.0; samples];
             let mut mask = vec![0; loads.mask_words()];
             for node in 0..cluster.num_nodes() {
                 for ops in [&[][..], &[1], &[0, 2], &[0, 1, 2, 3]] {
                     loads.node_mask(node, ops, &mut row, &mut mask);
                     let mut feas =
-                        SampledFeasibility::new(model.sparse_lo(), points, caps.as_slice());
+                        SampledFeasibility::from_batch(model.sparse_lo(), batch, caps.as_slice());
                     for &op in ops {
                         feas.push_assign(op as usize, node);
                     }
@@ -1259,7 +1251,7 @@ mod tests {
         );
         let caps = cluster.capacities();
         let mut feas =
-            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
+            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
         let pristine = feas.clone();
         for _ in 0..3 {
             feas.push_assign(2, 1);
@@ -1291,7 +1283,7 @@ mod tests {
         );
         let caps = cluster.capacities();
         let mut feas =
-            SampledFeasibility::new(model.sparse_lo(), estimator.points(), caps.as_slice());
+            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
         feas.push_assign(0, 0);
         feas.push_assign(1, 1);
         feas.pop_assign(0, 0);

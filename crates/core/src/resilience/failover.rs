@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rod_geom::{PointBatch, Vector};
+use rod_geom::PointBatch;
 
 use crate::allocation::Allocation;
 use crate::cluster::Cluster;
@@ -224,15 +224,8 @@ impl NodeMasks {
 }
 
 impl<'a> ScenarioScorer<'a> {
-    /// A scorer over an explicit point set (typically
-    /// `VolumeEstimator::points()`).
-    pub fn new(model: &'a LoadModel, cluster: &'a Cluster, points: &[Vector]) -> Self {
-        ScenarioScorer::from_batch(model, cluster, &PointBatch::from_points(points))
-    }
-
-    /// [`new`](Self::new) over an already-transposed column store
-    /// (typically `VolumeEstimator::batch()`), skipping the O(P·d)
-    /// re-transpose.
+    /// A scorer over a column-major point set (typically
+    /// `VolumeEstimator::batch()`).
     pub fn from_batch(model: &'a LoadModel, cluster: &'a Cluster, batch: &PointBatch) -> Self {
         let loads =
             SampledLoads::from_batch(model.sparse_lo(), batch, cluster.capacities().as_slice());
@@ -402,16 +395,17 @@ mod tests {
             2_000,
             7,
         );
-        let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
+        let batch = estimator.batch();
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, batch);
+        let fresh_count = |region: &rod_geom::FeasibleRegion| {
+            (0..batch.num_points())
+                .filter(|&p| region.contains(&batch.point(p)))
+                .count()
+        };
 
         // Healthy count agrees with a from-scratch region test.
         let ev = PlanEvaluator::new(&model, &cluster);
-        let region = ev.feasible_region(&alloc);
-        let fresh = estimator
-            .points()
-            .iter()
-            .filter(|p| region.contains(p))
-            .count();
+        let fresh = fresh_count(&ev.feasible_region(&alloc));
         assert_eq!(scorer.healthy_alive(&alloc), fresh);
 
         // Scenario count agrees with manually applying the moves and
@@ -423,12 +417,7 @@ mod tests {
         for (op, dest) in &moves {
             post.assign(*op, *dest);
         }
-        let post_region = ev.feasible_region(&post);
-        let fresh_post = estimator
-            .points()
-            .iter()
-            .filter(|p| post_region.contains(p))
-            .count();
+        let fresh_post = fresh_count(&ev.feasible_region(&post));
         assert_eq!(scorer.scenario_alive(&alloc, &scenario), fresh_post);
 
         // The scorer is reusable: a second healthy query is unchanged,
@@ -451,7 +440,7 @@ mod tests {
             2_000,
             3,
         );
-        let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
         let healthy = scorer.healthy_alive(&alloc);
         let scenario = FailureScenario::single(NodeId(1));
         let survived = scorer.scenario_alive(&alloc, &scenario);
@@ -473,15 +462,14 @@ mod tests {
         let (model, cluster) = setup();
         let alloc = rod_plan(&model, &cluster);
         let unloaded = Allocation::new(model.num_operators(), cluster.num_nodes());
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            1_500,
-            3,
-        );
         for samples in [0usize, 1, 65, 1_500] {
-            let points = &estimator.points()[..samples];
-            let mut scorer = ScenarioScorer::new(&model, &cluster, points);
+            let estimator = VolumeEstimator::new(
+                model.total_coeffs().as_slice(),
+                cluster.total_capacity(),
+                samples,
+                3,
+            );
+            let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
             assert_eq!(scorer.healthy_alive(&unloaded), samples);
             if samples == 0 {
                 assert_eq!(scorer.healthy_alive(&alloc), 0);
@@ -499,7 +487,7 @@ mod tests {
             2_000,
             3,
         );
-        let mut scorer = ScenarioScorer::new(&model, &cluster, estimator.points());
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
         let healthy = scorer.healthy_alive(&alloc);
         for scenario in FailureScenario::all_single(3) {
             assert!(scorer.scenario_alive(&alloc, &scenario) <= healthy);

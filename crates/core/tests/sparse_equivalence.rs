@@ -30,7 +30,7 @@ use rod_core::load_model::LoadModel;
 use rod_core::operator::OperatorKind;
 use rod_core::resilience::{survivor_moves, FailureScenario, ScenarioScorer};
 use rod_core::rod::{RodOptions, RodPlanner};
-use rod_geom::{Vector, VolumeEstimator};
+use rod_geom::{PointBatch, VolumeEstimator};
 
 /// A compact description of a *sparse-regime* random graph: several
 /// inputs, operators that are mostly single-input but sometimes union
@@ -285,12 +285,12 @@ fn place_clustered_reference(
 fn tracker_count(
     model: &LoadModel,
     cluster: &Cluster,
-    points: &[Vector],
+    points: &PointBatch,
     alloc: &Allocation,
     redirects: &[(OperatorId, NodeId)],
 ) -> usize {
     let caps = cluster.capacities();
-    let mut feas = SampledFeasibility::new(model.sparse_lo(), points, caps.as_slice());
+    let mut feas = SampledFeasibility::from_batch(model.sparse_lo(), points, caps.as_slice());
     let mut pushed = Vec::new();
     for j in 0..model.num_operators() {
         let op = OperatorId(j);
@@ -677,7 +677,7 @@ proptest! {
             samples,
             qmc_seed,
         );
-        let points = estimator.points();
+        let points = estimator.batch();
         let scenarios = FailureScenario::all_up_to_k(n, 2);
         let want_for = |alloc: &Allocation| -> Vec<usize> {
             let mut want = vec![tracker_count(&model, &cluster, points, alloc, &[])];
@@ -689,7 +689,7 @@ proptest! {
         };
         let want = want_for(&alloc);
 
-        let mut scorer = ScenarioScorer::new(&model, &cluster, points);
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, points);
         prop_assert_eq!(scorer_counts(&mut scorer, &alloc, &scenarios), want.clone());
         // A second pass finds every node mask in the memo.
         let mask_misses = scorer.node_mask_misses();

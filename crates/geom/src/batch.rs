@@ -53,13 +53,12 @@
 //! contract and `tests/simd_equivalence.rs` for the proptests pinning
 //! it.
 
+use std::sync::Mutex;
+
 use crate::simd::{self, KernelPath};
 use crate::vector::Vector;
 use crate::volume::FeasibleRegion;
 
-/// A point set stored column-major: one contiguous column per input
-/// dimension, so per-plan node-load dot products accumulate column-wise
-/// over cache-line-friendly slices.
 /// Granularity of the precomputed per-column coordinate ranges in
 /// [`PointBatch`] — the same 2048 points as the kernel's scoring block,
 /// so a block's bounds are usually one lookup (two when a thread
@@ -99,25 +98,108 @@ impl PointBatch {
                 cols[k * num_points + p] = x;
             }
         }
-        let n_chunks = num_points.div_ceil(CHUNK);
-        let mut chunk_bounds = Vec::with_capacity(dim * n_chunks);
+        let mut chunk_bounds = Vec::with_capacity(dim * num_points.div_ceil(CHUNK));
         for k in 0..dim {
-            for chunk in cols[k * num_points..(k + 1) * num_points].chunks(CHUNK) {
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                let mut nan_free = true;
-                for &x in chunk {
-                    if x < mn {
-                        mn = x;
-                    }
-                    if x > mx {
-                        mx = x;
-                    }
-                    nan_free &= !x.is_nan();
+            chunk_bounds.extend(
+                cols[k * num_points..(k + 1) * num_points]
+                    .chunks(CHUNK)
+                    .map(chunk_bound),
+            );
+        }
+        PointBatch::with_bounds(dim, num_points, cols, chunk_bounds)
+    }
+
+    /// Generates `num_points` points of dimension `dim` straight into
+    /// their column slots — no row-major copy is ever held.
+    ///
+    /// The points are dealt to [`rod_pool::global`] in up to `ranges`
+    /// contiguous index ranges of whole [`CHUNK`]s (never more ranges
+    /// than chunks). Each task calls `start_at(first)` once for a point
+    /// source positioned at its range's first index, draws its points in
+    /// order into one reused `dim`-slot buffer, scatters each into its
+    /// own disjoint slices of the final columns, and folds every chunk's
+    /// bounds while the chunk is still in cache. A point's bits depend on
+    /// its index alone, so the batch is the same for every `ranges` and
+    /// every pool size, and equal to [`from_points`](Self::from_points)
+    /// over the same points (also when `num_points` is 0, except that
+    /// the dimension is `dim` rather than 0).
+    pub(crate) fn generate<G>(
+        dim: usize,
+        num_points: usize,
+        ranges: usize,
+        start_at: impl Fn(usize) -> G + Sync,
+    ) -> Self
+    where
+        G: FnMut(&mut [f64]),
+    {
+        let n_chunks = num_points.div_ceil(CHUNK);
+        let mut cols = vec![0.0; dim * num_points];
+        let mut chunk_bounds = vec![(f64::INFINITY, f64::NEG_INFINITY, true); dim * n_chunks];
+        let ranges = rod_pool::chunks(n_chunks, ranges);
+        // Task `t`'s slice of every column and of every column's chunk
+        // bounds, taken by exactly one task.
+        type Slices<'a> = (Vec<&'a mut [f64]>, Vec<&'a mut [(f64, f64, bool)]>);
+        let mut parts: Vec<Slices> = ranges
+            .iter()
+            .map(|_| (Vec::with_capacity(dim), Vec::with_capacity(dim)))
+            .collect();
+        if num_points > 0 {
+            for (mut col, mut bounds) in cols
+                .chunks_mut(num_points)
+                .zip(chunk_bounds.chunks_mut(n_chunks))
+            {
+                for (part, r) in parts.iter_mut().zip(&ranges) {
+                    let points = (r.end * CHUNK).min(num_points) - r.start * CHUNK;
+                    let (head, tail) = col.split_at_mut(points);
+                    part.0.push(head);
+                    col = tail;
+                    let (head, tail) = bounds.split_at_mut(r.len());
+                    part.1.push(head);
+                    bounds = tail;
                 }
-                chunk_bounds.push((mn, mx, nan_free));
             }
         }
+        let parts: Vec<Mutex<Option<Slices>>> =
+            parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        rod_pool::global().map_reduce(
+            ranges.len(),
+            |t| {
+                let (mut cols, mut bounds) = parts[t]
+                    .lock()
+                    .expect("no task panics while holding its slot")
+                    .take()
+                    .expect("each range is generated once");
+                let len = cols.first().map_or(0, |c| c.len());
+                let mut next = start_at(ranges[t].start * CHUNK);
+                let mut point = vec![0.0; dim];
+                for (c, lo) in (0..len).step_by(CHUNK).enumerate() {
+                    let hi = (lo + CHUNK).min(len);
+                    for p in lo..hi {
+                        next(&mut point);
+                        for (col, &x) in cols.iter_mut().zip(&point) {
+                            col[p] = x;
+                        }
+                    }
+                    for (col, bounds) in cols.iter().zip(bounds.iter_mut()) {
+                        bounds[c] = chunk_bound(&col[lo..hi]);
+                    }
+                }
+            },
+            (),
+            |(), ()| (),
+        );
+        PointBatch::with_bounds(dim, num_points, cols, chunk_bounds)
+    }
+
+    /// Assembles a batch from its columns and their per-chunk bounds,
+    /// folding the per-column minima from the bounds.
+    fn with_bounds(
+        dim: usize,
+        num_points: usize,
+        cols: Vec<f64>,
+        chunk_bounds: Vec<(f64, f64, bool)>,
+    ) -> Self {
+        let n_chunks = num_points.div_ceil(CHUNK);
         // Comparison-select folds ignore NaN exactly like the previous
         // `f64::min` fold, so the lower-bound column skip is unchanged.
         let col_min = (0..dim)
@@ -177,6 +259,13 @@ impl PointBatch {
         &self.cols[k * self.num_points..(k + 1) * self.num_points]
     }
 
+    /// Point `p` gathered from the columns into a row-major [`Vector`] —
+    /// for point-at-a-time reference walks; the kernels read columns.
+    pub fn point(&self, p: usize) -> Vector {
+        assert!(p < self.num_points, "point {p} out of range");
+        Vector::new((0..self.dim).map(|k| self.column(k)[p]).collect())
+    }
+
     /// Writes `out[p] = Σ_k coeffs[k] · col_k[p]` for every point,
     /// accumulating columns in ascending `k` — the same per-point operand
     /// order as a scalar row-times-point dot product, so results are
@@ -224,6 +313,41 @@ impl PointBatch {
             }
         }
     }
+}
+
+#[cfg(test)]
+impl PointBatch {
+    /// Every stored bit: the columns, the per-chunk bounds and the
+    /// per-column minima.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn bits(&self) -> (Vec<u64>, Vec<(u64, u64, bool)>, Vec<u64>) {
+        (
+            self.cols.iter().map(|x| x.to_bits()).collect(),
+            self.chunk_bounds
+                .iter()
+                .map(|&(mn, mx, ok)| (mn.to_bits(), mx.to_bits(), ok))
+                .collect(),
+            self.col_min.iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+}
+
+/// `(min, max, nan_free)` of one chunk of a column: comparison-select
+/// folds, so the min and max are actual coordinates.
+fn chunk_bound(chunk: &[f64]) -> (f64, f64, bool) {
+    let mut mn = f64::INFINITY;
+    let mut mx = f64::NEG_INFINITY;
+    let mut nan_free = true;
+    for &x in chunk {
+        if x < mn {
+            mn = x;
+        }
+        if x > mx {
+            mx = x;
+        }
+        nan_free &= !x.is_nan();
+    }
+    (mn, mx, nan_free)
 }
 
 /// Batched feasibility counter over a [`PointBatch`]: scores all sample

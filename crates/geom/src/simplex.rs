@@ -120,20 +120,42 @@ impl SimplexSampler {
 
     /// Maps a unit-cube point (from a QMC sequence) into the simplex.
     pub fn map_cube_point(&self, u: &Vector) -> Vector {
-        let x = unit_cube_to_simplex(u);
-        Vector::new(
-            x.as_slice()
-                .iter()
-                .zip(&self.scale)
-                .map(|(xi, s)| xi * s)
-                .collect(),
-        )
+        let mut x = u.as_slice().to_vec();
+        self.map_in_place(&mut x);
+        Vector::new(x)
+    }
+
+    /// [`map_cube_point`](Self::map_cube_point) on a coordinate buffer,
+    /// overwritten with the simplex point; allocates nothing. The float
+    /// operations are [`unit_cube_to_simplex`]'s followed by the scale:
+    /// the coordinates sorted under `total_cmp` (an insertion sort, which
+    /// orders them exactly as the stable sort does, since `total_cmp`
+    /// ties only bit-identical values), each gap `u_(k) − u_(k−1)` from
+    /// `0.0`, then `gap · scale_k`.
+    pub(crate) fn map_in_place(&self, u: &mut [f64]) {
+        assert_eq!(u.len(), self.dim(), "cube point has wrong dimension");
+        for i in 1..u.len() {
+            let x = u[i];
+            let mut j = i;
+            while j > 0 && u[j - 1].total_cmp(&x).is_gt() {
+                u[j] = u[j - 1];
+                j -= 1;
+            }
+            u[j] = x;
+        }
+        let mut prev = 0.0;
+        for (x, s) in u.iter_mut().zip(&self.scale) {
+            let v = *x;
+            *x = (v - prev) * s;
+            prev = v;
+        }
     }
 
     /// Draws a pseudo-random point uniformly from the simplex.
     pub fn sample(&self, rng: &mut Rng) -> Vector {
-        let u = Vector::new((0..self.dim()).map(|_| rng.gen::<f64>()).collect());
-        self.map_cube_point(&u)
+        let mut u: Vec<f64> = (0..self.dim()).map(|_| rng.gen::<f64>()).collect();
+        self.map_in_place(&mut u);
+        Vector::new(u)
     }
 }
 

@@ -92,19 +92,26 @@ impl SobolSeq {
         self.dim
     }
 
-    /// Next point (Gray-code update: flip the direction of the lowest
-    /// zero bit of the running index).
-    pub fn next_point(&mut self) -> Vector {
+    /// Writes the next point into `out` (one slot per dimension),
+    /// allocating nothing (Gray-code update: flip the direction of the
+    /// lowest zero bit of the running index).
+    pub(crate) fn next_into(&mut self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim, "point buffer has wrong length");
         // Skip the origin: advance before emitting.
         let c = self.index.trailing_ones() as usize; // lowest zero bit of index
         self.index += 1;
         let scale = 1.0 / (1u64 << BITS) as f64;
-        let mut out = Vec::with_capacity(self.dim);
-        for k in 0..self.dim {
+        for (k, slot) in out.iter_mut().enumerate() {
             self.state[k] ^= self.directions[k][c.min(BITS as usize - 1)];
             let v = self.state[k] as f64 * scale + self.shift[k];
-            out.push(v - v.floor());
+            *slot = v - v.floor();
         }
+    }
+
+    /// Next point of the sequence.
+    pub fn next_point(&mut self) -> Vector {
+        let mut out = vec![0.0; self.dim];
+        self.next_into(&mut out);
         Vector::new(out)
     }
 

@@ -212,12 +212,18 @@ fn projected_ideal_volume(total_coeffs: &[f64], total_cap: f64) -> f64 {
 /// for the same query graph share the same ideal simplex, so they are
 /// scored against the *same* point set, making plan-to-plan comparisons
 /// noise-free.
+///
+/// The points live only in the kernel's column-major [`PointBatch`]; they
+/// are generated straight into its columns (see [`VolumeEstimator::new`]).
 #[derive(Clone, Debug)]
 pub struct VolumeEstimator {
-    points: Vec<Vector>,
     kernel: FeasibilityKernel,
     ideal_volume: f64,
 }
+
+/// Fewest points a generation range is dealt to a pool task — below it
+/// the dispatch costs more than generating the points.
+const MIN_POINTS_PER_RANGE: usize = 4_096;
 
 impl VolumeEstimator {
     /// Builds an estimator with `samples` scrambled-Halton points uniform
@@ -228,38 +234,76 @@ impl VolumeEstimator {
     /// them to rate 0 and `ideal_volume` is measured on the subspace of
     /// load-carrying inputs (0 when there are none). Plan-to-plan ratio
     /// comparisons stay valid — every plan is scored on the same points.
+    ///
+    /// Point `p` is the Halton point of index `p + 1` mapped into the
+    /// simplex, with the float operations of
+    /// [`SimplexSampler::map_cube_point`] over [`HaltonSeq::next_point`],
+    /// written straight into the columns without either allocation. Generation is dealt to the persistent
+    /// [`rod_pool::global`] pool by contiguous index ranges of whole
+    /// 2,048-point chunks, one range per worker at most and at least two
+    /// chunks (4,096 points, the last chunk possibly partial) each. Every
+    /// range seeks its own odometer to its first index, so the columns
+    /// are bit-identical at every pool size.
     pub fn new(total_coeffs: &[f64], total_cap: f64, samples: usize, seed: u64) -> Self {
+        let ranges = rod_pool::global()
+            .size()
+            .min(samples / MIN_POINTS_PER_RANGE)
+            .max(1);
+        VolumeEstimator::halton_in_ranges(total_coeffs, total_cap, samples, seed, ranges)
+    }
+
+    /// [`VolumeEstimator::new`] dealt in `ranges` generation ranges
+    /// (clamped to the number of point chunks) — the same columns for
+    /// every `ranges`.
+    pub(crate) fn halton_in_ranges(
+        total_coeffs: &[f64],
+        total_cap: f64,
+        samples: usize,
+        seed: u64,
+        ranges: usize,
+    ) -> Self {
         let sampler = SimplexSampler::new(total_coeffs, total_cap);
-        let mut seq = HaltonSeq::shifted(total_coeffs.len(), seed);
-        let points: Vec<Vector> = (0..samples)
-            .map(|_| sampler.map_cube_point(&seq.next_point()))
-            .collect();
-        VolumeEstimator {
-            kernel: FeasibilityKernel::new(&points),
-            points,
-            ideal_volume: projected_ideal_volume(total_coeffs, total_cap),
-        }
+        let seq = HaltonSeq::shifted(total_coeffs.len(), seed);
+        let batch = PointBatch::generate(total_coeffs.len(), samples, ranges, |first| {
+            let mut seq = seq.clone();
+            seq.seek(first as u64 + 1);
+            let sampler = &sampler;
+            move |x: &mut [f64]| {
+                seq.next_into(x);
+                sampler.map_in_place(x);
+            }
+        });
+        VolumeEstimator::from_batch(batch, total_coeffs, total_cap)
     }
 
     /// Like [`VolumeEstimator::new`] but with a shifted Sobol' point set
     /// — preferable at the higher dimensions (d ≥ ~6) where Halton's
-    /// correlation artefacts start to show.
+    /// correlation artefacts start to show. The Gray-code sequence runs
+    /// serially, as one range.
     pub fn with_sobol(total_coeffs: &[f64], total_cap: f64, samples: usize, seed: u64) -> Self {
         let sampler = SimplexSampler::new(total_coeffs, total_cap);
-        let mut seq = crate::sobol::SobolSeq::shifted(total_coeffs.len(), seed);
-        let points: Vec<Vector> = (0..samples)
-            .map(|_| sampler.map_cube_point(&seq.next_point()))
-            .collect();
+        let batch = PointBatch::generate(total_coeffs.len(), samples, 1, |first| {
+            debug_assert_eq!(first, 0, "one range starts at point 0");
+            let mut seq = crate::sobol::SobolSeq::shifted(total_coeffs.len(), seed);
+            let sampler = &sampler;
+            move |x: &mut [f64]| {
+                seq.next_into(x);
+                sampler.map_in_place(x);
+            }
+        });
+        VolumeEstimator::from_batch(batch, total_coeffs, total_cap)
+    }
+
+    fn from_batch(batch: PointBatch, total_coeffs: &[f64], total_cap: f64) -> Self {
         VolumeEstimator {
-            kernel: FeasibilityKernel::new(&points),
-            points,
+            kernel: FeasibilityKernel::from_batch(batch),
             ideal_volume: projected_ideal_volume(total_coeffs, total_cap),
         }
     }
 
     /// Number of sample points held.
     pub fn samples(&self) -> usize {
-        self.points.len()
+        self.batch().num_points()
     }
 
     /// Exact ideal-simplex volume.
@@ -267,14 +311,9 @@ impl VolumeEstimator {
         self.ideal_volume
     }
 
-    /// The shared sample points (for callers that need to score many plans
-    /// in a custom loop).
-    pub fn points(&self) -> &[Vector] {
-        &self.points
-    }
-
-    /// The same points as a column-major [`PointBatch`] — the layout the
-    /// batched scoring paths (e.g. `SampledFeasibility` precomputes) want.
+    /// The shared sample points, column-major — the layout the batched
+    /// scoring paths (e.g. `SampledFeasibility` precomputes) want, and
+    /// the only copy the estimator holds.
     pub fn batch(&self) -> &PointBatch {
         self.kernel.batch()
     }
@@ -300,17 +339,18 @@ impl VolumeEstimator {
     /// counting). Chunks run on the persistent [`rod_pool::global`]
     /// pool — no per-call thread spawn.
     pub fn estimate_with_threads(&self, region: &FeasibleRegion, threads: usize) -> VolumeEstimate {
-        assert_eq!(region.dim(), self.points.first().map_or(0, Vector::dim));
+        assert_eq!(region.dim(), self.batch().dim());
         // Below ~4k points per chunk, dispatch outweighs the counting
         // work (clamps oversized thread requests on tiny point sets).
         const MIN_POINTS_PER_THREAD: usize = 4_096;
+        let samples = self.samples();
         let threads = threads
             .max(1)
-            .min(self.points.len().div_ceil(MIN_POINTS_PER_THREAD).max(1));
+            .min(samples.div_ceil(MIN_POINTS_PER_THREAD).max(1));
         let hits = if threads == 1 {
             self.kernel.count_feasible(region)
         } else {
-            let ranges = rod_pool::chunks(self.points.len(), threads);
+            let ranges = rod_pool::chunks(samples, threads);
             // Ordered reduction: range counts are summed in range order.
             // Integer addition is associative, so the total equals the
             // serial count exactly, whatever the pool's worker count.
@@ -341,30 +381,20 @@ impl VolumeEstimator {
     /// Bit-identical to [`estimate`](Self::estimate) by the kernel's
     /// path contract.
     pub fn estimate_kernel_scalar(&self, region: &FeasibleRegion) -> VolumeEstimate {
-        assert_eq!(region.dim(), self.points.first().map_or(0, Vector::dim));
+        assert_eq!(region.dim(), self.batch().dim());
         let hits = self
             .kernel
-            .count_feasible_range_scalar(region, 0, self.points.len());
-        self.estimate_from_hits(hits)
-    }
-
-    /// The retired point-at-a-time scan, kept as the reference
-    /// implementation: the batched kernel must agree with it bit for bit
-    /// (asserted by the equivalence tests here and the golden suite in
-    /// `rod-bench`), and `perf_planner` times both to track the speedup.
-    pub fn estimate_scalar(&self, region: &FeasibleRegion) -> VolumeEstimate {
-        assert_eq!(region.dim(), self.points.first().map_or(0, Vector::dim));
-        let hits = self.points.iter().filter(|p| region.contains(p)).count();
+            .count_feasible_range_scalar(region, 0, self.samples());
         self.estimate_from_hits(hits)
     }
 
     fn estimate_from_hits(&self, hits: usize) -> VolumeEstimate {
-        let ratio = hits as f64 / self.points.len() as f64;
+        let ratio = hits as f64 / self.samples() as f64;
         VolumeEstimate {
             ratio_to_ideal: ratio,
             absolute: ratio * self.ideal_volume,
             ideal_volume: self.ideal_volume,
-            samples: self.points.len(),
+            samples: self.samples(),
         }
     }
 }
@@ -566,11 +596,21 @@ mod tests {
         );
     }
 
+    /// The point-at-a-time reference walk: `FeasibleRegion::contains`
+    /// over every point gathered from the columns, as a ratio.
+    fn walked_ratio(est: &VolumeEstimator, reg: &FeasibleRegion) -> f64 {
+        let batch = est.batch();
+        let hits = (0..batch.num_points())
+            .filter(|&p| reg.contains(&batch.point(p)))
+            .count();
+        hits as f64 / batch.num_points() as f64
+    }
+
     #[test]
     fn batched_kernel_estimate_is_bit_identical_to_scalar() {
         // A spread of region shapes: loose, tight, lower-bounded, and
-        // higher-dimensional — the kernel must agree with the retired
-        // per-point walk bit for bit on every one.
+        // higher-dimensional — the kernel must agree with the per-point
+        // walk bit for bit on every one.
         let est2 = VolumeEstimator::new(&[10.0, 11.0], 2.0, 30_000, 7);
         let est5 = VolumeEstimator::with_sobol(&[1.0; 5], 1.0, 30_000, 13);
         let regions2 = [
@@ -584,13 +624,16 @@ mod tests {
         ];
         for (i, reg) in regions2.iter().enumerate() {
             let batched = est2.estimate(reg);
-            let scalar = est2.estimate_scalar(reg);
+            let walked = walked_ratio(&est2, reg);
             assert_eq!(
                 batched.ratio_to_ideal.to_bits(),
-                scalar.ratio_to_ideal.to_bits(),
+                walked.to_bits(),
                 "2-d region {i}"
             );
-            assert_eq!(batched.absolute.to_bits(), scalar.absolute.to_bits());
+            assert_eq!(
+                batched.absolute.to_bits(),
+                (walked * est2.ideal_volume()).to_bits()
+            );
         }
         let reg5 = region(
             &[
@@ -602,8 +645,165 @@ mod tests {
         );
         assert_eq!(
             est5.estimate(&reg5).ratio_to_ideal.to_bits(),
-            est5.estimate_scalar(&reg5).ratio_to_ideal.to_bits()
+            walked_ratio(&est5, &reg5).to_bits()
         );
+    }
+
+    /// The per-point oracle of the generated columns: each coordinate
+    /// from `radical_inverse` of the point's index in the k-th prime
+    /// base, the Cranley–Patterson shift and wrap, `unit_cube_to_simplex`
+    /// and the scale, transposed by `PointBatch::from_points`.
+    fn oracle_batch(coeffs: &[f64], cap: f64, samples: usize, seed: u64) -> PointBatch {
+        use crate::qmc::{first_primes, radical_inverse};
+        use crate::simplex::unit_cube_to_simplex;
+        use rand::Rng as _;
+        let bases = first_primes(coeffs.len());
+        let mut rng = crate::rng::seeded_rng(seed);
+        let shift: Vec<f64> = coeffs.iter().map(|_| rng.gen::<f64>()).collect();
+        let scale: Vec<f64> = coeffs
+            .iter()
+            .map(|&a| if a > 0.0 { cap / a } else { 0.0 })
+            .collect();
+        let points: Vec<Vector> = (1..=samples as u64)
+            .map(|index| {
+                let u = Vector::new(
+                    bases
+                        .iter()
+                        .zip(&shift)
+                        .map(|(&b, s)| {
+                            let v = radical_inverse(index, b) + s;
+                            v - v.floor()
+                        })
+                        .collect(),
+                );
+                let x = unit_cube_to_simplex(&u);
+                Vector::new(
+                    x.as_slice()
+                        .iter()
+                        .zip(&scale)
+                        .map(|(xi, s)| xi * s)
+                        .collect(),
+                )
+            })
+            .collect();
+        PointBatch::from_points(&points)
+    }
+
+    /// Columns, chunk bounds and column minima of `got`, bit for bit
+    /// against `want` (the oracle, whose dimension an empty point set
+    /// cannot carry: an empty batch has `dim` column minima at `+inf`).
+    fn same_batch(got: &PointBatch, want: &PointBatch, dim: usize) -> Result<(), String> {
+        if got.dim() != dim || got.num_points() != want.num_points() {
+            return Err(format!(
+                "shape {}×{}, want {dim}×{}",
+                got.dim(),
+                got.num_points(),
+                want.num_points()
+            ));
+        }
+        let want = match want.num_points() {
+            0 => (vec![], vec![], vec![f64::INFINITY.to_bits(); dim]),
+            _ => want.bits(),
+        };
+        let got = got.bits();
+        for (part, same) in [
+            ("columns", got.0 == want.0),
+            ("chunk bounds", got.1 == want.1),
+            ("column minima", got.2 == want.2),
+        ] {
+            if !same {
+                return Err(format!("{part} differ"));
+            }
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The estimator's generated columns are the per-point oracle's,
+        /// for every range count, across CHUNK and word edges, past 16
+        /// dimensions and with zero coefficients (pinned to rate 0).
+        #[test]
+        fn generated_columns_match_the_per_point_oracle(
+            dim in (0usize..18).prop_map(|i| if i == 17 { 64 } else { i + 1 }),
+            samples in (0usize..9)
+                .prop_map(|i| [0, 1, 63, 64, 65, 2_047, 2_048, 2_049, 8_193][i]),
+            draws in prop::collection::vec((0u32..4, 0.1f64..10.0), 64),
+            cap in 0.5f64..20.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let coeffs: Vec<f64> = draws[..dim]
+                .iter()
+                .map(|&(pick, a)| if pick == 0 { 0.0 } else { a })
+                .collect();
+            let want = oracle_batch(&coeffs, cap, samples, seed);
+            for ranges in 1..=5 {
+                let est = VolumeEstimator::halton_in_ranges(&coeffs, cap, samples, seed, ranges);
+                let verdict = same_batch(est.batch(), &want, dim);
+                prop_assert!(verdict.is_ok(), "{ranges} ranges: {:?}", verdict);
+            }
+        }
+    }
+
+    /// Every range count and the pool-sized default agree at a size the
+    /// pool really splits, and Sobol' points go through the same simplex
+    /// map as the per-point path.
+    #[test]
+    fn columns_are_the_same_at_every_range_count() {
+        let coeffs = [4.0, 0.0, 2.5, 9.0, 1.0];
+        let want = oracle_batch(&coeffs, 12.0, 20_000, 2006);
+        for ranges in [1, 2, 3, 4, 7, 64] {
+            let est = VolumeEstimator::halton_in_ranges(&coeffs, 12.0, 20_000, 2006, ranges);
+            assert_eq!(same_batch(est.batch(), &want, 5), Ok(()), "{ranges} ranges");
+        }
+        let est = VolumeEstimator::new(&coeffs, 12.0, 20_000, 2006);
+        assert_eq!(same_batch(est.batch(), &want, 5), Ok(()));
+
+        let sampler = SimplexSampler::new(&coeffs, 12.0);
+        let mut seq = crate::sobol::SobolSeq::shifted(5, 3);
+        let sobol: Vec<Vector> = (0..3_000)
+            .map(|_| sampler.map_cube_point(&seq.next_point()))
+            .collect();
+        let est = VolumeEstimator::with_sobol(&coeffs, 12.0, 3_000, 3);
+        assert_eq!(
+            same_batch(est.batch(), &PointBatch::from_points(&sobol), 5),
+            Ok(())
+        );
+    }
+
+    /// The first k points of a larger set are the k-point set: columns
+    /// for k points equal the first k entries of those for P > k, so a
+    /// test wanting a prefix builds the smaller estimator.
+    #[test]
+    fn smaller_point_sets_are_prefixes_of_larger_ones() {
+        let coeffs = [3.0, 1.5, 0.0, 2.0];
+        let big = VolumeEstimator::new(&coeffs, 4.0, 9_000, 17);
+        for k in [0usize, 1, 63, 64, 65, 2_048, 2_049, 8_999] {
+            let small = VolumeEstimator::new(&coeffs, 4.0, k, 17);
+            for d in 0..coeffs.len() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(small.batch().column(d)),
+                    bits(&big.batch().column(d)[..k]),
+                    "k = {k}, column {d}"
+                );
+            }
+        }
+    }
+
+    /// An estimator over no points still has the ideal simplex's
+    /// dimension, so it scores a region of that dimension (as NaN, 0/0)
+    /// instead of panicking.
+    #[test]
+    fn an_empty_point_set_keeps_its_dimension() {
+        let est = VolumeEstimator::new(&[10.0, 11.0], 2.0, 0, 7);
+        assert_eq!((est.samples(), est.batch().dim()), (0, 2));
+        let reg = region(&[&[4.0, 2.0], &[6.0, 9.0]], &[1.0, 1.0]);
+        let e = est.estimate(&reg);
+        assert_eq!(e.samples, 0);
+        assert!(e.ratio_to_ideal.is_nan());
+        assert!(est.estimate_kernel_scalar(&reg).ratio_to_ideal.is_nan());
     }
 
     #[test]

@@ -274,6 +274,17 @@ fn parse_threads(flags: &Flags) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Parses `--samples`: how many QMC points a feasible-set ratio is
+/// estimated from (default 20,000). A ratio over zero points is 0/0, so
+/// zero gets a specific error.
+fn parse_samples(flags: &Flags) -> Result<usize, String> {
+    let n: usize = flags.parse_num("samples", 20_000)?;
+    if n == 0 {
+        return Err("--samples: must be at least 1 (a ratio over zero points is undefined)".into());
+    }
+    Ok(n)
+}
+
 /// Parses `--racks "0,1;2,3"` into rack member lists for the
 /// hierarchical planner. Each `;`-separated group is one rack's
 /// comma-separated node indices.
@@ -316,7 +327,7 @@ fn cmd_plan(flags: &Flags) -> Result<String, String> {
         Some(spec) => parse_rates(spec, graph.num_inputs())?,
         None => vec![1.0; graph.num_inputs()],
     };
-    let samples: usize = flags.parse_num("samples", 20_000)?;
+    let samples = parse_samples(flags)?;
     let max_plans: u64 = flags.parse_num("max-plans", 5_000_000)?;
     let threads = parse_threads(flags)?;
     if threads > 0 {
@@ -361,11 +372,11 @@ fn cmd_plan(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
+    let samples = parse_samples(flags)?;
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
     let plan = load_plan_to_evaluate(flags, &graph, &cluster)?;
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
-    let samples: usize = flags.parse_num("samples", 20_000)?;
     let ev = PlanEvaluator::new(&model, &cluster);
     let estimator = make_estimator(&model, &cluster, samples, 1);
     let rep = report("plan", &ev, &estimator, &plan);
@@ -439,10 +450,10 @@ fn cmd_trace(flags: &Flags) -> Result<String, String> {
 
 fn cmd_compare(flags: &Flags) -> Result<String, String> {
     use rod::core::metrics::feasible_ratio;
+    let samples = parse_samples(flags)?;
     let graph = load_graph(flags)?;
     let cluster = load_cluster(flags)?;
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
-    let samples: usize = flags.parse_num("samples", 20_000)?;
     let seed: u64 = flags.parse_num("seed", 0)?;
     let ev = PlanEvaluator::new(&model, &cluster);
     let estimator = make_estimator(&model, &cluster, samples, seed);
@@ -1977,6 +1988,32 @@ mod tests {
             assert!(err.contains("bad value"), "'{bad}': {err}");
             assert!(err.contains(bad), "'{bad}': {err}");
         }
+    }
+
+    #[test]
+    fn samples_flag_rejects_zero_with_a_specific_error() {
+        let f = Flags::parse(&strings(&[])).unwrap();
+        assert_eq!(parse_samples(&f).unwrap(), 20_000);
+        let f = Flags::parse(&strings(&["--samples", "0"])).unwrap();
+        let err = parse_samples(&f).unwrap_err();
+        assert!(err.contains("--samples: must be at least 1"), "{err}");
+        let f = Flags::parse(&strings(&["--samples", "-3"])).unwrap();
+        assert!(parse_samples(&f).unwrap_err().contains("bad value '-3'"));
+        // plan reads --samples for its QMC-scored planners too.
+        let (dir, graph_path, _) = graph_and_plan("samples0");
+        let f = Flags::parse(&strings(&[
+            "--graph",
+            graph_path.as_str(),
+            "--nodes",
+            "2",
+            "--algorithm",
+            "resilient",
+            "--samples",
+            "0",
+        ]))
+        .unwrap();
+        assert!(cmd_plan(&f).unwrap_err().contains("at least 1"));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -87,7 +87,11 @@ fn lower_bound_plans_win_on_truncated_sets() {
 
         let truncated_ratio = |alloc: &Allocation| {
             let region = ev.feasible_region(alloc);
-            let above: Vec<_> = estimator.points().iter().filter(|p| b_var.le(p)).collect();
+            let batch = estimator.batch();
+            let above: Vec<_> = (0..batch.num_points())
+                .map(|p| batch.point(p))
+                .filter(|p| b_var.le(p))
+                .collect();
             above.iter().filter(|p| region.contains(p)).count() as f64 / above.len().max(1) as f64
         };
         gain_sum += truncated_ratio(&lb) - truncated_ratio(&plain);
