@@ -18,24 +18,19 @@ use crate::allocation::Allocation;
 use crate::baselines::{check_inputs, Planner};
 use crate::cluster::Cluster;
 use crate::error::PlacementError;
-use crate::eval::SampledFeasibility;
+use crate::eval::SampledLoads;
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 
 /// Exhaustive-search planner maximising estimated feasible-set volume.
 #[derive(Clone, Debug)]
 pub struct OptimalPlanner {
-    /// QMC sample points used to score each candidate plan.
+    /// QMC sample points used to score each candidate plan (at least 1).
     pub samples: usize,
     /// Seed for the scrambled point set.
     pub seed: u64,
     /// Refuse instances whose plan count exceeds this bound.
     pub max_plans: u64,
-    /// Worker chunks for the parallel branch-and-bound frontier; `0`
-    /// means the [`rod_pool::global`] pool size. The winner is
-    /// bit-identical for every value (deterministic incumbent update;
-    /// see [`Self::search`]).
-    pub threads: usize,
 }
 
 impl Default for OptimalPlanner {
@@ -44,7 +39,6 @@ impl Default for OptimalPlanner {
             samples: 20_000,
             seed: 1,
             max_plans: 5_000_000,
-            threads: 0,
         }
     }
 }
@@ -73,45 +67,17 @@ impl OptimalPlanner {
         }
     }
 
-    /// Enumerates all placements, invoking `visit` on each complete
-    /// assignment (`assignment[j]` = node of operator `j`). The search
-    /// itself uses the pruned recursion in [`Self::search`]; this
-    /// unpruned walk exists to test the symmetry-breaking counts.
-    #[cfg(test)]
-    fn enumerate(m: usize, n: usize, homogeneous: bool, visit: &mut impl FnMut(&[usize])) {
-        let mut assignment = vec![0usize; m];
-        fn recurse(
-            assignment: &mut [usize],
-            j: usize,
-            used: usize,
-            n: usize,
-            homogeneous: bool,
-            visit: &mut impl FnMut(&[usize]),
-        ) {
-            let m = assignment.len();
-            if j == m {
-                visit(assignment);
-                return;
-            }
-            // Symmetry breaking: on homogeneous clusters operator j may
-            // open at most one new node (the lowest unused index).
-            let limit = if homogeneous { (used + 1).min(n) } else { n };
-            for node in 0..limit {
-                assignment[j] = node;
-                let new_used = used.max(node + 1);
-                recurse(assignment, j + 1, new_used, n, homogeneous, visit);
-            }
-        }
-        recurse(&mut assignment, 0, 0, n, homogeneous, visit);
-    }
-
     /// Runs the search, returning the best allocation and its estimated
-    /// ratio to the ideal feasible set.
+    /// ratio to the ideal feasible set. Zero `samples` is an error: no
+    /// plan can be scored on an empty point set.
     pub fn search(
         &self,
         model: &LoadModel,
         cluster: &Cluster,
     ) -> Result<(Allocation, f64), PlacementError> {
+        if self.samples == 0 {
+            return Err(PlacementError::NoSamplePoints { planner: "Optimal" });
+        }
         check_inputs(model, cluster)?;
         let m = model.num_operators();
         let n = cluster.num_nodes();
@@ -130,143 +96,97 @@ impl OptimalPlanner {
             self.samples,
             self.seed,
         );
-
-        // Branch-and-bound over the incremental evaluation state:
-        // assigning more operators only adds load, so the count of QMC
-        // points still feasible under a partial plan — maintained
-        // incrementally by `SampledFeasibility` and read in O(1) — is an
-        // upper bound on every completion. Prune whole subtrees once it
-        // drops to (or below) the incumbent. Children are visited in
-        // natural node order and the incumbent is replaced only on a
-        // strict improvement, so ties resolve exactly as the
-        // enumerate-then-rescore search did.
-        struct Search {
-            feas: SampledFeasibility,
-            n: usize,
-            homogeneous: bool,
-            best: Option<(Vec<usize>, usize)>,
-            assignment: Vec<usize>,
-        }
-        impl Search {
-            fn recurse(&mut self, j: usize, used: usize) {
-                let m = self.assignment.len();
-                // Bound: the partial plan already excludes everything a
-                // completion could add back.
-                let upper = self.feas.alive_count();
-                if let Some((_, best_hits)) = &self.best {
-                    if upper <= *best_hits {
-                        return;
-                    }
-                }
-                if j == m {
-                    // `upper` is the exact count of the complete plan.
-                    self.best = Some((self.assignment.clone(), upper));
-                    return;
-                }
-                let limit = if self.homogeneous {
-                    (used + 1).min(self.n)
-                } else {
-                    self.n
-                };
-                for node in 0..limit {
-                    self.assignment[j] = node;
-                    self.feas.push_assign(j, node);
-                    self.recurse(j + 1, used.max(node + 1));
-                    self.feas.pop_assign(j, node);
-                }
-            }
-        }
-        let base_feas =
-            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
-        let threads = match self.threads {
-            0 => rod_pool::global().size(),
-            t => t,
+        let loads = SampledLoads::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
+        let (p, words) = (loads.num_points(), loads.mask_words());
+        let mut search = Search {
+            loads: &loads,
+            n,
+            homogeneous,
+            rows: vec![0.0; (m + 1) * p],
+            alive: vec![0; (m + 1) * words],
+            assignment: vec![0; m],
+            best: None,
         };
-
-        // Parallel plan: expand the DFS prefix frontier (lexicographic =
-        // DFS visit order) until there are enough independent subtrees
-        // to deal out, then give each worker chunk its own tracker clone
-        // and a chunk-local incumbent. A local incumbent can only prune
-        // subtrees whose bound says "no leaf here strictly beats an
-        // *earlier* leaf" — exactly the serial rule — so each chunk
-        // reports the first strict maximum of its range, and the ordered
-        // strict-`>` merge below reproduces the serial winner (first
-        // strict maximum in full DFS order) for every chunk count.
-        let frontier: Vec<(Vec<usize>, usize)> = if threads > 1 && m > 1 {
-            let target = threads.saturating_mul(3);
-            let mut frontier = vec![(Vec::new(), 0usize)];
-            let mut depth = 0;
-            while depth < m - 1 && frontier.len() < target {
-                let mut next = Vec::with_capacity(frontier.len() * n);
-                for (prefix, used) in &frontier {
-                    let limit = if homogeneous { (used + 1).min(n) } else { n };
-                    for node in 0..limit {
-                        let mut longer = prefix.clone();
-                        longer.push(node);
-                        next.push((longer, (*used).max(node + 1)));
-                    }
-                }
-                frontier = next;
-                depth += 1;
-            }
-            frontier
-        } else {
-            Vec::new()
-        };
-
-        let best = if frontier.len() > 1 {
-            // More chunks than subtrees would idle (`chunks` clamps).
-            let ranges = rod_pool::chunks(frontier.len(), threads);
-            rod_pool::global().map_reduce(
-                ranges.len(),
-                |c| {
-                    let mut search = Search {
-                        feas: base_feas.clone(),
-                        n,
-                        homogeneous,
-                        best: None,
-                        assignment: vec![0; m],
-                    };
-                    for idx in ranges[c].clone() {
-                        let (prefix, used) = &frontier[idx];
-                        for (j, &node) in prefix.iter().enumerate() {
-                            search.assignment[j] = node;
-                            search.feas.push_assign(j, node);
-                        }
-                        search.recurse(prefix.len(), *used);
-                        for (j, &node) in prefix.iter().enumerate().rev() {
-                            search.feas.pop_assign(j, node);
-                        }
-                    }
-                    search.best
-                },
-                None::<(Vec<usize>, usize)>,
-                // Ordered reduction: chunk winners arrive in range order;
-                // strict `>` keeps the earliest on ties.
-                |best, chunk_best| match (best, chunk_best) {
-                    (best, None) => best,
-                    (None, chunk_best) => chunk_best,
-                    (Some(b), Some(c)) => Some(if c.1 > b.1 { c } else { b }),
-                },
-            )
-        } else {
-            let mut search = Search {
-                feas: base_feas,
-                n,
-                homogeneous,
-                best: None,
-                assignment: vec![0; m],
-            };
-            search.recurse(0, 0);
-            search.best
-        };
-        let (assignment, hits) = best.expect("at least one plan enumerated");
+        loads.fill_alive(&mut search.alive[..words]);
+        search.recurse(0, 0);
+        let (assignment, hits) = search.best.expect("at least one plan enumerated");
         let ratio = hits as f64 / estimator.samples() as f64;
         let mut alloc = Allocation::new(m, n);
         for (j, node) in assignment.into_iter().enumerate() {
             alloc.assign(OperatorId(j), NodeId(node));
         }
         Ok((alloc, ratio))
+    }
+}
+
+/// Depth-first branch-and-bound over one [`SampledLoads`] table. Depth
+/// `j` has placed operators `0..j` and owns two slots: the P-float load
+/// row of the node operator `j − 1` went to (depth 0's is all `+0.0`)
+/// and the P-bit mask of the points every node keeps. A child copies
+/// the row of the depth that last loaded its node and its parent's
+/// mask, then adds one operator through [`SampledLoads::add_and_clear`]:
+/// the recursion is the undo stack, and nothing is ever subtracted back
+/// out, so every row holds the same sums a fresh node mask would.
+///
+/// Adding operators only kills points, so the popcount of a depth's
+/// mask bounds the count of every completion below it; a subtree is
+/// pruned once that bound is no better than the incumbent. Children are
+/// visited in node order and only a strict improvement replaces the
+/// incumbent, so the winner is the first strict maximum in enumeration
+/// order, ties included.
+struct Search<'a> {
+    loads: &'a SampledLoads,
+    n: usize,
+    homogeneous: bool,
+    /// Load rows of depths `0..=m`, P floats each.
+    rows: Vec<f64>,
+    /// Alive masks of depths `0..=m`, `mask_words` words each.
+    alive: Vec<u64>,
+    assignment: Vec<usize>,
+    best: Option<(Vec<usize>, usize)>,
+}
+
+impl Search<'_> {
+    fn recurse(&mut self, j: usize, used: usize) {
+        let (p, words) = (self.loads.num_points(), self.loads.mask_words());
+        let upper: usize = self.alive[j * words..(j + 1) * words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        if let Some((_, best_hits)) = &self.best {
+            if upper <= *best_hits {
+                return;
+            }
+        }
+        if j == self.assignment.len() {
+            // `upper` is the exact count of the complete plan.
+            self.best = Some((self.assignment.clone(), upper));
+            return;
+        }
+        // Symmetry breaking: on homogeneous clusters operator j may open
+        // at most one new node (the lowest unused index).
+        let limit = if self.homogeneous {
+            (used + 1).min(self.n)
+        } else {
+            self.n
+        };
+        for node in 0..limit {
+            // The depth whose row holds this node's loads: one past the
+            // last operator placed on it, or 0 for an empty node.
+            let from = (0..j)
+                .rev()
+                .find(|&d| self.assignment[d] == node)
+                .map_or(0, |d| d + 1);
+            let (done, next) = self.rows.split_at_mut((j + 1) * p);
+            let row = &mut next[..p];
+            row.copy_from_slice(&done[from * p..(from + 1) * p]);
+            let (done, next) = self.alive.split_at_mut((j + 1) * words);
+            let alive = &mut next[..words];
+            alive.copy_from_slice(&done[j * words..]);
+            self.loads.add_and_clear(node, j, row, alive);
+            self.assignment[j] = node;
+            self.recurse(j + 1, used.max(node + 1));
+        }
     }
 }
 
@@ -289,18 +209,9 @@ impl Planner for OptimalPlanner {
         let kernel_before = rod_geom::simd::path_counts();
         let start = std::time::Instant::now();
         let result = self.plan(model, cluster);
-        let wall = start.elapsed().as_secs_f64();
-        metrics.observe("Optimal.plan_seconds", wall);
-        let pool_after = rod_pool::global().stats();
-        crate::obs::record_pool_delta(metrics, &pool_before, &pool_after);
+        metrics.observe("Optimal.plan_seconds", start.elapsed().as_secs_f64());
+        crate::obs::record_pool_delta(metrics, &pool_before, &rod_pool::global().stats());
         crate::obs::record_kernel_path(metrics, &kernel_before, &rod_geom::simd::path_counts());
-        let busy_delta = pool_after.busy_seconds - pool_before.busy_seconds;
-        let speedup = if wall > 0.0 && busy_delta > 0.0 {
-            busy_delta / wall
-        } else {
-            1.0
-        };
-        metrics.set_gauge("Optimal.parallel_speedup_estimate", speedup);
         result
     }
 }
@@ -311,6 +222,33 @@ mod tests {
     use crate::allocation::PlanEvaluator;
     use crate::examples_paper::figure4_graph;
     use crate::rod::RodPlanner;
+
+    /// Enumerates all placements in the search's visit order, invoking
+    /// `visit` on each complete assignment (`assignment[j]` = node of
+    /// operator `j`): the unpruned walk the branch-and-bound prunes.
+    fn enumerate(m: usize, n: usize, homogeneous: bool, visit: &mut impl FnMut(&[usize])) {
+        fn recurse(
+            assignment: &mut [usize],
+            j: usize,
+            used: usize,
+            n: usize,
+            homogeneous: bool,
+            visit: &mut impl FnMut(&[usize]),
+        ) {
+            if j == assignment.len() {
+                visit(assignment);
+                return;
+            }
+            // Symmetry breaking: on homogeneous clusters operator j may
+            // open at most one new node (the lowest unused index).
+            let limit = if homogeneous { (used + 1).min(n) } else { n };
+            for node in 0..limit {
+                assignment[j] = node;
+                recurse(assignment, j + 1, used.max(node + 1), n, homogeneous, visit);
+            }
+        }
+        recurse(&mut vec![0; m], 0, 0, n, homogeneous, visit);
+    }
 
     #[test]
     fn finds_a_plan_at_least_as_good_as_rod() {
@@ -343,48 +281,29 @@ mod tests {
         );
     }
 
-    /// The parallel frontier search must return the serial winner bit
-    /// for bit — same assignment, same hit count — at every chunk
-    /// count, and that count must be the one a survivor scorer over the
-    /// same point set reads for the winner.
+    /// Zero QMC points is an error, directly and through the registry,
+    /// not a plan with a NaN ratio.
     #[test]
-    fn incumbents_are_bit_identical_across_thread_counts() {
-        use crate::resilience::ScenarioScorer;
+    fn zero_samples_is_an_error() {
+        use crate::baselines::{build_planner, PlannerSpec};
 
         let model = LoadModel::derive(&figure4_graph()).unwrap();
-        for cluster in [
-            Cluster::homogeneous(3, 1.0),
-            Cluster::heterogeneous(vec![1.5, 0.5]),
-        ] {
-            let serial = OptimalPlanner {
-                samples: 4_000,
-                seed: 9,
-                threads: 1,
-                ..OptimalPlanner::new()
-            };
-            let (base_alloc, base_ratio) = serial.search(&model, &cluster).unwrap();
-            let estimator = VolumeEstimator::new(
-                model.total_coeffs().as_slice(),
-                cluster.total_capacity(),
-                serial.samples,
-                serial.seed,
-            );
-            let mut scorer = ScenarioScorer::from_batch(&model, &cluster, estimator.batch());
-            let healthy = scorer.healthy_alive(&base_alloc);
-            assert_eq!(healthy as f64 / serial.samples as f64, base_ratio);
-            for threads in [2usize, 4, 7] {
-                let planner = OptimalPlanner {
-                    threads,
-                    ..serial.clone()
-                };
-                let (alloc, ratio) = planner.search(&model, &cluster).unwrap();
-                assert_eq!(
-                    alloc, base_alloc,
-                    "threads={threads}: winner diverged from serial"
-                );
-                assert_eq!(ratio.to_bits(), base_ratio.to_bits());
-            }
-        }
+        let cluster = Cluster::homogeneous(2, 1.0);
+        let want = PlacementError::NoSamplePoints { planner: "Optimal" };
+        let planner = OptimalPlanner {
+            samples: 0,
+            ..OptimalPlanner::new()
+        };
+        assert_eq!(planner.search(&model, &cluster).unwrap_err(), want);
+        let spec = PlannerSpec::Optimal {
+            samples: 0,
+            seed: 1,
+            max_plans: 5_000_000,
+        };
+        assert_eq!(
+            build_planner(&spec).plan(&model, &cluster).unwrap_err(),
+            want
+        );
     }
 
     #[test]
@@ -392,10 +311,10 @@ mod tests {
         // 3 operators, 2 homogeneous nodes: partitions into <=2 blocks of
         // a 3-set = 4 (vs 8 labelled assignments).
         let mut seen = 0;
-        OptimalPlanner::enumerate(3, 2, true, &mut |_| seen += 1);
+        enumerate(3, 2, true, &mut |_| seen += 1);
         assert_eq!(seen, 4);
         let mut labelled = 0;
-        OptimalPlanner::enumerate(3, 2, false, &mut |_| labelled += 1);
+        enumerate(3, 2, false, &mut |_| labelled += 1);
         assert_eq!(labelled, 8);
     }
 
@@ -421,7 +340,7 @@ mod tests {
         let d = model.num_vars();
         let lo = model.sparse_lo();
         let mut best: Option<(Vec<usize>, usize)> = None;
-        OptimalPlanner::enumerate(m, n, homogeneous, &mut |assignment| {
+        enumerate(m, n, homogeneous, &mut |assignment| {
             let mut ln = vec![0.0; n * d];
             for (j, &node) in assignment.iter().enumerate() {
                 for (k, &v) in lo.row(j).to_dense().iter().enumerate() {

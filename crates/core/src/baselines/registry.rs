@@ -74,10 +74,6 @@ pub enum PlannerSpec {
         seed: u64,
         /// Refuse instances whose plan count exceeds this bound.
         max_plans: u64,
-        /// Worker chunks for the parallel branch-and-bound frontier
-        /// (0 = the global pool size); the winner is identical for
-        /// every value.
-        threads: usize,
     },
 }
 
@@ -122,10 +118,11 @@ impl PlannerSpec {
 
     /// Parses a CLI algorithm name into a spec. `rates` feeds the
     /// single-point balancers (and the synthetic correlation history),
-    /// `seed` the random planner, `samples`/`max_plans` the optimal
-    /// search budget, `threads` the parallel scan width for the planners
-    /// that have one (0 = the global pool size), and `racks` the
-    /// hierarchical planner's topology (empty = automatic).
+    /// `seed` the random planner, `samples` the QMC point count of the
+    /// ResilientRod and optimal scorers, `max_plans` the optimal search
+    /// budget, `threads` ResilientRod's neighborhood-scan width (0 = the
+    /// global pool size; the one planner with a parallel scan), and
+    /// `racks` the hierarchical planner's topology (empty = automatic).
     pub fn from_cli(
         algorithm: &str,
         rates: &[f64],
@@ -158,7 +155,6 @@ impl PlannerSpec {
                 samples,
                 seed,
                 max_plans,
-                threads,
             }),
             other => Err(format!("--algorithm: unknown '{other}'")),
         }
@@ -194,12 +190,10 @@ pub fn build_planner(spec: &PlannerSpec) -> Box<dyn Planner> {
             samples,
             seed,
             max_plans,
-            threads,
         } => Box::new(OptimalPlanner {
             samples: *samples,
             seed: *seed,
             max_plans: *max_plans,
-            threads: *threads,
         }),
     }
 }
@@ -235,7 +229,6 @@ mod tests {
                 samples: 2_000,
                 seed: 1,
                 max_plans: 5_000_000,
-                threads: 2,
             },
         ]
     }

@@ -148,6 +148,19 @@ pub enum PlacementError {
         /// Its bound.
         value: f64,
     },
+    /// A sampled-volume planner was configured with zero QMC points: it
+    /// has nothing to score a plan on.
+    NoSamplePoints {
+        /// The planner's name.
+        planner: &'static str,
+    },
+    /// A rate point does not give one rate per system input.
+    RateCount {
+        /// The model's number of system inputs.
+        expected: usize,
+        /// Rates the point gives.
+        given: usize,
+    },
     /// An allocation to extend is sized for another model or cluster.
     AllocationMismatch {
         /// What the sizes count: `"operators"` (the model's) or
@@ -204,6 +217,15 @@ impl fmt::Display for PlacementError {
                     "input {input} has lower bound {value}, not a finite rate"
                 )
             }
+            PlacementError::NoSamplePoints { planner } => write!(
+                f,
+                "{planner} scores plans on QMC sample points, but samples is 0 \
+                 (must be at least 1)"
+            ),
+            PlacementError::RateCount { expected, given } => write!(
+                f,
+                "rate point gives {given} rates, but the model has {expected} inputs"
+            ),
             PlacementError::AllocationMismatch {
                 what,
                 allocation,

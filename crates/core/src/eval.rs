@@ -39,18 +39,16 @@
 //! reference would fold that residue's weight into the norm — so the
 //! support keeps exactly the cells that are nonzero, residues included.
 //!
-//! [`SampledFeasibility`] is the sampled counterpart for branch-and-bound
-//! searches: it tracks, per quasi-Monte-Carlo point, whether any node is
-//! over capacity under the current partial assignment. Adding operators
-//! only adds load, so the count of surviving points is a monotone upper
-//! bound on every completion's feasible-point count — the sound version
-//! of "prune when the partial plan is already no better than the
-//! incumbent". Kill lists are kept per assignment frame (LIFO), making
-//! the bound O(1) to read and O(P) to maintain per move instead of
-//! O(P·n·d) to recompute. Its read-only half, the per-operator load
-//! table, also answers from `&self` which points one node keeps under a
-//! given operator set: the survivor scorer memoises those per-node masks
-//! and ANDs them instead of pushing and popping whole assignments.
+//! The sampled side of the layer is the crate-private `SampledLoads`
+//! table. It holds each operator's load at every quasi-Monte-Carlo
+//! point, and its one kernel adds an operator's loads to a node's
+//! P-float row and clears, in a P-bit alive mask, every point now over
+//! that node's capacity. A point is feasible exactly when every loaded
+//! node keeps it, so an alive count is a popcount of ANDed masks. The
+//! survivor scorer memoises one mask per (node, operator set); the
+//! branch-and-bound optimum extends one row and one mask per search
+//! depth, and since adding operators only kills points, the popcount at
+//! a depth bounds every completion below it.
 
 use rod_geom::{FeasibleRegion, Matrix, PointBatch, SparseLoadMatrix, Vector};
 
@@ -657,16 +655,18 @@ impl<'a> IncrementalPlanEval<'a> {
 }
 
 /// The per-operator loads of a quasi-Monte-Carlo point set and the node
-/// capacities they are tested against: the read-only half of
-/// [`SampledFeasibility`], built once per (model, cluster, point set).
+/// capacities they are tested against, built once per (model, cluster,
+/// point set): the one point-mask counter under the survivor scorer and
+/// the branch-and-bound optimum.
 ///
-/// [`node_mask`](SampledLoads::node_mask) answers, from `&self`, which
-/// points one node keeps feasible under a given set of operators. A
-/// point is feasible under a whole assignment exactly when every loaded
-/// node keeps it, so the AND of the loaded nodes' masks is the alive set
-/// a [`SampledFeasibility`] reaches after pushing the same assignment.
-/// Being `&self`, one table is shared read-only by a survivor scorer and
-/// its forks, each of which memoises the masks it computes.
+/// A point is feasible under a whole assignment exactly when every
+/// loaded node keeps it, so the AND of the loaded nodes' P-bit masks is
+/// the alive set. [`add_and_clear`](SampledLoads::add_and_clear) is the
+/// one loop that builds them: [`node_mask`](SampledLoads::node_mask)
+/// runs it from a fresh row, and the branch-and-bound search from the
+/// row and mask one depth up. Being `&self`, one table is shared
+/// read-only by a survivor scorer and its forks, each of which memoises
+/// the masks it computes.
 #[derive(Clone, Debug)]
 pub(crate) struct SampledLoads {
     num_points: usize,
@@ -719,172 +719,52 @@ impl SampledLoads {
         self.num_points.div_ceil(64)
     }
 
-    /// Writes into `mask` the points `node` keeps within capacity while
-    /// carrying exactly the operators `ops` (ascending, so the sums are
-    /// the ones a [`SampledFeasibility`] builds by pushing them in that
-    /// order onto a fresh row). Bit `p % 64` of word `p / 64` is point
-    /// `p`; bits past P are clear. `row` is P floats of scratch.
-    ///
-    /// The float operations are exactly [`push_assign`]'s: the row starts
-    /// at `+0.0`, each operator adds its loads, and a point dies if the
-    /// row exceeds `cap + 1e-12` after *any* add — so the mask never
-    /// depends on the loads being non-negative. O(|ops|·P).
-    ///
-    /// [`push_assign`]: SampledFeasibility::push_assign
-    pub(crate) fn node_mask(&self, node: usize, ops: &[u32], row: &mut [f64], mask: &mut [u64]) {
-        let p = self.num_points;
-        assert!(row.len() == p && mask.len() == self.mask_words());
-        let cap = self.caps[node] + 1e-12;
-        row.fill(0.0);
-        mask.fill(0);
-        for &op in ops {
-            let deltas = &self.op_loads[op as usize * p..(op as usize + 1) * p];
-            for ((dead, row), deltas) in mask
-                .iter_mut()
-                .zip(row.chunks_mut(64))
-                .zip(deltas.chunks(64))
-            {
-                let mut bits = 0u64;
-                for (b, (load, &delta)) in row.iter_mut().zip(deltas).enumerate() {
-                    *load += delta;
-                    bits |= u64::from(*load > cap) << b;
-                }
-                *dead |= bits;
-            }
-        }
-        for word in mask.iter_mut() {
-            *word = !*word;
-        }
+    /// Marks every point alive: sets each bit of `mask` that names a
+    /// point and clears the bits past P in its last word.
+    pub(crate) fn fill_alive(&self, mask: &mut [u64]) {
+        mask.fill(u64::MAX);
         if let Some(last) = mask.last_mut() {
-            *last &= tail_bits(p);
-        }
-    }
-}
-
-/// The bits of a point mask's last word that name real points.
-pub(crate) fn tail_bits(num_points: usize) -> u64 {
-    match num_points % 64 {
-        0 => u64::MAX,
-        r => (1u64 << r) - 1,
-    }
-}
-
-/// Incrementally-maintained feasibility of a quasi-Monte-Carlo point set
-/// under a partial assignment — the sampled-volume side of the
-/// evaluation layer, built for branch-and-bound searches.
-///
-/// A point survives while **every** node's load at that point stays
-/// within capacity. Assigning an operator only adds load, so points only
-/// die as the assignment grows; [`SampledFeasibility::alive_count`] is
-/// therefore a monotone upper bound on the feasible-point count of every
-/// completion of the current partial plan. Each
-/// [`push_assign`](SampledFeasibility::push_assign) records exactly which
-/// points it killed so the matching
-/// [`pop_assign`](SampledFeasibility::pop_assign) revives them — frames
-/// must nest LIFO, which is precisely the shape of a depth-first search.
-///
-/// Pops restore the touched node's load row from a saved byte-exact
-/// copy rather than subtracting the deltas back out: floating-point
-/// subtraction is not an exact inverse of addition (`(a+d)-d ≠ a` in
-/// general), so a subtract-based unwind would leave history-dependent
-/// residues in `node_loads`. With exact restore, the tracker state is a
-/// pure function of the active frame stack — two instances that pushed
-/// the same frames hold bit-identical state regardless of what either
-/// explored and unwound in between, which is what lets parallel workers
-/// on cloned trackers stay bit-identical to the serial search.
-#[derive(Clone, Debug)]
-pub struct SampledFeasibility {
-    loads: SampledLoads,
-    /// Current load of each node at each point, flat n×P.
-    node_loads: Vec<f64>,
-    alive: Vec<bool>,
-    alive_count: usize,
-    /// Indices of killed points, partitioned into frames by `marks`.
-    killed: Vec<u32>,
-    marks: Vec<usize>,
-    /// `(op, node)` of each active frame, for LIFO discipline checks.
-    frames: Vec<(u32, u32)>,
-    /// Stack of saved P-float node-load rows, one per active frame —
-    /// the pre-push contents of the pushed node's row, restored
-    /// verbatim on pop.
-    saved_rows: Vec<f64>,
-}
-
-impl SampledFeasibility {
-    /// Builds the tracker for `lo` (the m×d sparse operator load
-    /// coefficients), a shared column-major QMC point set (typically a
-    /// [`rod_geom::VolumeEstimator`]'s
-    /// [`batch`](rod_geom::VolumeEstimator::batch)), and per-node `caps`.
-    /// The load table is `SampledLoads::from_batch`'s.
-    pub fn from_batch(lo: &SparseLoadMatrix, batch: &PointBatch, caps: &[f64]) -> Self {
-        let loads = SampledLoads::from_batch(lo, batch, caps);
-        let p = loads.num_points;
-        SampledFeasibility {
-            node_loads: vec![0.0; caps.len() * p],
-            alive: vec![true; p],
-            alive_count: p,
-            killed: Vec::new(),
-            marks: Vec::new(),
-            frames: Vec::new(),
-            saved_rows: Vec::new(),
-            loads,
+            *last >>= (64 - self.num_points % 64) % 64;
         }
     }
 
-    /// Number of points still feasible under the current partial
-    /// assignment — the branch-and-bound upper bound, O(1).
-    pub fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    /// Total number of points tracked.
-    pub fn num_points(&self) -> usize {
-        self.loads.num_points
-    }
-
-    /// Applies "operator `op` on node `node`", killing the alive points
-    /// the move pushes over capacity. O(P).
-    pub fn push_assign(&mut self, op: usize, node: usize) {
-        self.marks.push(self.killed.len());
-        self.frames.push((op as u32, node as u32));
-        let p = self.loads.num_points;
-        self.saved_rows
-            .extend_from_slice(&self.node_loads[node * p..(node + 1) * p]);
-        let cap = self.loads.caps[node] + 1e-12;
-        let loads = &mut self.node_loads[node * p..(node + 1) * p];
-        let deltas = &self.loads.op_loads[op * p..(op + 1) * p];
-        for pi in 0..p {
-            loads[pi] += deltas[pi];
-            if self.alive[pi] && loads[pi] > cap {
-                self.alive[pi] = false;
-                self.alive_count -= 1;
-                self.killed.push(pi as u32);
+    /// Adds operator `op`'s loads to `row`, the P-float load row of
+    /// `node`, and clears in `alive` every point the row now puts above
+    /// `caps[node] + 1e-12`. Bit `p % 64` of word `p / 64` is point `p`.
+    /// O(P).
+    ///
+    /// Points only ever die, so a chain of these calls on one row kills
+    /// a point when the row exceeds capacity after *any* add: a count
+    /// never depends on the loads being non-negative.
+    pub(crate) fn add_and_clear(&self, node: usize, op: usize, row: &mut [f64], alive: &mut [u64]) {
+        let p = self.num_points;
+        assert!(row.len() == p && alive.len() == self.mask_words());
+        let cap = self.caps[node] + 1e-12;
+        let deltas = &self.op_loads[op * p..(op + 1) * p];
+        for ((word, row), deltas) in alive
+            .iter_mut()
+            .zip(row.chunks_mut(64))
+            .zip(deltas.chunks(64))
+        {
+            let mut dead = 0u64;
+            for (b, (load, &delta)) in row.iter_mut().zip(deltas).enumerate() {
+                *load += delta;
+                dead |= u64::from(*load > cap) << b;
             }
+            *word &= !dead;
         }
     }
 
-    /// Reverts the most recent un-popped [`push_assign`](Self::push_assign)
-    /// (which must have been for the same `op`/`node` — frames are LIFO),
-    /// reviving exactly the points that move killed and restoring the
-    /// node's load row to its exact pre-push bits (see the type docs for
-    /// why restore beats subtracting the deltas back out). O(P).
-    pub fn pop_assign(&mut self, op: usize, node: usize) {
-        let mark = self.marks.pop().expect("pop without matching push");
-        let frame = self.frames.pop().expect("pop without matching push");
-        assert_eq!(
-            frame,
-            (op as u32, node as u32),
-            "pop_assign must mirror push_assign LIFO"
-        );
-        for &pi in &self.killed[mark..] {
-            self.alive[pi as usize] = true;
-            self.alive_count += 1;
+    /// Writes into `mask` the points `node` keeps within capacity while
+    /// carrying exactly the operators `ops`, added in the given
+    /// (ascending) order to a row that starts at `+0.0`. Bits past P are
+    /// clear. `row` is P floats of scratch. O(|ops|·P).
+    pub(crate) fn node_mask(&self, node: usize, ops: &[u32], row: &mut [f64], mask: &mut [u64]) {
+        row.fill(0.0);
+        self.fill_alive(mask);
+        for &op in ops {
+            self.add_and_clear(node, op as usize, row, mask);
         }
-        self.killed.truncate(mark);
-        let p = self.loads.num_points;
-        let saved_at = self.saved_rows.len() - p;
-        self.node_loads[node * p..(node + 1) * p].copy_from_slice(&self.saved_rows[saved_at..]);
-        self.saved_rows.truncate(saved_at);
     }
 }
 
@@ -893,7 +773,6 @@ mod tests {
     use super::*;
     use crate::allocation::PlanEvaluator;
     use crate::examples_paper::{example2_plans, figure4_graph};
-    use rod_geom::VolumeEstimator;
 
     fn setup() -> (LoadModel, Cluster) {
         (
@@ -1145,147 +1024,5 @@ mod tests {
         // Node 1 of plan (a) has weights (1.2, 18/11): min axis distance
         // is 11/18.
         assert!((eval.axis_distance(NodeId(1)) - 11.0 / 18.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_feasibility_matches_fresh_counts() {
-        let (model, cluster) = setup();
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            4_000,
-            3,
-        );
-        let caps = cluster.capacities();
-        let batch = estimator.batch();
-        let mut feas = SampledFeasibility::from_batch(model.sparse_lo(), batch, caps.as_slice());
-        let ev = PlanEvaluator::new(&model, &cluster);
-
-        let fresh_count = |alloc: &Allocation| -> usize {
-            let region = ev.feasible_region(alloc);
-            (0..batch.num_points())
-                .filter(|&p| region.contains(&batch.point(p)))
-                .count()
-        };
-
-        assert_eq!(feas.alive_count(), 4_000);
-        // Walk a nested assign/rollback sequence and compare against the
-        // from-scratch count at every step.
-        let mut alloc = Allocation::new(model.num_operators(), 2);
-        feas.push_assign(2, 1);
-        alloc.assign(OperatorId(2), NodeId(1));
-        assert_eq!(feas.alive_count(), fresh_count(&alloc));
-        feas.push_assign(1, 1);
-        alloc.assign(OperatorId(1), NodeId(1));
-        assert_eq!(feas.alive_count(), fresh_count(&alloc));
-        feas.pop_assign(1, 1);
-        feas.push_assign(1, 0);
-        alloc.assign(OperatorId(1), NodeId(0));
-        assert_eq!(feas.alive_count(), fresh_count(&alloc));
-        feas.push_assign(0, 0);
-        feas.push_assign(3, 1);
-        alloc.assign(OperatorId(0), NodeId(0));
-        alloc.assign(OperatorId(3), NodeId(1));
-        assert_eq!(feas.alive_count(), fresh_count(&alloc));
-        // Unwind completely: every point revives.
-        feas.pop_assign(3, 1);
-        feas.pop_assign(0, 0);
-        feas.pop_assign(1, 0);
-        feas.pop_assign(2, 1);
-        assert_eq!(feas.alive_count(), 4_000);
-    }
-
-    /// A node mask is the alive set a fresh tracker reaches after pushing
-    /// the same operators onto that node alone, bit for bit, with every
-    /// bit past P clear — at point counts on both sides of a word edge.
-    #[test]
-    fn node_masks_match_pushes_onto_one_node() {
-        let (model, cluster) = setup();
-        let caps = cluster.capacities();
-        for samples in [1usize, 63, 64, 65, 130] {
-            let estimator = VolumeEstimator::new(
-                model.total_coeffs().as_slice(),
-                cluster.total_capacity(),
-                samples,
-                3,
-            );
-            let batch = estimator.batch();
-            let loads = SampledLoads::from_batch(model.sparse_lo(), batch, caps.as_slice());
-            let mut row = vec![0.0; samples];
-            let mut mask = vec![0; loads.mask_words()];
-            for node in 0..cluster.num_nodes() {
-                for ops in [&[][..], &[1], &[0, 2], &[0, 1, 2, 3]] {
-                    loads.node_mask(node, ops, &mut row, &mut mask);
-                    let mut feas =
-                        SampledFeasibility::from_batch(model.sparse_lo(), batch, caps.as_slice());
-                    for &op in ops {
-                        feas.push_assign(op as usize, node);
-                    }
-                    for p in 0..mask.len() * 64 {
-                        let bit = (mask[p / 64] >> (p % 64)) & 1 == 1;
-                        assert_eq!(
-                            bit,
-                            p < samples && feas.alive[p],
-                            "P={samples} node {node} ops {ops:?} point {p}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Unwinding must leave the tracker *bit-identical* to one that
-    /// never explored at all — `(a+d)-d ≠ a` in floating point, so this
-    /// only holds because `pop_assign` restores saved rows instead of
-    /// subtracting deltas. Parallel branch-and-bound workers rely on it:
-    /// each clones a pristine tracker and must stay interchangeable with
-    /// the serial search.
-    #[test]
-    fn pop_assign_restores_pristine_bits() {
-        let (model, cluster) = setup();
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            2_000,
-            3,
-        );
-        let caps = cluster.capacities();
-        let mut feas =
-            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
-        let pristine = feas.clone();
-        for _ in 0..3 {
-            feas.push_assign(2, 1);
-            feas.push_assign(1, 1);
-            feas.push_assign(0, 0);
-            feas.pop_assign(0, 0);
-            feas.pop_assign(1, 1);
-            feas.pop_assign(2, 1);
-        }
-        assert_eq!(feas.alive_count(), pristine.alive_count());
-        assert_eq!(feas.alive, pristine.alive);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&feas.node_loads),
-            bits(&pristine.node_loads),
-            "unwind left floating-point residue in node_loads"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "LIFO")]
-    fn pop_assign_rejects_out_of_order_frames() {
-        let (model, cluster) = setup();
-        let estimator = VolumeEstimator::new(
-            model.total_coeffs().as_slice(),
-            cluster.total_capacity(),
-            100,
-            3,
-        );
-        let caps = cluster.capacities();
-        let mut feas =
-            SampledFeasibility::from_batch(model.sparse_lo(), estimator.batch(), caps.as_slice());
-        feas.push_assign(0, 0);
-        feas.push_assign(1, 1);
-        feas.pop_assign(0, 0);
     }
 }

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use rod_geom::Vector;
 
 use crate::allocation::{Allocation, PlanEvaluator};
+use crate::error::PlacementError;
 use crate::ids::NodeId;
 
 /// Exact headroom of one plan at one operating point.
@@ -58,9 +59,21 @@ impl HeadroomReport {
 /// with a small finite difference — exact for linear graphs, first-order
 /// for join outputs (conservative within a few percent for realistic
 /// windows).
-pub fn headroom(ev: &PlanEvaluator<'_>, alloc: &Allocation, base_rates: &[f64]) -> HeadroomReport {
+///
+/// A rate point that does not give one rate per system input is
+/// [`PlacementError::RateCount`].
+pub fn headroom(
+    ev: &PlanEvaluator<'_>,
+    alloc: &Allocation,
+    base_rates: &[f64],
+) -> Result<HeadroomReport, PlacementError> {
     let model = ev.model();
-    assert_eq!(base_rates.len(), model.num_inputs());
+    if base_rates.len() != model.num_inputs() {
+        return Err(PlacementError::RateCount {
+            expected: model.num_inputs(),
+            given: base_rates.len(),
+        });
+    }
     // One pass through the evaluation layer supplies both the exact
     // region (for ray casting) and the node load rows (for the binding
     // node) without rebuilding matrices twice.
@@ -118,12 +131,12 @@ pub fn headroom(ev: &PlanEvaluator<'_>, alloc: &Allocation, base_rates: &[f64]) 
         .map(|(i, _)| NodeId(i))
         .unwrap_or(NodeId(0));
 
-    HeadroomReport {
+    Ok(HeadroomReport {
         base_rates: base_rates.to_vec(),
         per_stream,
         uniform,
         binding_node,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -145,7 +158,7 @@ mod tests {
         let cluster = Cluster::homogeneous(2, 1.0);
         let ev = PlanEvaluator::new(&model, &cluster);
         let [a, _, _] = example2_plans();
-        let report = headroom(&ev, &a, &[0.05, 0.05]);
+        let report = headroom(&ev, &a, &[0.05, 0.05]).unwrap();
         assert!((report.per_stream[0] - 1.8333).abs() < 1e-3, "{report:?}");
         assert!((report.uniform - 4.0 / 3.0).abs() < 1e-3, "{report:?}");
         assert_eq!(report.binding_node, NodeId(1));
@@ -161,7 +174,7 @@ mod tests {
             .unwrap()
             .allocation;
         let base = [0.03, 0.04];
-        let report = headroom(&ev, &plan, &base);
+        let report = headroom(&ev, &plan, &base).unwrap();
         // Just inside is feasible; just outside is not — per stream and
         // uniformly.
         for k in 0..2 {
@@ -190,8 +203,8 @@ mod tests {
             .allocation;
         let [_, _, plan_c] = example2_plans(); // whole chains per node
         let base = [0.04, 0.04];
-        let rod_report = headroom(&ev, &rod, &base);
-        let conc_report = headroom(&ev, &plan_c, &base);
+        let rod_report = headroom(&ev, &rod, &base).unwrap();
+        let conc_report = headroom(&ev, &plan_c, &base).unwrap();
         let rod_min = rod_report.tightest_stream().unwrap().1;
         let conc_min = conc_report.tightest_stream().unwrap().1;
         assert!(
@@ -201,12 +214,36 @@ mod tests {
     }
 
     #[test]
+    fn a_rate_point_of_the_wrong_length_is_an_error() {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let cluster = Cluster::homogeneous(2, 1.0);
+        let ev = PlanEvaluator::new(&model, &cluster);
+        let [a, _, _] = example2_plans();
+        for rates in [&[0.05][..], &[0.05, 0.05, 0.05], &[]] {
+            let err = headroom(&ev, &a, rates).unwrap_err();
+            assert_eq!(
+                err,
+                PlacementError::RateCount {
+                    expected: 2,
+                    given: rates.len(),
+                }
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("gives {} rates", rates.len())),
+                "{message}"
+            );
+            assert!(message.contains("has 2 inputs"), "{message}");
+        }
+    }
+
+    #[test]
     fn infeasible_base_reports_no_headroom() {
         let model = LoadModel::derive(&figure4_graph()).unwrap();
         let cluster = Cluster::homogeneous(2, 1.0);
         let ev = PlanEvaluator::new(&model, &cluster);
         let [a, _, _] = example2_plans();
-        let report = headroom(&ev, &a, &[1.0, 1.0]); // way overloaded
+        let report = headroom(&ev, &a, &[1.0, 1.0]).unwrap(); // way overloaded
         assert!(report.uniform <= 1.0);
         assert!(report.per_stream.iter().all(|&m| m <= 1.0));
     }

@@ -73,7 +73,7 @@ pub use allocation::{Allocation, PlanEvaluator, WeightMatrix};
 pub use baselines::{build_planner, PlannerSpec};
 pub use cluster::{Cluster, Topology};
 pub use error::{GraphError, PlacementError};
-pub use eval::{CandidateScore, IncrementalPlanEval, PlanSnapshot, SampledFeasibility};
+pub use eval::{CandidateScore, IncrementalPlanEval, PlanSnapshot};
 pub use graph::{GraphBuilder, QueryGraph};
 pub use hierarchical::{HierPlan, HierarchicalRod};
 pub use ids::{InputId, NodeId, OperatorId, StreamId, VarId};
@@ -94,7 +94,7 @@ pub mod prelude {
     };
     pub use crate::cluster::{Cluster, Topology};
     pub use crate::error::{GraphError, PlacementError};
-    pub use crate::eval::{CandidateScore, IncrementalPlanEval, PlanSnapshot, SampledFeasibility};
+    pub use crate::eval::{CandidateScore, IncrementalPlanEval, PlanSnapshot};
     pub use crate::graph::{GraphBuilder, QueryGraph};
     pub use crate::hierarchical::{HierPlan, HierarchicalRod};
     pub use crate::ids::{InputId, NodeId, OperatorId, StreamId, VarId};

@@ -14,7 +14,7 @@ use rod_geom::PointBatch;
 
 use crate::allocation::Allocation;
 use crate::cluster::Cluster;
-use crate::eval::{tail_bits, IncrementalPlanEval, SampledLoads};
+use crate::eval::{IncrementalPlanEval, SampledLoads};
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::resilience::FailureScenario;
@@ -142,15 +142,14 @@ impl FailoverTable {
 /// for the scorer's lifetime: a scenario evaluation costs O(n·P/64) word
 /// ANDs plus O(k·P) for each node content not seen before, instead of
 /// an O(P·n·d) from-scratch region test, and every plan is judged on
-/// the same points (noise-free comparisons). The masks repeat the float
-/// operations of [`SampledFeasibility`]'s pushes, so every count equals
-/// what that tracker reads after pushing the same assignment.
+/// the same points (noise-free comparisons). A mask is built by the one
+/// add-and-clear loop the branch-and-bound optimum
+/// ([`crate::baselines::optimal`]) also counts with: a row from `+0.0`,
+/// ascending adds, and a kill test after every add.
 ///
 /// A scorer can be [`fork`](ScenarioScorer::fork)ed for parallel
 /// neighborhood scans: forks share the load table read-only and carry
 /// their own mask memo (the mutable part, so no lock).
-///
-/// [`SampledFeasibility`]: crate::eval::SampledFeasibility
 pub struct ScenarioScorer<'a> {
     model: &'a LoadModel,
     cluster: &'a Cluster,
@@ -195,10 +194,7 @@ impl NodeMasks {
     /// the AND over every node that carries an operator.
     fn count(&mut self, loads: &SampledLoads) -> usize {
         let width = loads.mask_words();
-        self.acc.fill(u64::MAX);
-        if let Some(last) = self.acc.last_mut() {
-            *last = tail_bits(loads.num_points());
-        }
+        loads.fill_alive(&mut self.acc);
         for list in self.node_ops.iter().filter(|list| list.len() > 1) {
             let at = match self.index.get(list.as_slice()) {
                 Some(&at) => {

@@ -20,7 +20,8 @@ use rod_geom::VolumeEstimator;
 /// Tuning knobs for [`ResilientRodPlanner`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResilientRodOptions {
-    /// QMC sample points used to score survivor feasible sets.
+    /// QMC sample points used to score survivor feasible sets (at
+    /// least 1).
     pub samples: usize,
     /// Seed for the scrambled point set.
     pub seed: u64,
@@ -146,6 +147,11 @@ impl ResilientRodPlanner {
         cluster: &Cluster,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<ResilientPlan, PlacementError> {
+        if self.options.samples == 0 {
+            return Err(PlacementError::NoSamplePoints {
+                planner: "ResilientRod",
+            });
+        }
         let seed_plan = match metrics {
             Some(m) => RodPlanner::new().place_with_metrics(model, cluster, m)?,
             None => RodPlanner::new().place(model, cluster)?,
@@ -391,6 +397,34 @@ mod tests {
             max_moves: 16,
             threads: 1,
         }
+    }
+
+    /// Zero QMC points is an error, directly and through the registry,
+    /// not a plain-ROD plan scored 0 of 0.
+    #[test]
+    fn zero_samples_is_an_error() {
+        use crate::baselines::{build_planner, PlannerSpec};
+
+        let (model, cluster) = setup(2);
+        let want = PlacementError::NoSamplePoints {
+            planner: "ResilientRod",
+        };
+        let planner = ResilientRodPlanner::with_options(ResilientRodOptions {
+            samples: 0,
+            ..small_options()
+        });
+        assert_eq!(planner.place(&model, &cluster).unwrap_err(), want);
+        let spec = PlannerSpec::ResilientRod {
+            samples: 0,
+            seed: 11,
+            max_failures: 1,
+            threads: 1,
+        };
+        assert_eq!(
+            build_planner(&spec).plan(&model, &cluster).unwrap_err(),
+            want
+        );
+        assert!(want.to_string().contains("must be at least 1"), "{want}");
     }
 
     #[test]

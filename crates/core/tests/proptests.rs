@@ -259,7 +259,7 @@ proptest! {
         let alloc = RodPlanner::new().place(&model, &cluster).unwrap().allocation;
         let ev = PlanEvaluator::new(&model, &cluster);
         let base: Vec<f64> = (0..inputs).map(|k| 0.5 + k as f64 * 0.3).collect();
-        let report = headroom(&ev, &alloc, &base);
+        let report = headroom(&ev, &alloc, &base).unwrap();
         prop_assume!(report.uniform.is_finite() && report.uniform > 1.0);
         let inside: Vec<f64> = base.iter().map(|r| r * report.uniform * 0.999).collect();
         let outside: Vec<f64> = base.iter().map(|r| r * report.uniform * 1.001).collect();
@@ -399,10 +399,10 @@ proptest! {
         nodes in 2usize..4,
     ) {
         // The pool's ordered-reduction contract, checked end to end on
-        // random instances: for BOTH parallel planners, any chunk count
-        // must reproduce the serial result exactly — same placement,
-        // same worst-case survivor count, same incumbent bits.
-        use rod_core::baselines::optimal::OptimalPlanner;
+        // random instances: for the parallel ResilientRod scan, any chunk
+        // count must reproduce the serial result exactly — same
+        // placement, same worst-case survivor count. (The optimal search
+        // is serial; `sparse_equivalence.rs` pins it to an enumeration.)
         use rod_core::resilience::{ResilientRodOptions, ResilientRodPlanner};
 
         let mut b = GraphBuilder::new();
@@ -441,29 +441,6 @@ proptest! {
             prop_assert_eq!(
                 serial.worst_alive, pooled.worst_alive,
                 "ResilientRod worst-case score drifted at threads={}", threads
-            );
-        }
-
-        let optimal = |threads: usize| {
-            OptimalPlanner {
-                samples: 300,
-                seed: 11,
-                threads,
-                ..OptimalPlanner::new()
-            }
-            .search(&model, &cluster)
-            .unwrap()
-        };
-        let (serial_alloc, serial_ratio) = optimal(1);
-        for threads in [2usize, 4, 7] {
-            let (alloc, ratio) = optimal(threads);
-            prop_assert_eq!(
-                &serial_alloc, &alloc,
-                "Optimal incumbent drifted at threads={}", threads
-            );
-            prop_assert_eq!(
-                serial_ratio.to_bits(), ratio.to_bits(),
-                "Optimal incumbent score drifted at threads={}", threads
             );
         }
     }

@@ -11,18 +11,20 @@
 //!
 //! Survivor re-placement and clustered placement run ROD's shared
 //! Phase-2 selector; each is pinned to the private greedy loop it used
-//! to carry, kept here as the oracle. The survivor scorer's memoised
-//! node masks are pinned to a fresh push/read/pop on
-//! [`SampledFeasibility`], the tracker it used to drive.
+//! to carry, kept here as the oracle. Both consumers of the point-mask
+//! counter — the survivor scorer's memoised node masks and the optimal
+//! planner's branch-and-bound — are pinned to [`fresh_count`], an alive
+//! count built here from scratch.
 
 use proptest::prelude::*;
 
 use rod_core::allocation::Allocation;
+use rod_core::baselines::optimal::OptimalPlanner;
 use rod_core::cluster::{Cluster, Topology};
 use rod_core::clustering::{
     cluster_operators, place_clustered, ArcCosts, ClusteringPolicy, OperatorClustering,
 };
-use rod_core::eval::{IncrementalPlanEval, SampledFeasibility};
+use rod_core::eval::IncrementalPlanEval;
 use rod_core::graph::{GraphBuilder, QueryGraph};
 use rod_core::hierarchical::HierarchicalRod;
 use rod_core::ids::{NodeId, OperatorId, StreamId};
@@ -278,20 +280,22 @@ fn place_clustered_reference(
     alloc
 }
 
-/// The alive count the survivor scorer used to read: push every
-/// operator of the effective assignment (its allocation host unless
-/// redirected) onto a fresh [`SampledFeasibility`] in ascending order,
-/// read the count, and pop them all again.
-fn tracker_count(
+/// The alive count of an effective assignment (each operator on its
+/// allocation host unless redirected), built from scratch: each
+/// operator's loads at every point from [`PointBatch::dot_into`], per
+/// node a running sum from `+0.0` in ascending operator order, and a
+/// point is dead once any add takes its node past `cap + 1e-12`.
+fn fresh_count(
     model: &LoadModel,
     cluster: &Cluster,
     points: &PointBatch,
     alloc: &Allocation,
     redirects: &[(OperatorId, NodeId)],
 ) -> usize {
-    let caps = cluster.capacities();
-    let mut feas = SampledFeasibility::from_batch(model.sparse_lo(), points, caps.as_slice());
-    let mut pushed = Vec::new();
+    let p = points.num_points();
+    let mut node_loads = vec![vec![0.0; p]; cluster.num_nodes()];
+    let mut op_loads = vec![0.0; p];
+    let mut alive = vec![true; p];
     for j in 0..model.num_operators() {
         let op = OperatorId(j);
         let dest = redirects
@@ -299,16 +303,43 @@ fn tracker_count(
             .find(|(o, _)| *o == op)
             .map(|(_, d)| *d)
             .or_else(|| alloc.node_of(op));
-        if let Some(node) = dest {
-            feas.push_assign(j, node.index());
-            pushed.push((j, node.index()));
+        let Some(node) = dest else { continue };
+        points.dot_into(&model.operator_sparse_row(op).to_dense(), &mut op_loads);
+        let cap = cluster.capacity(node) + 1e-12;
+        for ((load, &delta), alive) in node_loads[node.index()]
+            .iter_mut()
+            .zip(&op_loads)
+            .zip(&mut alive)
+        {
+            *load += delta;
+            if *load > cap {
+                *alive = false;
+            }
         }
     }
-    let alive = feas.alive_count();
-    for &(j, i) in pushed.iter().rev() {
-        feas.pop_assign(j, i);
+    alive.into_iter().filter(|&a| a).count()
+}
+
+/// Every assignment the optimal search may visit, in its visit order:
+/// lexicographic over all `n^m`, and on a homogeneous cluster only those
+/// where each operator opens at most the lowest unused node.
+fn assignments(m: usize, n: usize, homogeneous: bool) -> Vec<Vec<usize>> {
+    let mut all = vec![Vec::new()];
+    for _ in 0..m {
+        all = all
+            .into_iter()
+            .flat_map(|prefix: Vec<usize>| {
+                let used = prefix.iter().map(|&i| i + 1).max().unwrap_or(0);
+                let limit = if homogeneous { (used + 1).min(n) } else { n };
+                (0..limit).map(move |i| {
+                    let mut next = prefix.clone();
+                    next.push(i);
+                    next
+                })
+            })
+            .collect();
     }
-    alive
+    all
 }
 
 /// `a >= b`, false when either is NaN.
@@ -644,8 +675,8 @@ proptest! {
         );
     }
 
-    /// Every count the survivor scorer reports equals a fresh tracker's
-    /// push-all/read/pop-all over the same effective assignment: on
+    /// Every count the survivor scorer reports equals [`fresh_count`]
+    /// over the same effective assignment: on
     /// complete and partial plans, under the redirects of every scenario
     /// of up to two losses, at point counts around the 64-bit word edge,
     /// cold and from the node-mask memo, and through a fork.
@@ -680,10 +711,10 @@ proptest! {
         let points = estimator.batch();
         let scenarios = FailureScenario::all_up_to_k(n, 2);
         let want_for = |alloc: &Allocation| -> Vec<usize> {
-            let mut want = vec![tracker_count(&model, &cluster, points, alloc, &[])];
+            let mut want = vec![fresh_count(&model, &cluster, points, alloc, &[])];
             want.extend(scenarios.iter().map(|s| {
                 let moves = survivor_moves(&model, &cluster, alloc, s);
-                tracker_count(&model, &cluster, points, alloc, &moves)
+                fresh_count(&model, &cluster, points, alloc, &moves)
             }));
             want
         };
@@ -707,5 +738,61 @@ proptest! {
         let want = want_for(&moved);
         prop_assert_eq!(scorer_counts(&mut scorer, &moved, &scenarios), want.clone());
         prop_assert_eq!(scorer_counts(&mut fork, &moved, &scenarios), want);
+    }
+
+    /// The optimal planner's mask branch-and-bound returns what scoring
+    /// every assignment with [`fresh_count`] returns: the first strict
+    /// maximum in visit order, the same allocation and the same ratio
+    /// bits — on 1–6 operators, homogeneous and heterogeneous clusters of
+    /// 2–3 nodes, and point counts around the 64-bit word edge. A
+    /// survivor scorer over the same points reads the winner's count too.
+    #[test]
+    fn optimal_search_matches_an_enumeration_of_fresh_counts(
+        spec in sparse_spec_sized(1..4, 1..7),
+        nodes in 2usize..=3,
+        heterogeneous in 0u8..2,
+        points_pick in 0usize..5,
+        qmc_seed in 0u64..1_000,
+    ) {
+        let model = LoadModel::derive(&build(&spec)).unwrap();
+        let homogeneous = heterogeneous == 0;
+        let cluster = if homogeneous {
+            Cluster::homogeneous(nodes, 1.0)
+        } else {
+            Cluster::heterogeneous([1.5, 0.5, 1.0][..nodes].to_vec())
+        };
+        let (m, n) = (model.num_operators(), cluster.num_nodes());
+        let samples = [1usize, 63, 64, 65, 300][points_pick];
+        let estimator = VolumeEstimator::new(
+            model.total_coeffs().as_slice(),
+            cluster.total_capacity(),
+            samples,
+            qmc_seed,
+        );
+        let points = estimator.batch();
+        let mut want: Option<(Allocation, usize)> = None;
+        for assignment in assignments(m, n, homogeneous) {
+            let mut alloc = Allocation::new(m, n);
+            for (j, &node) in assignment.iter().enumerate() {
+                alloc.assign(OperatorId(j), NodeId(node));
+            }
+            let hits = fresh_count(&model, &cluster, points, &alloc, &[]);
+            if want.as_ref().map_or(true, |(_, best)| hits > *best) {
+                want = Some((alloc, hits));
+            }
+        }
+        let (want_alloc, want_hits) = want.unwrap();
+
+        let (alloc, ratio) = OptimalPlanner {
+            samples,
+            seed: qmc_seed,
+            ..OptimalPlanner::new()
+        }
+        .search(&model, &cluster)
+        .unwrap();
+        prop_assert_eq!(&alloc, &want_alloc);
+        prop_assert_eq!(ratio.to_bits(), (want_hits as f64 / samples as f64).to_bits());
+        let mut scorer = ScenarioScorer::from_batch(&model, &cluster, points);
+        prop_assert_eq!(scorer.healthy_alive(&alloc), want_hits);
     }
 }

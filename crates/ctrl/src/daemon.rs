@@ -532,7 +532,9 @@ impl ControlLoop {
         if peak > 1.0 {
             return 1.0 / peak;
         }
-        headroom(&ev, alloc, rates).uniform
+        headroom(&ev, alloc, rates)
+            .expect("telemetry estimates carry one rate per model input")
+            .uniform
     }
 
     fn on_sample(&mut self, time: f64) {
@@ -679,7 +681,9 @@ impl ControlLoop {
                 fault: false,
             };
         }
-        let headroom_after = headroom(&ev, candidate, estimate).uniform;
+        let headroom_after = headroom(&ev, candidate, estimate)
+            .expect("telemetry estimates carry one rate per model input")
+            .uniform;
         let predicted_downtime = moves.len() as f64 * self.cfg.migration.base_downtime;
         // A rescue (current plan infeasible, candidate feasible) is
         // always worth the downtime; a routine improvement must buy

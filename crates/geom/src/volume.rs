@@ -312,8 +312,9 @@ impl VolumeEstimator {
     }
 
     /// The shared sample points, column-major — the layout the batched
-    /// scoring paths (e.g. `SampledFeasibility` precomputes) want, and
-    /// the only copy the estimator holds.
+    /// scoring paths want (the core's point-mask counter builds its
+    /// per-operator load table from it), and the only copy the
+    /// estimator holds.
     pub fn batch(&self) -> &PointBatch {
         self.kernel.batch()
     }

@@ -94,8 +94,10 @@ fn usage() -> String {
      generate --kind tree|traffic|financial|joins [--inputs N] [--ops-per-tree N] [--seed N]\n\
      plan     --graph FILE --nodes N [--capacity C]\n\
      \u{20}        [--algorithm rod|hier|resilient|llf|connected|correlation|random|optimal]\n\
-     \u{20}        [--rates r1,r2,...] [--seed N] [--out FILE] [--timings] [--threads N]\n\
-     \u{20}        (optimal only: [--samples N] [--max-plans N])\n\
+     \u{20}        [--rates r1,r2,...] [--seed N] [--out FILE] [--timings]\n\
+     \u{20}        [--threads N] — pool size: QMC points, ResilientRod's scan\n\
+     \u{20}        (same plan at every N; the optimal search is serial)\n\
+     \u{20}        (resilient, optimal: [--samples N]; optimal: [--max-plans N])\n\
      \u{20}        (hier only: [--racks \"0,1;2,3\"] — node groups, ';'-separated)\n\
      evaluate --graph FILE --plan FILE --nodes N [--capacity C] [--samples N]\n\
      explain  --graph FILE --plan FILE --nodes N [--capacity C]\n\
@@ -331,9 +333,9 @@ fn cmd_plan(flags: &Flags) -> Result<String, String> {
     let max_plans: u64 = flags.parse_num("max-plans", 5_000_000)?;
     let threads = parse_threads(flags)?;
     if threads > 0 {
-        // First sizing wins for the process; the planners additionally
-        // receive the count through their specs, so even when the pool
-        // was already sized differently the scan width is honoured.
+        // First sizing wins for the process; ResilientRod additionally
+        // receives the count through its spec, so even when the pool
+        // was already sized differently its scan width is honoured.
         rod_pool::configure_global(threads);
     }
     let racks = match flags.get("racks") {
@@ -496,7 +498,7 @@ fn cmd_headroom(flags: &Flags) -> Result<String, String> {
     let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
     let rates = parse_rates(flags.require("rates")?, graph.num_inputs())?;
     let ev = PlanEvaluator::new(&model, &cluster);
-    let report = rod::core::headroom::headroom(&ev, &plan, &rates);
+    let report = rod::core::headroom::headroom(&ev, &plan, &rates).map_err(|e| e.to_string())?;
     let mut out = format!("headroom at rates {rates:?}:\n");
     for (k, m) in report.per_stream.iter().enumerate() {
         out.push_str(&format!("  stream {k} alone can grow to {m:.2}x\n"));

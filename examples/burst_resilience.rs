@@ -35,8 +35,11 @@ fn main() {
 
     // How big a spike on input 0 can each placement absorb? Exact, via
     // ray casting against the node hyperplanes.
-    let spike =
-        |alloc: &Allocation| rod::core::headroom::headroom(&eval, alloc, &[q, q]).per_stream[0];
+    let spike = |alloc: &Allocation| {
+        rod::core::headroom::headroom(&eval, alloc, &[q, q])
+            .unwrap()
+            .per_stream[0]
+    };
     println!(
         "spike tolerance on input 0 (× mean rate): ROD {:.2}, Connected {:.2}",
         spike(&rod),

@@ -33,7 +33,7 @@ fn main() {
     // Mean operating point: 55% of capacity.
     let unit = model.total_load(&model.variable_point(&[1.0; 4]));
     let q = 0.55 * cluster.total_capacity() / unit;
-    let report = headroom(&eval, &plan.allocation, &[q; 4]);
+    let report = headroom(&eval, &plan.allocation, &[q; 4]).unwrap();
     println!("at {q:.0} reports/s per expressway:");
     for (k, m) in report.per_stream.iter().enumerate() {
         println!("  expressway {k} alone can surge to {m:.2}x");
