@@ -32,6 +32,40 @@ const WORKLOAD_SEED: u64 = 42;
 /// QMC seed for the estimators.
 const QMC_SEED: u64 = 7;
 
+/// Least wall time each volume-estimation leg runs per repeat: a leg of
+/// 0.07–5 ms is called again until this much has passed, so that one
+/// scheduler hiccup on a shared host cannot move its time by 2×.
+const MIN_LEG_SECONDS: f64 = 0.02;
+
+/// The legs of a repeat take turns in slices at least this long (at
+/// least one call each), so a burst of host noise lands on all of them
+/// and the speedup ratios divide timings taken in the same host state.
+const SLICE_SECONDS: f64 = 0.004;
+
+/// One repeat of the volume-estimation legs: each leg's wall time per
+/// call, over at least [`MIN_LEG_SECONDS`] of calls taken in turns with
+/// the other legs, and its last call's feasible ratio.
+fn timed_legs(legs: &mut [&mut dyn FnMut() -> f64]) -> Vec<(f64, f64)> {
+    // (seconds, calls, last ratio) per leg.
+    let mut runs = vec![(0.0, 0u32, f64::NAN); legs.len()];
+    while runs.iter().any(|&(secs, _, _)| secs < MIN_LEG_SECONDS) {
+        for (leg, (secs, calls, last)) in legs.iter_mut().zip(&mut runs) {
+            let start = Instant::now();
+            loop {
+                *last = std::hint::black_box(leg());
+                *calls += 1;
+                if start.elapsed().as_secs_f64() >= SLICE_SECONDS {
+                    break;
+                }
+            }
+            *secs += start.elapsed().as_secs_f64();
+        }
+    }
+    runs.into_iter()
+        .map(|(secs, calls, last)| (secs / f64::from(calls), last))
+        .collect()
+}
+
 #[derive(Clone, Copy)]
 enum Workload {
     /// The paper's random trees: `inputs × ops_per_tree` operators, one
@@ -194,35 +228,44 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
         let region = PlanEvaluator::new(&model, &cluster).feasible_region(&alloc);
         let simd = estimator.kernel_path() == KernelPath::Simd;
 
+        // The per-point walk; the blocked kernel pinned to its scalar
+        // loops, so `kernel_speedup` measures blocking alone on every
+        // host; the runtime-dispatched kernel (AVX2 here, when selected).
+        let mut walk = || {
+            let hits = std::hint::black_box(&points)
+                .iter()
+                .filter(|p| region.contains(p))
+                .count();
+            hits as f64 / points.len() as f64
+        };
+        let mut kernel = || estimator.estimate_kernel_scalar(&region).ratio_to_ideal;
+        let mut lanes = || estimator.estimate_with_threads(&region, 1).ratio_to_ideal;
         for _ in 0..repeats {
-            let t = Instant::now();
-            let hits = points.iter().filter(|p| region.contains(p)).count();
-            let scalar_ratio = hits as f64 / points.len() as f64;
-            scalar_times.push(t.elapsed().as_secs_f64());
-            // The blocked kernel pinned to its scalar loops, so
-            // `kernel_speedup` measures blocking alone on every host.
-            let t = Instant::now();
-            let kernel = estimator.estimate_kernel_scalar(&region);
-            kernel_times.push(t.elapsed().as_secs_f64());
+            let mut legs: Vec<&mut dyn FnMut() -> f64> = vec![&mut walk, &mut kernel];
+            if simd {
+                legs.push(&mut lanes);
+            }
+            let timed = timed_legs(&mut legs);
+            let (scalar_s, scalar_ratio) = timed[0];
+            let (kernel_s, kernel_ratio) = timed[1];
+            scalar_times.push(scalar_s);
+            kernel_times.push(kernel_s);
             assert_eq!(
                 scalar_ratio.to_bits(),
-                kernel.ratio_to_ideal.to_bits(),
+                kernel_ratio.to_bits(),
                 "{}: batched kernel diverged from the scalar path",
                 cell.name
             );
-            // The runtime-dispatched kernel (AVX2 here, when selected).
-            if simd {
-                let t = Instant::now();
-                let lanes = estimator.estimate_with_threads(&region, 1);
-                simd_times.push(t.elapsed().as_secs_f64());
+            if let Some(&(simd_s, simd_ratio)) = timed.get(2) {
+                simd_times.push(simd_s);
                 assert_eq!(
-                    kernel.ratio_to_ideal.to_bits(),
-                    lanes.ratio_to_ideal.to_bits(),
+                    kernel_ratio.to_bits(),
+                    simd_ratio.to_bits(),
                     "{}: SIMD kernel diverged from the blocked-scalar path",
                     cell.name
                 );
             }
-            ratio = Some(kernel.ratio_to_ideal);
+            ratio = Some(kernel_ratio);
         }
     }
 

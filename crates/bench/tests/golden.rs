@@ -174,6 +174,60 @@ fn golden_large_sparse_placements_are_stable() {
     );
 }
 
+/// A heterogeneous instance: 48 inputs and 3000 operators on 96 nodes
+/// of three capacity classes in turn, so the unloaded nodes of each
+/// class interleave with those of the others. The pins are the flat and
+/// hierarchical placement fingerprints and probe and delta-bound counts,
+/// recorded before the Phase-2 walk skipped blocks and struck off the
+/// unloaded nodes of probed capacity classes; the flat plan must also be
+/// the exhaustive scan's.
+#[test]
+fn golden_heterogeneous_placements_are_stable() {
+    let graph = SparseGraphGenerator::sized(48, 3_000).generate(7);
+    let model = LoadModel::derive(&graph).expect("model derives");
+    assert_eq!(model.nnz(), 9_345, "workload generator drifted");
+    let cluster = Cluster::heterogeneous((0..96).map(|i| [2.0, 1.0, 0.5][i % 3]).collect());
+
+    let flat = RodPlanner::new()
+        .place(&model, &cluster)
+        .expect("ROD plans");
+    let full = RodPlanner::new()
+        .with_exhaustive_scan(true)
+        .place(&model, &cluster)
+        .expect("exhaustive ROD plans");
+    assert_eq!(flat.allocation, full.allocation);
+    assert_eq!(
+        placement_fingerprint(&flat.allocation),
+        0xe410c9ef1c6408f7,
+        "flat placement drifted (got {:#018x}) — if intentional, re-pin \
+         and document in the commit message",
+        placement_fingerprint(&flat.allocation)
+    );
+    assert_eq!(
+        (flat.candidates_scored, flat.candidates_bounded),
+        (15_243, 128_331),
+        "pruned-scan probe and bound counts drifted — if intentional, \
+         re-pin and document in the commit message"
+    );
+
+    let hier = HierarchicalRod::new()
+        .place(&model, &cluster)
+        .expect("hierarchical ROD plans");
+    assert_eq!(
+        placement_fingerprint(&hier.allocation),
+        0x7d3aa4a703a66897,
+        "hierarchical placement drifted (got {:#018x}) — if intentional, \
+         re-pin and document in the commit message",
+        placement_fingerprint(&hier.allocation)
+    );
+    assert_eq!(
+        (hier.candidates_scored, hier.candidates_bounded),
+        (17_717, 34_660),
+        "hierarchical probe and bound counts drifted — if intentional, \
+         re-pin and document in the commit message"
+    );
+}
+
 /// The batched kernel, the scalar reference walk, and the threaded path
 /// must all agree bit-for-bit on the golden scenarios.
 #[test]

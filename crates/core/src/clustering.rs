@@ -264,7 +264,7 @@ pub fn place_clustered(
     let mut eval = IncrementalPlanEval::from_rows(&supers, model.total_coeffs(), cluster);
     let mut order: Vec<OperatorId> = (0..nc).map(OperatorId).collect();
     norm_descending(&mut order, |c| supers.row(c.index()).norm());
-    Phase2Selector::new(true, false).place(&mut eval, &order, 0..cluster.num_nodes());
+    Phase2Selector::new(true, false).place(&mut eval, &order, 0..cluster.num_nodes(), None);
 
     let placed = eval.into_allocation();
     let mut alloc = Allocation::new(model.num_operators(), cluster.num_nodes());

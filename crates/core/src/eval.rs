@@ -57,6 +57,10 @@ use crate::cluster::Cluster;
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 
+mod exclusion;
+
+pub(crate) use exclusion::{ExclusionGate, NodeColumns, BLOCK};
+
 /// What [`IncrementalPlanEval::score_candidate`] reports about a
 /// hypothetical single-operator assignment.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -357,19 +361,22 @@ impl<'a> IncrementalPlanEval<'a> {
     /// that estimate less its rounding margin is at or below the sum the
     /// probe computes (DESIGN.md §10).
     pub fn pre_bound(&self, q: f64, node: NodeId) -> Option<f64> {
-        self.pre_bound_sumsq(q, node).map(distance_of_sumsq)
+        let sumsq = self.node_columns().pre_bound(q, node.index());
+        self.admits_bounds(node).then(|| distance_of_sumsq(sumsq))
     }
 
-    /// [`Self::pre_bound`] before its `1/√`: the lower bound on the
-    /// candidate's squared weight norm, which the pruned scan compares
-    /// with a squared-norm floor.
-    pub(crate) fn pre_bound_sumsq(&self, q: f64, node: NodeId) -> Option<f64> {
-        if !self.admits_bounds(node) {
-            return None;
+    /// The per-node arrays the pruned Phase-2 walk's O(1) exclusion
+    /// checks read: max weight, plane distance, squared norm,
+    /// `1/(C_i/C_T)²` and negative-cell count.
+    pub(crate) fn node_columns(&self) -> NodeColumns<'_> {
+        NodeColumns {
+            max_w: &self.max_w,
+            plane: &self.plane,
+            sumsq: &self.sumsq,
+            inv_rel_sq: &self.inv_rel_sq,
+            negative_cells: &self.negative_cells,
+            margin: self.bound_margin,
         }
-        let i = node.index();
-        let estimate = self.sumsq[i] + q * self.inv_rel_sq[i];
-        Some(estimate - self.bound_margin * (estimate + UNDERFLOW_FLOOR))
     }
 
     /// O(nnz of the operator) upper bound on the `plane_distance`
@@ -459,17 +466,35 @@ impl<'a> IncrementalPlanEval<'a> {
 
     /// True when the node's load row is entirely zero (empty support).
     /// All such nodes of equal relative capacity produce identical
-    /// candidate scores for a given operator — the pruned phase-2 scan
-    /// memoises on this.
+    /// candidate scores for a given operator — once the pruned phase-2
+    /// walk has probed one in a step, it skips the rest.
     pub fn node_is_unloaded(&self, node: NodeId) -> bool {
         self.support[node.index()].is_empty()
     }
 
     /// The node's relative capacity `C_i / C_T` exactly as the weight
-    /// normalisation uses it — the memo key for unloaded-node candidate
-    /// scores, which are a pure function of `(operator, C_i/C_T)`.
+    /// normalisation uses it. Unloaded-node candidate scores are a pure
+    /// function of `(operator, C_i/C_T)`.
     pub fn relative_capacity_of(&self, node: NodeId) -> f64 {
         self.rel[node.index()]
+    }
+
+    /// Calls `f` on each unloaded node after `node` and before `end`
+    /// whose relative capacity is bitwise `node`'s, ascending: once
+    /// `node`, itself unloaded, has been probed for an operator, each of
+    /// them would quote the same score.
+    pub(crate) fn for_each_unloaded_twin(
+        &self,
+        node: NodeId,
+        end: usize,
+        mut f: impl FnMut(usize),
+    ) {
+        let key = self.rel[node.index()].to_bits();
+        for j in node.index() + 1..end {
+            if self.support[j].is_empty() && self.rel[j].to_bits() == key {
+                f(j);
+            }
+        }
     }
 
     /// Assigns `op` to `node`, updating only the touched columns of that
@@ -547,52 +572,55 @@ impl<'a> IncrementalPlanEval<'a> {
     /// Scores the hypothetical assignment of `op` to `node` without
     /// mutating anything: the candidate weight row
     /// `w'_ik = ((l^n_ik + l^o_jk)/l_k)/(C_i/C_T)` is folded — in one
-    /// merged ascending walk over the node's support and the operator's
-    /// sparse row, O(nnz) — into the Class-I membership test and the
-    /// candidate plane distance (measured from the §6.1 lower bound when
-    /// one is set). Columns outside both sets would contribute an exact
-    /// `+0.0` to every accumulator, so skipping them is bit-identical to
-    /// the dense O(d') loop.
+    /// ascending walk over the node's support with a cursor into the
+    /// operator's sparse row, O(nnz) — into the Class-I membership test
+    /// and the candidate plane distance (measured from the §6.1 lower
+    /// bound when one is set). Columns outside both sets would contribute
+    /// an exact `+0.0` to every accumulator, so skipping them is
+    /// bit-identical to the dense O(d') loop. On a support column outside
+    /// the operator, `((l^n_ik + 0.0)/l_k)/(C_i/C_T)` is the cached
+    /// weight bit for bit (a nonzero cell plus `+0.0` is itself), so the
+    /// walk reads it instead of dividing twice. Every weight still meets
+    /// the `1 + 1e-12` test: the cached maximum would be wrong for a row
+    /// holding a negative load.
     pub fn score_candidate(&self, op: OperatorId, node: NodeId) -> CandidateScore {
         let i = node.index();
         let rel = self.rel[i];
-        let totals = self.totals;
+        let row = i * self.d;
+        let (ln, w) = (&self.ln[row..row + self.d], &self.w[row..row + self.d]);
         let sup = &self.support[i];
-        let terms = self.lo.row(op.index()).terms();
         let mut sumsq = 0.0;
         let mut wb = 0.0;
         let mut class_one = true;
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            let k = match (sup.get(a), terms.get(b)) {
-                (Some(&ks), Some(&(kt, _))) => (ks as usize).min(kt as usize),
-                (Some(&ks), None) => ks as usize,
-                (None, Some(&(kt, _))) => kt as usize,
-                (None, None) => break,
-            };
-            if sup.get(a) == Some(&(k as u32)) {
-                a += 1;
-            }
-            let mut lo_v = 0.0;
-            if let Some(&(kt, v)) = terms.get(b) {
-                if kt as usize == k {
-                    lo_v = v;
-                    b += 1;
-                }
-            }
-            let lk = totals[k];
-            let w = if lk > 0.0 {
-                ((self.ln[i * self.d + k] + lo_v) / lk) / rel
-            } else {
-                0.0
-            };
-            if w > 1.0 + 1e-12 {
-                class_one = false;
-            }
+        let mut fold = |k: usize, w: f64| {
+            class_one &= w <= 1.0 + 1e-12 || w.is_nan();
             sumsq += w * w;
             if let Some(bnd) = &self.lower_bound {
                 wb += w * bnd[k];
             }
+        };
+        let mut a = 0;
+        for &(kt, v) in self.lo.row(op.index()).terms() {
+            // The support columns before the operator's next one keep
+            // their cached weights.
+            while let Some(&k) = sup.get(a).filter(|&&k| k < kt) {
+                fold(k as usize, w[k as usize]);
+                a += 1;
+            }
+            a += usize::from(sup.get(a) == Some(&kt));
+            let k = kt as usize;
+            let lk = self.totals[k];
+            fold(
+                k,
+                if lk > 0.0 {
+                    ((ln[k] + v) / lk) / rel
+                } else {
+                    0.0
+                },
+            );
+        }
+        for &k in &sup[a..] {
+            fold(k as usize, w[k as usize]);
         }
         let norm = sumsq.sqrt();
         let plane_distance = if norm == 0.0 {
@@ -773,6 +801,8 @@ mod tests {
     use super::*;
     use crate::allocation::PlanEvaluator;
     use crate::examples_paper::{example2_plans, figure4_graph};
+    use crate::graph::{GraphBuilder, QueryGraph};
+    use crate::operator::OperatorKind;
 
     fn setup() -> (LoadModel, Cluster) {
         (
@@ -895,54 +925,134 @@ mod tests {
         }
     }
 
+    /// A graph whose loads cancel inexactly, on three nodes, and a churn
+    /// `(operator, node, assign?)` of it that leaves node 0's input-2
+    /// cell at −1.0 (1.0, then 1e16, out in the other order), node 1
+    /// holding nothing but a residue of 0.1 + 0.3 − 0.1 − 0.3 on input 0,
+    /// and node 2 loaded again after an unassign.
+    fn residue_case() -> (QueryGraph, Vec<f64>, Vec<(usize, usize, bool)>) {
+        let mut b = GraphBuilder::new();
+        let ins: Vec<_> = (0..3).map(|_| b.add_input()).collect();
+        let ops = [
+            (0.1, 0, 1),
+            (0.2, 1, 2),
+            (0.3, 0, 2),
+            (1.0, 2, 2),
+            (1e16, 2, 2),
+            (0.7, 1, 1),
+            (0.35, 0, 0),
+        ];
+        for (j, (cost, a, c)) in ops.into_iter().enumerate() {
+            let inputs = if a == c {
+                vec![ins[a]]
+            } else {
+                vec![ins[a], ins[c]]
+            };
+            let kind = OperatorKind::Linear {
+                costs: vec![cost; inputs.len()],
+                selectivities: vec![1.0; inputs.len()],
+            };
+            b.add_operator(format!("r{j}"), kind, &inputs).unwrap();
+        }
+        let churn = vec![
+            (3, 0, true),
+            (4, 0, true),
+            (0, 1, true),
+            (2, 1, true),
+            (5, 2, true),
+            (1, 2, true),
+            (4, 0, false),
+            (0, 1, false),
+            (3, 0, false),
+            (2, 1, false),
+            (1, 2, false),
+            (6, 2, true),
+        ];
+        (b.build().unwrap(), vec![1.0, 2.0, 0.5], churn)
+    }
+
     #[test]
     fn sparse_score_matches_dense_reference_bitwise() {
-        // Drive both graphs (pure linear and join/variable-selectivity)
-        // through assign/unassign churn, comparing the sparse merged walk
-        // against the dense reference at every (op, node) — including
-        // after unassigns, which may leave floating-point residues in the
-        // load cells.
-        for (graph, caps) in [
-            (figure4_graph(), vec![1.0, 1.0, 1.0]),
-            (crate::examples_paper::example3_graph(), vec![2.0, 1.0, 0.5]),
+        // Drive three graphs (pure linear, join/variable-selectivity, and
+        // loads that cancel inexactly) through assign/unassign churn,
+        // comparing the sparse walk, which reads cached weights off the
+        // support, against the dense reference at every (op, node) —
+        // including after unassigns, which leave floating-point residues
+        // in the load cells, one of them negative.
+        let (residues, residue_caps, residue_churn) = residue_case();
+        for (graph, caps, churn) in [
+            (figure4_graph(), vec![1.0, 1.0, 1.0], None),
+            (
+                crate::examples_paper::example3_graph(),
+                vec![2.0, 1.0, 0.5],
+                None,
+            ),
+            (residues, residue_caps, Some(residue_churn)),
         ] {
             let model = LoadModel::derive(&graph).unwrap();
             let cluster = Cluster::heterogeneous(caps);
-            let m = model.num_operators();
-            let n = cluster.num_nodes();
+            let (m, n) = (model.num_operators(), cluster.num_nodes());
+            // By default: every operator in, then every other one out.
+            let churn = churn.unwrap_or_else(|| {
+                let ins = (0..m).map(|j| (j, j % n, true));
+                ins.chain((0..m).step_by(2).map(|j| (j, j % n, false)))
+                    .collect()
+            });
             for bounded in [false, true] {
                 let mut eval = IncrementalPlanEval::new(&model, &cluster);
                 if bounded {
                     eval.set_lower_bound(&model.variable_point(&vec![0.01; model.num_inputs()]));
                 }
-                let check_all = |eval: &IncrementalPlanEval<'_>| {
-                    for j in 0..m {
-                        for i in 0..n {
-                            if eval.allocation().node_of(OperatorId(j)).is_some() {
-                                continue;
-                            }
-                            let got = eval.score_candidate(OperatorId(j), NodeId(i));
-                            let want = dense_reference_score(eval, OperatorId(j), NodeId(i));
-                            assert_eq!(
-                                got.plane_distance.to_bits(),
-                                want.plane_distance.to_bits(),
-                                "op {j} node {i} bounded {bounded}"
-                            );
-                            assert_eq!(got.class_one, want.class_one);
+                let check_all = |eval: &IncrementalPlanEval<'_>, step: usize| {
+                    for (j, i) in (0..m).flat_map(|j| (0..n).map(move |i| (j, i))) {
+                        if eval.allocation().node_of(OperatorId(j)).is_some() {
+                            continue;
                         }
+                        let got = eval.score_candidate(OperatorId(j), NodeId(i));
+                        let want = dense_reference_score(eval, OperatorId(j), NodeId(i));
+                        let at = format!("step {step}: op {j} node {i} bounded {bounded}");
+                        assert_eq!(
+                            got.plane_distance.to_bits(),
+                            want.plane_distance.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(got.class_one, want.class_one, "{at}");
                     }
                 };
-                check_all(&eval);
-                for j in 0..m {
-                    eval.assign(OperatorId(j), NodeId(j % n));
-                    check_all(&eval);
-                }
-                for j in (0..m).step_by(2) {
-                    eval.unassign(OperatorId(j), NodeId(j % n));
-                    check_all(&eval);
+                check_all(&eval, 0);
+                for (step, &(j, i, assign)) in churn.iter().enumerate() {
+                    if assign {
+                        eval.assign(OperatorId(j), NodeId(i));
+                    } else {
+                        eval.unassign(OperatorId(j), NodeId(i));
+                    }
+                    check_all(&eval, step + 1);
                 }
             }
         }
+        // The residue churn ends in the states it names.
+        let (graph, caps, churn) = residue_case();
+        let model = LoadModel::derive(&graph).unwrap();
+        let cluster = Cluster::heterogeneous(caps);
+        let mut eval = IncrementalPlanEval::new(&model, &cluster);
+        for (j, i, assign) in churn {
+            if assign {
+                eval.assign(OperatorId(j), NodeId(i));
+            } else {
+                eval.unassign(OperatorId(j), NodeId(i));
+            }
+        }
+        assert_eq!(eval.node_load_row(NodeId(0))[2], -1.0);
+        assert!(!eval.admits_bounds(NodeId(0)));
+        assert_eq!(eval.allocation().node_counts()[1], 0);
+        assert!(eval.node_load_row(NodeId(1))[0] > 0.0);
+        assert!(
+            eval.node_load_row(NodeId(2))
+                .iter()
+                .filter(|&&c| c != 0.0)
+                .count()
+                > 1
+        );
     }
 
     #[test]

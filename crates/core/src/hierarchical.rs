@@ -128,7 +128,8 @@ impl HierarchicalRod {
         // ---- Level 1: ROD over the rack aggregates. ----
         let level1_start = Instant::now();
         let aggregate = topology.aggregate_cluster(cluster);
-        let level1 = RodPlanner::with_options(self.options.clone()).place(model, &aggregate)?;
+        let (level1, level1_counts) = RodPlanner::with_options(self.options.clone())
+            .place_counted(model, &aggregate, None)?;
         let rack_of: Vec<usize> = (0..m)
             .map(|j| {
                 level1
@@ -143,8 +144,7 @@ impl HierarchicalRod {
         // ---- Level 2: ROD within each rack. ----
         let level2_start = Instant::now();
         let mut allocation = Allocation::new(m, cluster.num_nodes());
-        let mut candidates_scored = level1.candidates_scored;
-        let mut candidates_bounded = level1.candidates_bounded;
+        let mut selector = Phase2Selector::new(self.options.use_class_one, false);
         // Level 1 has checked the bound; its variable point is the same
         // for every rack.
         let lower_bound = self
@@ -166,8 +166,7 @@ impl HierarchicalRod {
             if let Some(point) = &lower_bound {
                 eval.set_lower_bound(point);
             }
-            let mut selector = Phase2Selector::new(self.options.use_class_one, false);
-            selector.place(&mut eval, &ops, 0..members.len());
+            selector.place(&mut eval, &ops, 0..members.len(), None);
             for &op in &ops {
                 let local = eval
                     .allocation()
@@ -175,23 +174,30 @@ impl HierarchicalRod {
                     .expect("Phase 2 places every operator");
                 allocation.assign(op, NodeId(members[local.index()]));
             }
-            candidates_scored += selector.candidates_scored;
-            candidates_bounded += selector.candidates_bounded;
         }
+        let level2_counts = selector.counts;
+        let mut counts = level1_counts;
+        counts.add(level2_counts);
         if let Some(metrics) = metrics {
             metrics.observe("hier.level1_seconds", level1_seconds);
             metrics.observe("hier.level2_seconds", level2_start.elapsed().as_secs_f64());
             metrics.set_gauge("hier.racks", topology.num_racks() as f64);
-            metrics.add("hier.candidates_scored", candidates_scored);
-            metrics.add("hier.candidates_bounded", candidates_bounded);
+            metrics.add("hier.candidates_scored", counts.scored);
+            metrics.add("hier.candidates_bounded", counts.bounded);
+            metrics.add("hier.nodes_visited", counts.visited);
+            metrics.add("hier.blocks_skipped", counts.blocks_skipped);
+            metrics.add("hier.level1_candidates_scored", level1_counts.scored);
+            metrics.add("hier.level1_candidates_bounded", level1_counts.bounded);
+            metrics.add("hier.level2_candidates_scored", level2_counts.scored);
+            metrics.add("hier.level2_candidates_bounded", level2_counts.bounded);
         }
 
         Ok(HierPlan {
             allocation,
             rack_of,
             topology,
-            candidates_scored,
-            candidates_bounded,
+            candidates_scored: counts.scored,
+            candidates_bounded: counts.bounded,
         })
     }
 }
@@ -358,5 +364,13 @@ mod tests {
             metrics.counter("hier.candidates_bounded"),
             plan.candidates_bounded
         );
+        for (total, name) in [
+            (plan.candidates_scored, "candidates_scored"),
+            (plan.candidates_bounded, "candidates_bounded"),
+        ] {
+            let level = |l: u8| metrics.counter(&format!("hier.level{l}_{name}"));
+            assert_eq!(level(1) + level(2), total, "{name}");
+        }
+        assert!(metrics.counter("hier.nodes_visited") >= plan.candidates_scored);
     }
 }

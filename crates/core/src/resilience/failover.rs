@@ -50,12 +50,12 @@ pub fn survivor_moves(
     norm_descending(&mut orphans, |op| model.operator_norm(op));
     // Dead nodes host nothing now: they are left out of the candidates,
     // not scored.
-    let survivors = scenario.survivors(cluster.num_nodes());
-    Phase2Selector::new(true, false).place(
-        &mut eval,
-        &orphans,
-        survivors.iter().map(|node| node.index()),
-    );
+    let n = cluster.num_nodes();
+    let mut survivors = vec![u64::MAX; n.div_ceil(64)];
+    for node in scenario.failed().iter().filter(|node| node.index() < n) {
+        survivors[node.index() / 64] &= !(1 << (node.index() % 64));
+    }
+    Phase2Selector::new(true, false).place(&mut eval, &orphans, 0..n, Some(&survivors));
     orphans
         .into_iter()
         .map(|op| {

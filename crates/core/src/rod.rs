@@ -37,7 +37,7 @@
 //!
 //! Scoring every node for every operator costs O(n) probes per step —
 //! prohibitive at n ≈ 1000 nodes and m ≈ 50 000 operators — and each
-//! probe walks the node's whole load support. The default scan therefore
+//! probe walks the node's whole load support. The default walk therefore
 //! skips nodes it can prove irrelevant, cheapest check first:
 //!
 //! 1. A node whose current maximum weight already exceeds `1 + 1e-12` can
@@ -51,8 +51,10 @@
 //!    the node's plus `Σ (l^o_jk / l_k)² / (C_i/C_T)²`, a per-step
 //!    constant per capacity.
 //! 4. All **unloaded** nodes of equal relative capacity yield bitwise
-//!    identical candidate scores, so one probe is memoised per capacity
-//!    class per step.
+//!    identical candidate scores, and a later node replaces an incumbent
+//!    only by beating it by more than `1e-15`. So once one of them has
+//!    been probed in a step, the rest of its capacity class is struck
+//!    off for the step.
 //! 5. The O(nnz) **delta bound**
 //!    ([`IncrementalPlanEval::candidate_bound`]): the candidate's squared
 //!    norm is the node's cached one, minus the squares of the operator's
@@ -60,6 +62,16 @@
 //!    The same new weights decide Class I exactly, so a Class-II node is
 //!    skipped once a Class-I one is in hand, and any other node is
 //!    compared only with the incumbent it could join.
+//!
+//! Checks 1–3 read only per-node arrays of the evaluator, so the walk
+//! judges them a block of 8 nodes at a time — four lanes wide in AVX2
+//! where [`rod_geom::simd::select_path`] allows, else with the scalar
+//! twin — and skips a block with no node left whole. Exclusion only grows
+//! within a step (an incumbent's distance never falls, and Class I only
+//! closes), so a block judged against the incumbents at its start stays
+//! excluded, and each node it lets through is judged again, once an
+//! incumbent has changed, before the delta bound and the probe. A span's
+//! short last block is judged node by node.
 //!
 //! Bounds 2, 3 and 5 hold in IEEE-754 round-to-nearest, not just in exact
 //! arithmetic (3 and 5 after subtracting a rounding margin derived in
@@ -75,20 +87,25 @@
 //!
 //! Every skip is justified by an inequality on the exact floating-point
 //! values the full scan would have computed, on any ascending list of
-//! candidate nodes, so the pruned scan chooses the *same node* as the
-//! exhaustive reference — including the lowest-index tie-break. The
+//! candidate nodes, so the pruned walk chooses the *same node* as the
+//! exhaustive reference — including the lowest-index tie-break — and
+//! issues the same probes and delta bounds on every kernel path. The
 //! exhaustive scan is kept behind [`RodPlanner::with_exhaustive_scan`] as
 //! the test oracle.
 
 use serde::{Deserialize, Serialize};
 
+use std::ops::Range;
 use std::time::Instant;
+
+use rod_geom::simd::select_path;
+use rod_geom::KernelPath;
 
 use crate::allocation::Allocation;
 use crate::baselines::Planner;
 use crate::cluster::Cluster;
 use crate::error::PlacementError;
-use crate::eval::{sumsq_floor, CandidateScore, IncrementalPlanEval};
+use crate::eval::{sumsq_floor, CandidateScore, ExclusionGate, IncrementalPlanEval, BLOCK};
 use crate::ids::{NodeId, OperatorId};
 use crate::load_model::LoadModel;
 use crate::obs::MetricsRegistry;
@@ -209,27 +226,33 @@ impl RodPlanner {
 
     /// Runs ROD and returns the plan with diagnostics.
     pub fn place(&self, model: &LoadModel, cluster: &Cluster) -> Result<RodPlan, PlacementError> {
-        self.place_impl(model, cluster, None)
+        self.place_counted(model, cluster, None)
+            .map(|(plan, _)| plan)
     }
 
     /// Like [`place`](RodPlanner::place), additionally recording per-phase
-    /// wall-clock timings (`rod.phase1_seconds`, `rod.phase2_seconds`) and
-    /// step-class counters into `metrics`.
+    /// wall-clock timings (`rod.phase1_seconds`, `rod.phase2_seconds`),
+    /// step-class counters and Phase 2's work counters
+    /// (`rod.candidates_scored`, `rod.candidates_bounded`,
+    /// `rod.nodes_visited`, `rod.blocks_skipped`) into `metrics`.
     pub fn place_with_metrics(
         &self,
         model: &LoadModel,
         cluster: &Cluster,
         metrics: &MetricsRegistry,
     ) -> Result<RodPlan, PlacementError> {
-        self.place_impl(model, cluster, Some(metrics))
+        self.place_counted(model, cluster, Some(metrics))
+            .map(|(plan, _)| plan)
     }
 
-    fn place_impl(
+    /// [`place`](RodPlanner::place), also returning Phase 2's work
+    /// counters, and recording into `metrics` when given.
+    pub(crate) fn place_counted(
         &self,
         model: &LoadModel,
         cluster: &Cluster,
         metrics: Option<&MetricsRegistry>,
-    ) -> Result<RodPlan, PlacementError> {
+    ) -> Result<(RodPlan, ScanCounts), PlacementError> {
         cluster.validate()?;
         let m = model.num_operators();
         if m == 0 {
@@ -272,13 +295,14 @@ impl RodPlanner {
         // ---- Phase 2: greedy assignment. ----
         let phase2_start = Instant::now();
         let mut selector = Phase2Selector::new(self.options.use_class_one, self.exhaustive_scan);
-        let step_classes = selector.place(&mut eval, &order, 0..n);
-        let candidates_scored = selector.candidates_scored;
-        let candidates_bounded = selector.candidates_bounded;
+        let step_classes = selector.place(&mut eval, &order, 0..n, None);
+        let counts = selector.counts;
         if let Some(metrics) = metrics {
             metrics.observe("rod.phase2_seconds", phase2_start.elapsed().as_secs_f64());
-            metrics.add("rod.candidates_scored", candidates_scored);
-            metrics.add("rod.candidates_bounded", candidates_bounded);
+            metrics.add("rod.candidates_scored", counts.scored);
+            metrics.add("rod.candidates_bounded", counts.bounded);
+            metrics.add("rod.nodes_visited", counts.visited);
+            metrics.add("rod.blocks_skipped", counts.blocks_skipped);
             metrics.add(
                 "rod.steps_class_one",
                 step_classes
@@ -295,13 +319,14 @@ impl RodPlanner {
             );
         }
 
-        Ok(RodPlan {
+        let plan = RodPlan {
             allocation: eval.into_allocation(),
             order,
             step_classes,
-            candidates_scored,
-            candidates_bounded,
-        })
+            candidates_scored: counts.scored,
+            candidates_bounded: counts.bounded,
+        };
+        Ok((plan, counts))
     }
 }
 
@@ -330,20 +355,57 @@ fn check_lower_bound(model: &LoadModel, bound: &[f64]) -> Result<(), PlacementEr
     }
 }
 
+/// Bit `i` of a bitset: bit `i % 64` of word `i / 64`.
+fn has_bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Work counters of Phase 2, accumulated by the selector and written to
+/// a metrics registry once per placement call.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ScanCounts {
+    /// `score_candidate` probes.
+    pub(crate) scored: u64,
+    /// O(nnz) delta bounds.
+    pub(crate) bounded: u64,
+    /// Nodes that reached the delta bound or the probe: every candidate
+    /// of an exhaustive step, the nodes of a pruned step that no O(1)
+    /// check excluded and no strike-off removed.
+    pub(crate) visited: u64,
+    /// Blocks of up to [`BLOCK`] candidate nodes in which the pruned walk
+    /// visited none.
+    pub(crate) blocks_skipped: u64,
+}
+
+impl ScanCounts {
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: ScanCounts) {
+        self.scored += other.scored;
+        self.bounded += other.bounded;
+        self.visited += other.visited;
+        self.blocks_skipped += other.blocks_skipped;
+    }
+}
+
 /// ROD's Phase 2 (see the module docs): either the exhaustive scan over
-/// every candidate node or the pruned scan. Both pick the same node at
+/// every candidate node or the pruned walk. Both pick the same node at
 /// every step.
+///
+/// The candidates of a run are the nodes of a `span`, less those whose
+/// bit is clear in an optional candidate mask (bit `b` of word `b / 64`
+/// is node `span.start + b`).
 pub(crate) struct Phase2Selector {
     /// False for the pure-MMPD ablation: no Class I / Class II split.
     use_class_one: bool,
     exhaustive: bool,
-    /// Per-step memo of unloaded-node candidate scores keyed by the
-    /// node's relative-capacity bits (cleared at each step).
-    memo: Vec<(u64, CandidateScore)>,
-    /// Total `score_candidate` probes issued.
-    pub(crate) candidates_scored: u64,
-    /// Total O(nnz) delta bounds evaluated.
-    pub(crate) candidates_bounded: u64,
+    /// The exclusion predicate's kernel path, chosen on the selector's
+    /// first span that holds a whole block.
+    path: Option<KernelPath>,
+    /// One bit per span node, set while the walk must not visit it this
+    /// step: a non-candidate, or an unloaded node whose capacity class
+    /// the step has probed (bit `b` is node `span.start + b`).
+    skip: Vec<u64>,
+    pub(crate) counts: ScanCounts,
 }
 
 impl Phase2Selector {
@@ -351,28 +413,29 @@ impl Phase2Selector {
         Phase2Selector {
             use_class_one,
             exhaustive,
-            memo: Vec::new(),
-            candidates_scored: 0,
-            candidates_bounded: 0,
+            path: None,
+            skip: Vec::new(),
+            counts: ScanCounts::default(),
         }
     }
 
     /// Assigns each operator of `order` in turn to the node chosen among
-    /// `nodes`, which must be ascending, and returns the class of each
-    /// step.
+    /// the candidates (`span`, less the clear bits of `candidates`), and
+    /// returns the class of each step.
     pub(crate) fn place(
         &mut self,
         eval: &mut IncrementalPlanEval<'_>,
         order: &[OperatorId],
-        nodes: impl Iterator<Item = usize> + Clone,
+        span: Range<usize>,
+        candidates: Option<&[u64]>,
     ) -> Vec<StepClass> {
         order
             .iter()
             .map(|&op| {
                 let (dest, class) = if self.exhaustive {
-                    self.select_exhaustive(eval, op, nodes.clone())
+                    self.select_exhaustive(eval, op, &span, candidates)
                 } else {
-                    self.select_pruned(eval, op, nodes.clone())
+                    self.select_pruned(eval, op, &span, candidates)
                 };
                 eval.assign(op, NodeId(dest));
                 class
@@ -387,12 +450,16 @@ impl Phase2Selector {
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
-        nodes: impl Iterator<Item = usize>,
+        span: &Range<usize>,
+        candidates: Option<&[u64]>,
     ) -> (usize, StepClass) {
-        let scores: Vec<(usize, CandidateScore)> = nodes
+        let scores: Vec<(usize, CandidateScore)> = span
+            .clone()
+            .filter(|i| candidates.map_or(true, |m| has_bit(m, i - span.start)))
             .map(|i| (i, eval.score_candidate(op, NodeId(i))))
             .collect();
-        self.candidates_scored += scores.len() as u64;
+        self.counts.scored += scores.len() as u64;
+        self.counts.visited += scores.len() as u64;
         let class_one = self.use_class_one && scores.iter().any(|(_, s)| s.class_one);
         let pool = scores
             .iter()
@@ -405,115 +472,180 @@ impl Phase2Selector {
         }
     }
 
-    /// The memoised score of an unloaded node, if this step already
-    /// probed one of its relative capacity: an unloaded node's candidate
-    /// score is a pure function of `(op, C_i/C_T)`, so the memoised value
-    /// is bitwise the score a fresh probe would return.
-    fn memoised(&self, eval: &IncrementalPlanEval<'_>, node: NodeId) -> Option<CandidateScore> {
-        if !eval.node_is_unloaded(node) {
-            return None;
-        }
-        let key = eval.relative_capacity_of(node).to_bits();
-        self.memo.iter().find(|(k, _)| *k == key).map(|&(_, s)| s)
-    }
-
-    /// Scores `op` on `node`, memoising an unloaded node's score for the
-    /// rest of the step.
-    fn probe(
-        &mut self,
-        eval: &IncrementalPlanEval<'_>,
-        op: OperatorId,
-        node: NodeId,
-    ) -> CandidateScore {
-        let s = eval.score_candidate(op, node);
-        self.candidates_scored += 1;
-        if eval.node_is_unloaded(node) {
-            let key = eval.relative_capacity_of(node).to_bits();
-            self.memo.push((key, s));
-        }
-        s
-    }
-
-    /// The pruned scan. It visits the candidates in ascending order and
+    /// The pruned walk. It visits the candidates in ascending order and
     /// keeps two incumbents under [`offer`]'s rule, as [`best_by`] does:
     /// one over Class I and a Class-II fallback over every candidate.
     /// A node is skipped only when it provably cannot change the result,
     /// by the first of these checks that applies, each costlier than the
     /// one before:
     ///
-    /// 1. a node with `max_weight_of > 1 + 1e-12` cannot be Class I, so
-    ///    it only feeds the fallback, and not at all once Class I is
-    ///    non-empty;
-    /// 2. O(1): the node's current plane distance, then the pre-bound,
-    ///    against the incumbent the node could join (the Class-I one when
-    ///    the prefilter leaves Class I open);
-    /// 3. an unloaded node of a capacity already probed this step reuses
-    ///    that probe;
-    /// 4. O(nnz): the delta bound, whose exact Class-I verdict picks the
+    /// 1. O(1), a block of [`BLOCK`] nodes at a time
+    ///    ([`NodeColumns::next_live_block`](crate::eval::NodeColumns::next_live_block)):
+    ///    a node with
+    ///    `max_weight_of > 1 + 1e-12` cannot be Class I, so it only feeds
+    ///    the fallback, and not at all once Class I is non-empty; then the
+    ///    node's current plane distance and the pre-bound, against the
+    ///    incumbent the node could join (the Class-I one when the
+    ///    prefilter leaves Class I open). Exclusion only grows within a
+    ///    step, so a block judged against the incumbents at its start is
+    ///    skipped whole when it holds no live node, and each live node is
+    ///    judged again once an incumbent has changed (the short last
+    ///    block is judged node by node);
+    /// 2. an unloaded node of a capacity class already probed this step
+    ///    scores that probe's score, which cannot replace either
+    ///    incumbent, so it is struck off;
+    /// 3. O(nnz): the delta bound, whose exact Class-I verdict picks the
     ///    incumbent: a Class-I node competes with the Class-I incumbent,
     ///    and a Class-II node is out once Class I is non-empty.
     ///
     /// A node that fails [`IncrementalPlanEval::admits_bounds`] gets no
-    /// bound (checks 2 and 4). An operator with a negative load
+    /// bound (checks 1 and 3). An operator with a negative load
     /// coefficient voids the prefilter and every bound, so its step runs
     /// the exhaustive scan.
     fn select_pruned(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
         op: OperatorId,
-        nodes: impl Iterator<Item = usize>,
+        span: &Range<usize>,
+        candidates: Option<&[u64]>,
     ) -> (usize, StepClass) {
         let Some(q) = eval.bound_input(op) else {
-            return self.select_exhaustive(eval, op, nodes);
+            return self.select_exhaustive(eval, op, span, candidates);
         };
-        self.memo.clear();
-        let mut class_one = Incumbent::default();
-        let mut all = Incumbent::default();
-        for i in nodes {
-            let node = NodeId(i);
-            let possibly_c1 = self.use_class_one && eval.max_weight_of(node) <= 1.0 + 1e-12;
-            if class_one.best.is_some() && !possibly_c1 {
-                continue;
-            }
-            let bounded = eval.admits_bounds(node);
-            let joins = if possibly_c1 { &class_one } else { &all };
-            if bounded
-                && (joins.excludes_distance(eval.plane_distance(node))
-                    || eval
-                        .pre_bound_sumsq(q, node)
-                        .is_some_and(|x| joins.excludes_sumsq(x)))
-            {
-                continue;
-            }
-            let s = match self.memoised(eval, node) {
-                Some(s) => s,
-                None => {
-                    // With no incumbent yet, no bound can exclude the node.
-                    if bounded && (class_one.best.is_some() || all.best.is_some()) {
-                        self.candidates_bounded += 1;
-                        if let Some((sumsq, c1)) = eval.candidate_bound_sumsq(op, node) {
-                            let joins = if possibly_c1 && c1 {
-                                &class_one
-                            } else if class_one.best.is_some() {
-                                continue;
-                            } else {
-                                &all
-                            };
-                            if joins.excludes_sumsq(sumsq) {
-                                continue;
-                            }
-                        }
-                    }
-                    self.probe(eval, op, node)
-                }
+        let words = span.len().div_ceil(64);
+        self.skip.clear();
+        match candidates {
+            Some(mask) => self.skip.extend(mask[..words].iter().map(|w| !w)),
+            None => self.skip.resize(words, 0),
+        }
+        // A span shorter than one block has no whole block for AVX2.
+        let path = if span.len() < BLOCK {
+            KernelPath::Scalar
+        } else {
+            *self.path.get_or_insert_with(|| select_path(false))
+        };
+        let columns = eval.node_columns();
+        let mut inc = Incumbents::default();
+        let mut from = span.start;
+        while from < span.end {
+            let Some((base, mut live)) = columns.next_live_block(
+                span,
+                from,
+                &inc.gate(q, self.use_class_one),
+                &self.skip,
+                path,
+                &mut self.counts.blocks_skipped,
+            ) else {
+                break;
             };
-            if possibly_c1 && s.class_one {
-                class_one.offer(i, s.plane_distance);
-            } else if class_one.best.is_none() {
-                all.offer(i, s.plane_distance);
+            // A whole block was judged against the incumbents as they
+            // stood; once one changes, each later node is judged again.
+            // The short last block is judged node by node.
+            let judged = (base + BLOCK <= span.end).then_some(inc.changes);
+            let visited = self.counts.visited;
+            while live != 0 {
+                let i = base + live.trailing_zeros() as usize;
+                live &= live - 1;
+                if has_bit(&self.skip, i - span.start)
+                    || (judged != Some(inc.changes)
+                        && columns.excludes(i, &inc.gate(q, self.use_class_one)))
+                {
+                    continue;
+                }
+                self.counts.visited += 1;
+                self.visit(eval, op, span, i, &mut inc);
+            }
+            if self.counts.visited == visited {
+                self.counts.blocks_skipped += 1;
+            }
+            from = base + BLOCK;
+        }
+        inc.result()
+    }
+
+    /// The per-node body of the pruned walk, on a node the O(1) checks
+    /// and the struck-off bits have let through: the delta bound, then
+    /// the probe.
+    fn visit(
+        &mut self,
+        eval: &IncrementalPlanEval<'_>,
+        op: OperatorId,
+        span: &Range<usize>,
+        i: usize,
+        inc: &mut Incumbents,
+    ) {
+        let node = NodeId(i);
+        let possibly_c1 = self.use_class_one && eval.max_weight_of(node) <= 1.0 + 1e-12;
+        // With no incumbent yet, no bound can exclude the node.
+        if eval.admits_bounds(node) && (inc.class_one.best.is_some() || inc.fallback.best.is_some())
+        {
+            self.counts.bounded += 1;
+            if let Some((sumsq, c1)) = eval.candidate_bound_sumsq(op, node) {
+                let joins = if possibly_c1 && c1 {
+                    &inc.class_one
+                } else if inc.class_one.best.is_some() {
+                    return;
+                } else {
+                    &inc.fallback
+                };
+                if joins.excludes_sumsq(sumsq) {
+                    return;
+                }
             }
         }
-        match (class_one.best, all.best) {
+        let s = eval.score_candidate(op, node);
+        self.counts.scored += 1;
+        if eval.node_is_unloaded(node) {
+            // Every later unloaded node of this capacity class would score
+            // `s` bit for bit, which cannot replace either incumbent now.
+            let skip = &mut self.skip;
+            eval.for_each_unloaded_twin(node, span.end, |j| {
+                skip[(j - span.start) / 64] |= 1 << ((j - span.start) % 64);
+            });
+        }
+        inc.offer(i, possibly_c1 && s.class_one, s.plane_distance);
+    }
+}
+
+/// The pruned walk's two incumbents: the best Class-I node, and the
+/// Class-II fallback over every candidate, offered to only while Class I
+/// is empty.
+#[derive(Default)]
+struct Incumbents {
+    class_one: Incumbent,
+    fallback: Incumbent,
+    /// How many times either incumbent has been replaced.
+    changes: u32,
+}
+
+impl Incumbents {
+    /// Offers a probed node to the Class-I incumbent when the probe
+    /// found it Class I (and the Class-I rule is on), else to the
+    /// fallback while Class I is empty.
+    fn offer(&mut self, node: usize, class_one: bool, distance: f64) {
+        let replaced = if class_one {
+            self.class_one.offer(node, distance)
+        } else {
+            self.class_one.best.is_none() && self.fallback.offer(node, distance)
+        };
+        self.changes += u32::from(replaced);
+    }
+
+    /// The O(1) checks' view of the incumbents for an operator whose
+    /// `bound_input` is `q`.
+    fn gate(&self, q: f64, class_one: bool) -> ExclusionGate {
+        ExclusionGate {
+            q,
+            class_one,
+            class_one_closed: self.class_one.best.is_some(),
+            class_one_bar: self.class_one.bar,
+            fallback_bar: self.fallback.bar,
+        }
+    }
+
+    /// The chosen node and the step's class.
+    fn result(&self) -> (usize, StepClass) {
+        match (self.class_one.best, self.fallback.best) {
             (Some((dest, _)), _) => (dest, StepClass::ClassOne),
             (None, Some((dest, _))) => (dest, StepClass::ClassTwo),
             (None, None) => panic!("Phase 2 needs at least one candidate node"),
@@ -521,36 +653,42 @@ impl Phase2Selector {
     }
 }
 
-/// One incumbent of the pruned scan: the best `(node, distance)` under
-/// [`offer`]'s rule, and the squared-norm threshold a bound must stay
-/// under to replace it.
-#[derive(Default)]
+/// One incumbent of the pruned walk: the best `(node, distance)` under
+/// [`offer`]'s rule, and the bar a bound must clear to replace it.
 struct Incumbent {
     best: Option<(usize, f64)>,
-    /// A candidate whose squared weight norm is at least this has a
-    /// plane distance of at most `best + 1e-15` ([`sumsq_floor`]).
-    floor: f64,
+    /// `[best + 1e-15, sumsq_floor(best + 1e-15)]`: a candidate whose
+    /// plane distance is at most the first, or whose squared weight norm
+    /// is at least the second ([`sumsq_floor`]), cannot replace the
+    /// incumbent. NaN, which excludes nothing, with no incumbent.
+    bar: [f64; 2],
+}
+
+impl Default for Incumbent {
+    fn default() -> Self {
+        Incumbent {
+            best: None,
+            bar: [f64::NAN; 2],
+        }
+    }
 }
 
 impl Incumbent {
-    /// [`offer`], refreshing the floor when the incumbent changes.
-    fn offer(&mut self, node: usize, distance: f64) {
-        if offer(&mut self.best, node, distance) {
-            self.floor = sumsq_floor(distance + 1e-15);
+    /// [`offer`], refreshing the bar when the incumbent changes; returns
+    /// whether it did.
+    fn offer(&mut self, node: usize, distance: f64) -> bool {
+        let replaced = offer(&mut self.best, node, distance);
+        if replaced {
+            let threshold = distance + 1e-15;
+            self.bar = [threshold, sumsq_floor(threshold)];
         }
-    }
-
-    /// True when a candidate whose plane distance is at most `bound`
-    /// cannot replace the incumbent. With no incumbent, or a NaN bound,
-    /// nothing is excluded.
-    fn excludes_distance(&self, bound: f64) -> bool {
-        matches!(self.best, Some((_, b)) if bound <= b + 1e-15)
+        replaced
     }
 
     /// True when a candidate whose squared weight norm is at least
     /// `sumsq` cannot replace the incumbent.
     fn excludes_sumsq(&self, sumsq: f64) -> bool {
-        self.best.is_some() && sumsq >= self.floor
+        sumsq >= self.bar[1]
     }
 }
 
@@ -603,14 +741,14 @@ impl RodPlanner {
         // the planner's own ones are.
         let use_class_one = RodOptions::default().use_class_one;
         let mut selector = Phase2Selector::new(use_class_one, self.exhaustive_scan);
-        let step_classes = selector.place(&mut eval, &pending, 0..cluster.num_nodes());
+        let step_classes = selector.place(&mut eval, &pending, 0..cluster.num_nodes(), None);
 
         Ok(RodPlan {
             allocation: eval.into_allocation(),
             order: pending,
             step_classes,
-            candidates_scored: selector.candidates_scored,
-            candidates_bounded: selector.candidates_bounded,
+            candidates_scored: selector.counts.scored,
+            candidates_bounded: selector.counts.bounded,
         })
     }
 }
@@ -977,9 +1115,10 @@ mod tests {
 
     #[test]
     fn pruning_and_memoisation_cut_probe_counts() {
-        // Wide graph over a homogeneous cluster: unloaded nodes collapse
-        // into one memo entry, loaded nodes prune by bound — the probe
-        // count must land well below the m·n of the exhaustive scan.
+        // Wide graph over a homogeneous cluster: one unloaded node is
+        // probed per step and its twins are struck off, loaded nodes prune
+        // by bound — the probe count must land well below the m·n of the
+        // exhaustive scan.
         let m = irregular_model(8, 5);
         let cluster = Cluster::homogeneous(16, 1.0);
         let pruned = RodPlanner::new().place(&m, &cluster).unwrap();
@@ -996,6 +1135,27 @@ mod tests {
             full_probes
         );
         assert_eq!(pruned.allocation, full.allocation);
+    }
+
+    /// `place_with_metrics` writes the walk's counters once: probes and
+    /// delta bounds as the plan reports them, the nodes that reached
+    /// either (each at least one of the two), and the skipped blocks.
+    #[test]
+    fn place_with_metrics_counts_the_walk() {
+        let m = irregular_model(8, 5);
+        let cluster = Cluster::homogeneous(20, 1.0);
+        let metrics = MetricsRegistry::new();
+        let plan = RodPlanner::new()
+            .place_with_metrics(&m, &cluster, &metrics)
+            .unwrap();
+        let (scored, bounded) = (plan.candidates_scored, plan.candidates_bounded);
+        assert_eq!(metrics.counter("rod.candidates_scored"), scored);
+        assert_eq!(metrics.counter("rod.candidates_bounded"), bounded);
+        let visited = metrics.counter("rod.nodes_visited");
+        assert!(visited >= scored.max(bounded) && visited <= scored + bounded);
+        // 20 nodes are three blocks a step: two whole, one of 4.
+        let blocks = metrics.counter("rod.blocks_skipped");
+        assert!(blocks > 0 && blocks <= 3 * m.num_operators() as u64);
     }
 
     /// A node whose load cell went negative through unassign residues
@@ -1022,8 +1182,9 @@ mod tests {
             let mut pruned = eval.clone();
             let mut full = eval.clone();
             let mut selector = Phase2Selector::new(use_class_one, false);
-            let classes = selector.place(&mut pruned, &order, 0..3);
-            let want = Phase2Selector::new(use_class_one, true).place(&mut full, &order, 0..3);
+            let classes = selector.place(&mut pruned, &order, 0..3, None);
+            let want =
+                Phase2Selector::new(use_class_one, true).place(&mut full, &order, 0..3, None);
             assert_eq!(pruned.allocation(), full.allocation());
             assert_eq!(classes, want);
         }

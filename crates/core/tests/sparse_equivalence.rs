@@ -132,12 +132,19 @@ fn cluster_for(pick: usize) -> Cluster {
 }
 
 /// [`cluster_for`]'s shapes, then `nodes`-node homogeneous and
-/// heterogeneous clusters, where the pruned scan has nodes to skip.
+/// heterogeneous clusters, where the pruned scan has nodes to skip: four
+/// capacity classes in turn, and three in an irregular interleave, so
+/// that the unloaded nodes of every class sit between those of others.
 fn wide_cluster_for(pick: usize, nodes: usize) -> Cluster {
     match pick {
         0..=2 => cluster_for(pick),
         3 => Cluster::homogeneous(nodes, 1.0),
-        _ => Cluster::heterogeneous((0..nodes).map(|i| [3.0, 1.0, 0.5, 2.0][i % 4]).collect()),
+        4 => Cluster::heterogeneous((0..nodes).map(|i| [3.0, 1.0, 0.5, 2.0][i % 4]).collect()),
+        _ => Cluster::heterogeneous(
+            (0..nodes)
+                .map(|i| [1.0, 2.0, 0.5][(i * 7 + i / 3) % 3])
+                .collect(),
+        ),
     }
 }
 
@@ -495,18 +502,21 @@ proptest! {
         }
     }
 
-    /// The pruned Phase-2 scan (the default) picks byte-identical
-    /// placements to the exhaustive O(m·n) scan, across cluster shapes of
-    /// 4 to 64 nodes, the class-one ablation switch and §6.1 lower
-    /// bounds, and so does `extend` from a partial allocation.
+    /// The pruned Phase-2 walk (the default) picks byte-identical
+    /// placements to the exhaustive O(m·n) scan: across clusters of 1 to
+    /// 70 nodes (so every length of a short last block), with three and
+    /// four interleaved capacity classes, the class-one ablation switch
+    /// and §6.1 lower bounds; `extend` from a partial allocation; and
+    /// `survivor_moves` over survivor lists with holes, against the
+    /// exhaustive re-placement of every orphan.
     #[test]
     fn pruned_scan_places_byte_identically_to_exhaustive(
         spec in sparse_spec_sized(2..12, 1..160),
-        caps_pick in 0usize..5,
-        nodes in 16usize..=64,
+        caps_pick in 0usize..6,
+        nodes in 1usize..=70,
         class_one_pick in 0u8..2,
         bound_pick in 0usize..3,
-        hosts in prop::collection::vec(0usize..64, 28),
+        hosts in prop::collection::vec(0usize..70, 28),
         placed_every in 2usize..5,
     ) {
         let graph = build(&spec);
@@ -534,13 +544,29 @@ proptest! {
         for j in (0..model.num_operators()).step_by(placed_every) {
             partial.assign(OperatorId(j), NodeId(hosts[j % hosts.len()] % n));
         }
-        let pruned = RodPlanner::new().extend(&model, &cluster, &partial).unwrap();
+        let extended = RodPlanner::new().extend(&model, &cluster, &partial).unwrap();
         let full = RodPlanner::new()
             .with_exhaustive_scan(true)
             .extend(&model, &cluster, &partial)
             .unwrap();
-        prop_assert_eq!(&pruned.allocation, &full.allocation);
-        prop_assert_eq!(&pruned.step_classes, &full.step_classes);
+        prop_assert_eq!(&extended.allocation, &full.allocation);
+        prop_assert_eq!(&extended.step_classes, &full.step_classes);
+
+        // Kill every `placed_every`-th node from a picked offset, leaving
+        // at least one survivor.
+        if n >= 2 {
+            let failed: Vec<NodeId> = (hosts[0] % n..n)
+                .step_by(placed_every)
+                .take(n - 1)
+                .map(NodeId)
+                .collect();
+            let scenario = FailureScenario::new(failed);
+            prop_assert_eq!(
+                survivor_moves(&model, &cluster, &pruned.allocation, &scenario),
+                survivor_moves_oracle(&model, &cluster, &pruned.allocation, &scenario),
+                "{:?}", scenario
+            );
+        }
     }
 
     /// The pruned scan's bounds against the probe they stand in for, at
