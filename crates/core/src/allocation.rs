@@ -36,17 +36,6 @@ impl Allocation {
         }
     }
 
-    /// Builds an allocation from per-node operator groups.
-    pub fn from_groups(num_operators: usize, groups: &[Vec<OperatorId>]) -> Self {
-        let mut a = Allocation::new(num_operators, groups.len());
-        for (i, group) in groups.iter().enumerate() {
-            for &op in group {
-                a.assign(op, NodeId(i));
-            }
-        }
-        a
-    }
-
     /// Number of operators.
     pub fn num_operators(&self) -> usize {
         self.assignment.len()

@@ -18,26 +18,30 @@
 //! ```
 //!
 //! [`IncrementalPlanEval`] owns that state and keeps it consistent under
-//! [`assign`](IncrementalPlanEval::assign) /
-//! [`unassign`](IncrementalPlanEval::unassign), while
+//! [`assign`](IncrementalPlanEval::assign), while
 //! [`score_candidate`](IncrementalPlanEval::score_candidate) answers the
 //! what-if question without mutating anything. A
 //! [`snapshot`](IncrementalPlanEval::snapshot) materialises the exact
 //! same [`WeightMatrix`] / [`FeasibleRegion`] the from-scratch path
 //! produces, so downstream geometry is unchanged.
 //!
+//! **Assign-only.** The paper's greedy, and every placement built on it,
+//! only ever adds an operator to a node, and so does this state: there
+//! is no unassign. Every load cell is therefore a float sum, from `+0.0`,
+//! of loads that [`LoadModel`] guarantees finite and non-negative
+//! (clustered super-rows are sums of such loads), so no cell is ever
+//! negative — the invariant the pruned Phase-2 scan's bounds rest on
+//! (DESIGN.md §10).
+//!
 //! **Sparsity.** Operator load rows come from the model's
 //! [`rod_geom::SparseRow`] storage, and each node tracks the sorted
-//! *support* of its load row — the columns currently holding a nonzero.
-//! Assign, unassign, and candidate scoring then cost O(nnz) instead of
-//! O(d'), while staying bit-identical to the dense loops: a column outside
-//! the support holds exactly `0.0`, its weight is exactly `+0.0`, and a
-//! `+0.0` term never changes an IEEE-754 accumulation that started at
-//! `+0.0`. Membership is decided by the *value* of the load cell, not by
-//! bookkeeping counts: after an unassign a cell may keep a tiny
-//! floating-point residue (`(a+b)−b ≠ a` in general), and the dense
-//! reference would fold that residue's weight into the norm — so the
-//! support keeps exactly the cells that are nonzero, residues included.
+//! *support* of its load row — exactly the columns holding a nonzero.
+//! Assign and candidate scoring then cost O(nnz) instead of O(d'), while
+//! staying bit-identical to the dense loops: a column outside the support
+//! holds exactly `0.0`, its weight is exactly `+0.0`, and a `+0.0` term
+//! never changes an IEEE-754 accumulation that started at `+0.0`. A cell
+//! joins the support when an assign makes it nonzero, and a sum of
+//! non-negative loads never returns to zero.
 //!
 //! The sampled side of the layer is the crate-private `SampledLoads`
 //! table. It holds each operator's load at every quasi-Monte-Carlo
@@ -125,8 +129,6 @@ pub struct IncrementalPlanEval<'a> {
     sumsq: Vec<f64>,
     /// Per-node largest weight `max_k w_ik` (0 for an empty node).
     max_w: Vec<f64>,
-    /// Per-node count of load cells below zero (unassign residues).
-    negative_cells: Vec<u32>,
     /// Per-node sorted column support: exactly the `k` with
     /// `ln[i·d + k] != 0.0`.
     support: Vec<Vec<u32>>,
@@ -224,7 +226,6 @@ impl<'a> IncrementalPlanEval<'a> {
             plane: vec![f64::INFINITY; n],
             sumsq: vec![0.0; n],
             max_w: vec![0.0; n],
-            negative_cells: vec![0; n],
             support: vec![Vec::new(); n],
             bound_margin: (3 * d + 32) as f64 * (f64::EPSILON / 2.0),
             lower_bound: None,
@@ -304,30 +305,18 @@ impl<'a> IncrementalPlanEval<'a> {
 
     /// Plane distance `1/‖W_i‖₂` of one node (`+inf` when empty).
     ///
-    /// On a node that passes [`Self::admits_bounds`] this is also a
-    /// rigorous upper bound — in IEEE-754 round-to-nearest, not merely in
-    /// exact arithmetic — on the `plane_distance` that
+    /// This is also a rigorous upper bound — in IEEE-754 round-to-nearest,
+    /// not merely in exact arithmetic — on the `plane_distance` that
     /// [`Self::score_candidate`] can report for *any* operator with
-    /// non-negative loads on this node, in both distance modes: candidate
-    /// weights dominate current weights componentwise (loads only grow,
-    /// and every float operation involved is monotone), so the candidate
-    /// norm dominates the current norm, and under a non-negative §6.1
-    /// bound the numerator `1 − W'·B̃ ≤ 1`. A negative load cell breaks
-    /// both steps: adding to it can shrink `|w_ik|`, and a negative
-    /// weight can push `1 − W'·B̃` above 1. The pruned phase-2 scan relies
-    /// on this to skip nodes without scoring them.
+    /// non-negative loads on this node, in both distance modes unless the
+    /// §6.1 point has a negative component: candidate weights dominate
+    /// current weights componentwise (no cell is negative, loads only
+    /// grow, and every float operation involved is monotone), so the
+    /// candidate norm dominates the current norm, and under a
+    /// non-negative §6.1 bound the numerator `1 − W'·B̃ ≤ 1`. The pruned
+    /// phase-2 scan relies on this to skip nodes without scoring them.
     pub fn plane_distance(&self, node: NodeId) -> f64 {
         self.plane[node.index()]
-    }
-
-    /// True when the candidate-distance bounds hold on this node: none of
-    /// its load cells is negative, and the §6.1 point, if set, has no
-    /// negative component. Cells only go negative through unassign
-    /// residues (assign `1.0` then `1e16` to one cell, unassign the
-    /// `1e16` operator, then the `1.0` one: the cell reads `−1.0`), so a
-    /// node that has only received assigns always passes.
-    pub fn admits_bounds(&self, node: NodeId) -> bool {
-        self.lower_bound_nonnegative && self.negative_cells[node.index()] == 0
     }
 
     /// `Σ_k (l^o_jk / l_k)²` over the operator's columns with `l_k > 0`:
@@ -355,34 +344,31 @@ impl<'a> IncrementalPlanEval<'a> {
 
     /// O(1) upper bound on the `plane_distance` [`Self::score_candidate`]
     /// reports for the operator whose [`Self::bound_input`] is `q` on
-    /// `node`, or `None` when the node fails [`Self::admits_bounds`].
-    /// With every cell and load non-negative, `(a + b)² ≥ a² + b²` puts
-    /// the candidate's squared norm at or above `‖W_i‖₂² + q/(C_i/C_T)²`;
-    /// that estimate less its rounding margin is at or below the sum the
-    /// probe computes (DESIGN.md §10).
-    pub fn pre_bound(&self, q: f64, node: NodeId) -> Option<f64> {
-        let sumsq = self.node_columns().pre_bound(q, node.index());
-        self.admits_bounds(node).then(|| distance_of_sumsq(sumsq))
+    /// `node`. With every cell and load non-negative, `(a + b)² ≥ a² + b²`
+    /// puts the candidate's squared norm at or above
+    /// `‖W_i‖₂² + q/(C_i/C_T)²`; that estimate less its rounding margin is
+    /// at or below the sum the probe computes (DESIGN.md §10).
+    pub fn pre_bound(&self, q: f64, node: NodeId) -> f64 {
+        distance_of_sumsq(self.node_columns().pre_bound(q, node.index()))
     }
 
     /// The per-node arrays the pruned Phase-2 walk's O(1) exclusion
-    /// checks read: max weight, plane distance, squared norm,
-    /// `1/(C_i/C_T)²` and negative-cell count.
+    /// checks read: max weight, plane distance, squared norm and
+    /// `1/(C_i/C_T)²`.
     pub(crate) fn node_columns(&self) -> NodeColumns<'_> {
         NodeColumns {
             max_w: &self.max_w,
             plane: &self.plane,
             sumsq: &self.sumsq,
             inv_rel_sq: &self.inv_rel_sq,
-            negative_cells: &self.negative_cells,
             margin: self.bound_margin,
         }
     }
 
     /// O(nnz of the operator) upper bound on the `plane_distance`
     /// [`Self::score_candidate`] reports for `op` on `node`, and its exact
-    /// Class-I verdict, or `None` when the node fails
-    /// [`Self::admits_bounds`] or the operator has a negative load. The
+    /// Class-I verdict, or `None` when no bound holds: the operator has a
+    /// negative or NaN load, or the §6.1 point a negative component. The
     /// candidate's squared norm is the node's cached one, minus the
     /// squares of the operator's columns' current weights, plus the
     /// squares of their new weights — computed with `score_candidate`'s
@@ -407,7 +393,7 @@ impl<'a> IncrementalPlanEval<'a> {
         op: OperatorId,
         node: NodeId,
     ) -> Option<(f64, bool)> {
-        if !self.admits_bounds(node) {
+        if !self.lower_bound_nonnegative {
             return None;
         }
         let i = node.index();
@@ -472,11 +458,10 @@ impl<'a> IncrementalPlanEval<'a> {
         self.support[node.index()].is_empty()
     }
 
-    /// The node's relative capacity `C_i / C_T` exactly as the weight
-    /// normalisation uses it. Unloaded-node candidate scores are a pure
-    /// function of `(operator, C_i/C_T)`.
-    pub fn relative_capacity_of(&self, node: NodeId) -> f64 {
-        self.rel[node.index()]
+    /// The node's support: exactly the columns whose load cell is
+    /// nonzero, ascending.
+    pub fn node_support(&self, node: NodeId) -> &[u32] {
+        &self.support[node.index()]
     }
 
     /// Calls `f` on each unloaded node after `node` and before `end`
@@ -499,8 +484,7 @@ impl<'a> IncrementalPlanEval<'a> {
 
     /// Assigns `op` to `node`, updating only the touched columns of that
     /// node's row (O(nnz of the operator + node support)). Panics if `op`
-    /// is already placed — use [`unassign`](Self::unassign) first to model
-    /// a move.
+    /// is already placed: the state is assign-only.
     pub fn assign(&mut self, op: OperatorId, node: NodeId) {
         assert!(
             self.alloc.node_of(op).is_none(),
@@ -516,56 +500,22 @@ impl<'a> IncrementalPlanEval<'a> {
         self.refresh_node(i);
     }
 
-    /// Removes `op` from `node`, updating only the touched columns of
-    /// that node's row (O(nnz of the operator + node support)). Panics
-    /// unless `op` currently sits on `node`.
-    pub fn unassign(&mut self, op: OperatorId, node: NodeId) {
-        assert_eq!(
-            self.alloc.node_of(op),
-            Some(node),
-            "operator {op:?} is not on node {node:?}"
-        );
-        let i = node.index();
-        let row = self.lo.row(op.index());
-        for t in 0..row.nnz() {
-            let (k, v) = (row.terms()[t].0 as usize, row.terms()[t].1);
-            self.apply_delta(i, k, -v);
-        }
-        self.alloc.unassign(op);
-        self.refresh_node(i);
-    }
-
-    /// Adds `delta` to load cell `(i, k)`, recomputes its cached weight,
-    /// keeps the support sorted by cell value (a cell is in the support
-    /// iff it is nonzero — including unassign residues, which the dense
-    /// reference would also fold into the norm), and counts the node's
-    /// negative cells.
+    /// Adds the non-negative load `delta` to cell `(i, k)`, recomputes
+    /// its cached weight, and inserts `k` into the sorted support when the
+    /// cell turns nonzero (it never turns back).
     fn apply_delta(&mut self, i: usize, k: usize, delta: f64) {
         let cell = &mut self.ln[i * self.d + k];
-        let (was_zero, was_negative) = (*cell == 0.0, *cell < 0.0);
+        let was_zero = *cell == 0.0;
         *cell += delta;
-        let (now_zero, now_negative) = (*cell == 0.0, *cell < 0.0);
-        if was_negative != now_negative {
-            if now_negative {
-                self.negative_cells[i] += 1;
-            } else {
-                self.negative_cells[i] -= 1;
-            }
-        }
         let lk = self.totals[k];
         self.w[i * self.d + k] = if lk > 0.0 {
             (*cell / lk) / self.rel[i]
         } else {
             0.0
         };
-        let sup = &mut self.support[i];
-        if was_zero && !now_zero {
-            let pos = sup.partition_point(|&c| (c as usize) < k);
-            sup.insert(pos, k as u32);
-        } else if !was_zero && now_zero {
-            let pos = sup.partition_point(|&c| (c as usize) < k);
-            debug_assert_eq!(sup.get(pos), Some(&(k as u32)));
-            sup.remove(pos);
+        if was_zero && *cell != 0.0 {
+            let sup = &mut self.support[i];
+            sup.insert(sup.partition_point(|&c| (c as usize) < k), k as u32);
         }
     }
 
@@ -580,9 +530,8 @@ impl<'a> IncrementalPlanEval<'a> {
     /// bit-identical to the dense O(d') loop. On a support column outside
     /// the operator, `((l^n_ik + 0.0)/l_k)/(C_i/C_T)` is the cached
     /// weight bit for bit (a nonzero cell plus `+0.0` is itself), so the
-    /// walk reads it instead of dividing twice. Every weight still meets
-    /// the `1 + 1e-12` test: the cached maximum would be wrong for a row
-    /// holding a negative load.
+    /// walk reads it instead of dividing twice. Every weight it folds
+    /// meets the `1 + 1e-12` test.
     pub fn score_candidate(&self, op: OperatorId, node: NodeId) -> CandidateScore {
         let i = node.index();
         let rel = self.rel[i];
@@ -840,23 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn unassign_restores_exactly_on_integer_loads() {
-        // Figure 4 load coefficients are small integers, so += then -=
-        // is exact and the state must match the never-assigned one.
-        let (model, cluster) = setup();
-        let mut eval = IncrementalPlanEval::new(&model, &cluster);
-        let fresh = eval.clone();
-        eval.assign(OperatorId(2), NodeId(1));
-        eval.assign(OperatorId(0), NodeId(1));
-        eval.unassign(OperatorId(0), NodeId(1));
-        eval.unassign(OperatorId(2), NodeId(1));
-        assert_eq!(eval.ln, fresh.ln);
-        assert_eq!(eval.w, fresh.w);
-        assert_eq!(eval.plane, fresh.plane);
-        assert_eq!(eval.allocation(), fresh.allocation());
-    }
-
-    #[test]
     fn score_candidate_agrees_with_commit() {
         let (model, cluster) = setup();
         let mut eval = IncrementalPlanEval::new(&model, &cluster);
@@ -925,12 +857,10 @@ mod tests {
         }
     }
 
-    /// A graph whose loads cancel inexactly, on three nodes, and a churn
-    /// `(operator, node, assign?)` of it that leaves node 0's input-2
-    /// cell at −1.0 (1.0, then 1e16, out in the other order), node 1
-    /// holding nothing but a residue of 0.1 + 0.3 − 0.1 − 0.3 on input 0,
-    /// and node 2 loaded again after an unassign.
-    fn residue_case() -> (QueryGraph, Vec<f64>, Vec<(usize, usize, bool)>) {
+    /// A graph whose loads add inexactly, on three nodes, and assigns
+    /// `(operator, node)` of it that absorb a 1.0 into a 1e16 on node 0's
+    /// input-2 cell and sum 0.1 and 0.3 on node 1's input-0 cell.
+    fn absorption_case() -> (QueryGraph, Vec<f64>, Vec<(usize, usize)>) {
         let mut b = GraphBuilder::new();
         let ins: Vec<_> = (0..3).map(|_| b.add_input()).collect();
         let ops = [
@@ -954,50 +884,31 @@ mod tests {
             };
             b.add_operator(format!("r{j}"), kind, &inputs).unwrap();
         }
-        let churn = vec![
-            (3, 0, true),
-            (4, 0, true),
-            (0, 1, true),
-            (2, 1, true),
-            (5, 2, true),
-            (1, 2, true),
-            (4, 0, false),
-            (0, 1, false),
-            (3, 0, false),
-            (2, 1, false),
-            (1, 2, false),
-            (6, 2, true),
-        ];
-        (b.build().unwrap(), vec![1.0, 2.0, 0.5], churn)
+        let assigns = vec![(3, 0), (4, 0), (0, 1), (2, 1), (5, 2), (1, 2), (6, 2)];
+        (b.build().unwrap(), vec![1.0, 2.0, 0.5], assigns)
     }
 
     #[test]
     fn sparse_score_matches_dense_reference_bitwise() {
         // Drive three graphs (pure linear, join/variable-selectivity, and
-        // loads that cancel inexactly) through assign/unassign churn,
-        // comparing the sparse walk, which reads cached weights off the
-        // support, against the dense reference at every (op, node) —
-        // including after unassigns, which leave floating-point residues
-        // in the load cells, one of them negative.
-        let (residues, residue_caps, residue_churn) = residue_case();
-        for (graph, caps, churn) in [
+        // loads that add inexactly) through assigns, comparing the sparse
+        // walk, which reads cached weights off the support, against the
+        // dense reference at every (op, node) after every assign.
+        let (absorbing, absorbing_caps, absorbing_assigns) = absorption_case();
+        for (graph, caps, assigns) in [
             (figure4_graph(), vec![1.0, 1.0, 1.0], None),
             (
                 crate::examples_paper::example3_graph(),
                 vec![2.0, 1.0, 0.5],
                 None,
             ),
-            (residues, residue_caps, Some(residue_churn)),
+            (absorbing, absorbing_caps, Some(absorbing_assigns)),
         ] {
             let model = LoadModel::derive(&graph).unwrap();
             let cluster = Cluster::heterogeneous(caps);
             let (m, n) = (model.num_operators(), cluster.num_nodes());
-            // By default: every operator in, then every other one out.
-            let churn = churn.unwrap_or_else(|| {
-                let ins = (0..m).map(|j| (j, j % n, true));
-                ins.chain((0..m).step_by(2).map(|j| (j, j % n, false)))
-                    .collect()
-            });
+            // By default: every operator, round robin.
+            let assigns = assigns.unwrap_or_else(|| (0..m).map(|j| (j, j % n)).collect());
             for bounded in [false, true] {
                 let mut eval = IncrementalPlanEval::new(&model, &cluster);
                 if bounded {
@@ -1020,39 +931,22 @@ mod tests {
                     }
                 };
                 check_all(&eval, 0);
-                for (step, &(j, i, assign)) in churn.iter().enumerate() {
-                    if assign {
-                        eval.assign(OperatorId(j), NodeId(i));
-                    } else {
-                        eval.unassign(OperatorId(j), NodeId(i));
-                    }
+                for (step, &(j, i)) in assigns.iter().enumerate() {
+                    eval.assign(OperatorId(j), NodeId(i));
                     check_all(&eval, step + 1);
                 }
             }
         }
-        // The residue churn ends in the states it names.
-        let (graph, caps, churn) = residue_case();
+        // The absorbing assigns end in the states they name.
+        let (graph, caps, assigns) = absorption_case();
         let model = LoadModel::derive(&graph).unwrap();
         let cluster = Cluster::heterogeneous(caps);
         let mut eval = IncrementalPlanEval::new(&model, &cluster);
-        for (j, i, assign) in churn {
-            if assign {
-                eval.assign(OperatorId(j), NodeId(i));
-            } else {
-                eval.unassign(OperatorId(j), NodeId(i));
-            }
+        for (j, i) in assigns {
+            eval.assign(OperatorId(j), NodeId(i));
         }
-        assert_eq!(eval.node_load_row(NodeId(0))[2], -1.0);
-        assert!(!eval.admits_bounds(NodeId(0)));
-        assert_eq!(eval.allocation().node_counts()[1], 0);
-        assert!(eval.node_load_row(NodeId(1))[0] > 0.0);
-        assert!(
-            eval.node_load_row(NodeId(2))
-                .iter()
-                .filter(|&&c| c != 0.0)
-                .count()
-                > 1
-        );
+        assert_eq!(eval.node_load_row(NodeId(0))[2], 1e16);
+        assert_eq!(eval.node_load_row(NodeId(1))[0], 0.1 + 0.3);
     }
 
     #[test]
@@ -1092,7 +986,6 @@ mod tests {
         assert!(eval.bound_input(OperatorId(0)).is_some());
         eval.set_lower_bound(&model.variable_point(&[-0.02, 0.02]));
         assert_eq!(eval.bound_input(OperatorId(0)), None);
-        assert!(!eval.admits_bounds(NodeId(0)));
         assert_eq!(eval.candidate_bound(OperatorId(0), NodeId(0)), None);
     }
 
@@ -1103,12 +996,12 @@ mod tests {
         assert!(eval.node_is_unloaded(NodeId(0)));
         eval.assign(OperatorId(0), NodeId(0));
         assert!(!eval.node_is_unloaded(NodeId(0)));
-        assert_eq!(eval.support[0], vec![0]);
+        assert_eq!(eval.node_support(NodeId(0)), &[0]);
         assert_eq!(eval.max_weight_of(NodeId(0)), eval.weight_row(NodeId(0))[0]);
-        eval.unassign(OperatorId(0), NodeId(0));
-        // Integer loads cancel exactly, so the support empties again.
-        assert!(eval.node_is_unloaded(NodeId(0)));
-        assert_eq!(eval.max_weight_of(NodeId(0)), 0.0);
+        eval.assign(OperatorId(2), NodeId(0));
+        assert_eq!(eval.node_support(NodeId(0)), &[0, 1]);
+        assert!(eval.node_is_unloaded(NodeId(1)));
+        assert_eq!(eval.max_weight_of(NodeId(1)), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ([`crate::rod`]), judged a block of nodes at a time.
 //!
 //! The Class-I prefilter, the plane check and the pre-bound read only
-//! five per-node arrays of the evaluator ([`NodeColumns`]) and a few
+//! four per-node arrays of the evaluator ([`NodeColumns`]) and a few
 //! per-step constants ([`ExclusionGate`]), so one pass can judge
 //! [`BLOCK`] nodes at once. [`NodeColumns::next_live_block`] walks a span
 //! of nodes block by block and stops at the first block holding a node
@@ -54,7 +54,6 @@ pub(crate) struct NodeColumns<'a> {
     pub(super) plane: &'a [f64],
     pub(super) sumsq: &'a [f64],
     pub(super) inv_rel_sq: &'a [f64],
-    pub(super) negative_cells: &'a [u32],
     /// The evaluator's relative rounding margin of the bounds.
     pub(super) margin: f64,
 }
@@ -69,9 +68,7 @@ fn block_bits(bits: &[u64], off: usize) -> u64 {
 impl NodeColumns<'_> {
     /// The number of nodes every column covers.
     fn len(&self) -> usize {
-        (self.max_w.len().min(self.plane.len()))
-            .min(self.sumsq.len().min(self.inv_rel_sq.len()))
-            .min(self.negative_cells.len())
+        (self.max_w.len().min(self.plane.len())).min(self.sumsq.len().min(self.inv_rel_sq.len()))
     }
 
     /// The pre-bound of node `i` for an operator whose `bound_input` is
@@ -84,17 +81,13 @@ impl NodeColumns<'_> {
 
     /// True when node `i` cannot change the step's result by the O(1)
     /// checks: the Class-I prefilter (a node with a weight above
-    /// `1 + 1e-12` once a Class-I incumbent exists), then, on a node
-    /// with no negative load cell, the plane check and the pre-bound
-    /// against the incumbent the node could join. The scalar twin of the
-    /// AVX2 path.
+    /// `1 + 1e-12` once a Class-I incumbent exists), then the plane check
+    /// and the pre-bound against the incumbent the node could join. The
+    /// scalar twin of the AVX2 path.
     pub(crate) fn excludes(&self, i: usize, g: &ExclusionGate) -> bool {
         let possibly_c1 = g.class_one && self.max_w[i] <= 1.0 + 1e-12;
         if g.class_one_closed && !possibly_c1 {
             return true;
-        }
-        if self.negative_cells[i] != 0 {
-            return false;
         }
         let [threshold, floor] = if possibly_c1 {
             g.class_one_bar
@@ -259,11 +252,6 @@ mod avx2 {
             l.class_one,
         );
         let by_prefilter = _mm256_andnot_pd(possibly_c1, l.closed);
-        let negative = _mm_loadu_si128(c.negative_cells.as_ptr().add(i) as *const __m128i);
-        let bounded = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmpeq_epi32(
-            negative,
-            _mm_setzero_si128(),
-        )));
         let threshold = _mm256_blendv_pd(l.fallback_threshold, l.c1_threshold, possibly_c1);
         let floor = _mm256_blendv_pd(l.fallback_floor, l.c1_floor, possibly_c1);
         let estimate = _mm256_add_pd(load(c.sumsq, i), _mm256_mul_pd(l.q, load(c.inv_rel_sq, i)));
@@ -275,8 +263,7 @@ mod avx2 {
             _mm256_cmp_pd::<_CMP_LE_OQ>(load(c.plane, i), threshold),
             _mm256_cmp_pd::<_CMP_GE_OQ>(pre, floor),
         );
-        let excluded = _mm256_or_pd(by_prefilter, _mm256_and_pd(bounded, by_bound));
-        _mm256_movemask_pd(excluded) as u64
+        _mm256_movemask_pd(_mm256_or_pd(by_prefilter, by_bound)) as u64
     }
 
     /// [`NodeColumns::excludes`] of the [`BLOCK`] nodes from `i`, as bits.
@@ -331,7 +318,6 @@ mod tests {
         plane: Vec<f64>,
         sumsq: Vec<f64>,
         inv_rel_sq: Vec<f64>,
-        negative_cells: Vec<u32>,
     }
 
     impl Nodes {
@@ -341,7 +327,6 @@ mod tests {
                 plane: &self.plane,
                 sumsq: &self.sumsq,
                 inv_rel_sq: &self.inv_rel_sq,
-                negative_cells: &self.negative_cells,
                 margin,
             }
         }
@@ -367,29 +352,26 @@ mod tests {
         })
     }
 
-    /// `n` nodes, some unloaded (every array at its empty-node value) and
-    /// some holding a negative cell.
+    /// `n` nodes, some unloaded (every array at its empty-node value).
     fn nodes(n: usize) -> impl Strategy<Value = Nodes> {
-        prop::collection::vec(((value(), value()), (value(), value()), 0u32..3, 0u8..4), n)
-            .prop_map(|rows| {
+        prop::collection::vec(((value(), value()), (value(), value()), 0u8..4), n).prop_map(
+            |rows| {
                 let mut s = Nodes {
                     max_w: Vec::new(),
                     plane: Vec::new(),
                     sumsq: Vec::new(),
                     inv_rel_sq: Vec::new(),
-                    negative_cells: Vec::new(),
                 };
-                for ((max_w, plane), (sumsq, inv), negative, kind) in rows {
+                for ((max_w, plane), (sumsq, inv), kind) in rows {
                     let unloaded = kind == 0;
                     s.max_w.push(if unloaded { 0.0 } else { max_w });
                     s.plane.push(if unloaded { f64::INFINITY } else { plane });
                     s.sumsq.push(if unloaded { 0.0 } else { sumsq });
                     s.inv_rel_sq.push(inv);
-                    s.negative_cells
-                        .push(if kind == 1 { negative + 1 } else { 0 });
                 }
                 s
-            })
+            },
+        )
     }
 
     /// A bar: none (NaN), ±inf, an ordinary value, or exactly some node's
@@ -416,8 +398,8 @@ mod tests {
 
         /// The AVX2 predicate against its scalar twin, node by node, over
         /// states with NaN and ±inf values and bars, values exactly at a
-        /// threshold, negative cells, unloaded nodes, the Class-I rule
-        /// off, and no incumbent.
+        /// threshold, unloaded nodes, the Class-I rule off, and no
+        /// incumbent.
         #[test]
         fn avx2_predicate_matches_the_scalar_twin_lane_by_lane(
             state in nodes(24),

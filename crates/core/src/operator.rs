@@ -71,12 +71,6 @@ impl OperatorKind {
             OperatorKind::WindowJoin { .. } => Some(2),
         }
     }
-
-    /// True when downstream rates stay linear in upstream rates (constant
-    /// selectivity, no products of rates).
-    pub fn output_rate_is_linear(&self) -> bool {
-        matches!(self, OperatorKind::Linear { .. })
-    }
 }
 
 /// A placed-as-a-unit continuous-query operator (§2.1: "we consider each

@@ -20,12 +20,12 @@ use crate::load_model::LoadModel;
 use crate::resilience::FailureScenario;
 use crate::rod::{norm_descending, Phase2Selector};
 
-/// Computes where a scenario's orphaned operators should go: unassign
-/// every failed node's operators from the incremental state, then place
-/// the orphans back on the survivors with ROD's own Phase 1 and Phase 2
-/// ([`crate::rod`]), weights still normalised by the whole cluster's
-/// capacity. Each probe is O(nnz) on the incremental state, and the
-/// pruned scan skips survivors that provably cannot win.
+/// Computes where a scenario's orphaned operators should go: build the
+/// incremental state of the plan without every failed node's operators,
+/// then place the orphans on the survivors with ROD's own Phase 1 and
+/// Phase 2 ([`crate::rod`]), weights still normalised by the whole
+/// cluster's capacity. Each probe is O(nnz) on the incremental state, and
+/// the pruned scan skips survivors that provably cannot win.
 ///
 /// Returns `(operator, destination)` pairs, heaviest orphan first;
 /// destinations are always surviving nodes. The caller's allocation is
@@ -36,17 +36,16 @@ pub fn survivor_moves(
     alloc: &Allocation,
     scenario: &FailureScenario,
 ) -> Vec<(OperatorId, NodeId)> {
-    let mut eval = IncrementalPlanEval::from_allocation(model, cluster, alloc);
+    let mut kept = alloc.clone();
     let mut orphans: Vec<OperatorId> = Vec::new();
     for j in 0..model.num_operators() {
         let op = OperatorId(j);
-        if let Some(host) = alloc.node_of(op) {
-            if scenario.kills(host) {
-                eval.unassign(op, host);
-                orphans.push(op);
-            }
+        if alloc.node_of(op).is_some_and(|host| scenario.kills(host)) {
+            kept.unassign(op);
+            orphans.push(op);
         }
     }
+    let mut eval = IncrementalPlanEval::from_allocation(model, cluster, &kept);
     norm_descending(&mut orphans, |op| model.operator_norm(op));
     // Dead nodes host nothing now: they are left out of the candidates,
     // not scored.

@@ -12,7 +12,7 @@
 //!    ([`FailureScenario`]: every single-node loss, optionally every
 //!    k-node loss);
 //! 2. for a candidate placement, score each scenario by the feasible-set
-//!    volume that *survives* it — unassign the dead nodes' operators,
+//!    volume that *survives* it — lift the dead nodes' operators off,
 //!    re-place them on survivors with ROD's own Phase 1 and Phase 2, and
 //!    count the quasi-Monte-Carlo points the survivor constraints keep
 //!    ([`survivor_moves`], [`ScenarioScorer`]);

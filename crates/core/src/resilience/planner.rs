@@ -76,11 +76,6 @@ impl ResilientPlan {
     pub fn worst_survivor_ratio(&self) -> f64 {
         self.worst_alive as f64 / self.num_points.max(1) as f64
     }
-
-    /// Plain ROD's worst-case survivor fraction, for comparison.
-    pub fn baseline_survivor_ratio(&self) -> f64 {
-        self.baseline_worst_alive as f64 / self.num_points.max(1) as f64
-    }
 }
 
 /// ROD hardened against node loss: start from the plain-ROD placement,
@@ -97,10 +92,11 @@ impl ResilientPlan {
 /// deterministic for a fixed seed. The neighborhood scan — the
 /// planner's hot loop — is dealt out in contiguous candidate chunks to
 /// the persistent [`rod_pool::global`] workers
-/// ([`ResilientRodOptions::threads`]), each scoring through a
-/// [`fork`](ScenarioScorer::fork) with its own mask memo; the ordered
-/// reduction keeps the chosen move, and therefore the whole placement,
-/// bit-identical to the serial scan at any thread count.
+/// ([`ResilientRodOptions::threads`]; one chunk runs inline): the first
+/// chunk scores through the planner's own scorer, each other one through
+/// a [`fork`](ScenarioScorer::fork) with its own mask memo, and the
+/// ordered reduction keeps the chosen move, and therefore the whole
+/// placement, bit-identical at any thread count.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientRodPlanner {
     options: ResilientRodOptions,
@@ -131,7 +127,7 @@ impl ResilientRodPlanner {
     /// `resilient_rod.hill_climb_seconds`) and hill-climb work counters
     /// (`resilient_rod.iterations`, `resilient_rod.accepted_moves`,
     /// `resilient_rod.candidate_moves`, and the `node_mask_*` memo
-    /// counters summed over every scan worker) into `metrics`.
+    /// counters summed over every scan chunk's scorer) into `metrics`.
     pub fn place_with_metrics(
         &self,
         model: &LoadModel,
@@ -200,26 +196,24 @@ impl ResilientRodPlanner {
             t => t,
         }
         .clamp(1, (m * n.saturating_sub(1)).max(1));
-        // One forked scorer per chunk, built once and reused across
-        // iterations, so each keeps its node-mask memo for the whole
-        // climb. A count is a pure function of the effective assignment,
-        // so which worker makes it changes nothing about the chosen
-        // moves.
-        let worker_scorers: Vec<Mutex<ScenarioScorer>> = if threads > 1 {
-            (0..threads).map(|_| Mutex::new(scorer.fork())).collect()
-        } else {
-            Vec::new()
-        };
+        // One scorer per chunk, reused across iterations, so each keeps
+        // its node-mask memo for the whole climb: chunk 0 scores through
+        // the climb's own scorer, the others through forks. A count is a
+        // pure function of the effective assignment, so which scorer
+        // makes it changes nothing about the chosen moves.
+        let num_points = scorer.num_points();
+        let forks: Vec<_> = (1..threads).map(|_| Mutex::new(scorer.fork())).collect();
+        let scorers: Vec<_> = std::iter::once(Mutex::new(scorer)).chain(forks).collect();
         let pool_before = rod_pool::global().stats();
         let climb_start = Instant::now();
 
         // Steepest-ascent over all (operator, destination) single moves;
         // ties broken by scan order (lowest operator, then lowest node),
-        // so runs are deterministic — the parallel path preserves this
-        // exactly: each worker scans a contiguous candidate slice and
-        // reports its first strict maximum, and the ordered strict-`>`
-        // merge across slices reproduces the serial scan's winner for
-        // every chunk count.
+        // so runs are deterministic at every chunk count: each chunk
+        // scans a contiguous candidate slice and reports its first strict
+        // maximum, and the ordered strict-`>` merge across slices keeps
+        // the first one in scan order. One chunk (`threads == 1`) runs
+        // inline on the calling thread.
         let mut candidates: Vec<(OperatorId, NodeId)> = Vec::new();
         while moves < self.options.max_moves {
             iterations += 1;
@@ -237,62 +231,38 @@ impl ResilientRodPlanner {
             }
             candidate_moves += candidates.len() as u64;
 
-            let improved: Option<(OperatorId, NodeId, (usize, usize))> =
-                if threads > 1 && candidates.len() > 1 {
-                    let ranges = rod_pool::chunks(candidates.len(), threads);
-                    let winner = rod_pool::global().map_reduce(
-                        ranges.len(),
-                        |c| {
-                            let mut scorer =
-                                worker_scorers[c].lock().unwrap_or_else(|e| e.into_inner());
-                            let mut probe = alloc.clone();
-                            let mut local: Option<(usize, (usize, usize))> = None;
-                            for idx in ranges[c].clone() {
-                                let (op, dest) = candidates[idx];
-                                let home = probe.node_of(op).expect("ROD plans are complete");
-                                probe.assign(op, dest);
-                                let score = (
-                                    scorer.worst_case_alive(&probe, &scenarios),
-                                    scorer.healthy_alive(&probe),
-                                );
-                                probe.assign(op, home);
-                                let target = local.as_ref().map_or(best, |&(_, s)| s);
-                                if score > target {
-                                    local = Some((idx, score));
-                                }
-                            }
-                            local
-                        },
-                        None::<(usize, (usize, usize))>,
-                        // Ordered merge, strict `>`: equal scores keep the
-                        // earlier chunk's (lower-index) winner.
-                        |acc, win| match (acc, win) {
-                            (acc, None) => acc,
-                            (None, some) => some,
-                            (Some(a), Some(w)) => Some(if w.1 > a.1 { w } else { a }),
-                        },
-                    );
-                    winner.map(|(idx, score)| {
+            let ranges = rod_pool::chunks(candidates.len(), threads);
+            let improved = rod_pool::global().map_reduce(
+                ranges.len(),
+                |c| {
+                    let mut scorer = scorers[c].lock().unwrap_or_else(|e| e.into_inner());
+                    let mut probe = alloc.clone();
+                    let mut local: Option<(usize, (usize, usize))> = None;
+                    for idx in ranges[c].clone() {
                         let (op, dest) = candidates[idx];
-                        (op, dest, score)
-                    })
-                } else {
-                    let mut improved = None;
-                    for &(op, dest) in &candidates {
-                        let home = alloc.node_of(op).expect("ROD plans are complete");
-                        alloc.assign(op, dest);
+                        let home = probe.node_of(op).expect("ROD plans are complete");
+                        probe.assign(op, dest);
                         let score = (
-                            scorer.worst_case_alive(&alloc, &scenarios),
-                            scorer.healthy_alive(&alloc),
+                            scorer.worst_case_alive(&probe, &scenarios),
+                            scorer.healthy_alive(&probe),
                         );
-                        alloc.assign(op, home);
-                        let target = improved.as_ref().map_or(best, |(_, _, s)| *s);
+                        probe.assign(op, home);
+                        let target = local.as_ref().map_or(best, |&(_, s)| s);
                         if score > target {
-                            improved = Some((op, dest, score));
+                            local = Some((idx, score));
                         }
                     }
-                    improved
-                };
+                    local
+                },
+                None::<(usize, (usize, usize))>,
+                // Ordered merge, strict `>`: equal scores keep the earlier
+                // chunk's (lower-index) winner.
+                |acc, win| match (acc, win) {
+                    (acc, None) => acc,
+                    (None, some) => some,
+                    (Some(a), Some(w)) => Some(if w.1 > a.1 { w } else { a }),
+                },
+            );
             if let Some(metrics) = metrics {
                 metrics.observe(
                     "resilient_rod.iteration_seconds",
@@ -300,7 +270,8 @@ impl ResilientRodPlanner {
                 );
             }
             match improved {
-                Some((op, dest, score)) => {
+                Some((idx, score)) => {
+                    let (op, dest) = candidates[idx];
                     alloc.assign(op, dest);
                     best = score;
                     moves += 1;
@@ -310,13 +281,12 @@ impl ResilientRodPlanner {
         }
         if let Some(metrics) = metrics {
             let climb_wall = climb_start.elapsed().as_secs_f64();
-            // The node-mask memos stay per worker; their counters sum.
-            let (mut mask_hits, mut mask_misses) =
-                (scorer.node_mask_hits(), scorer.node_mask_misses());
-            for worker in &worker_scorers {
-                let worker = worker.lock().unwrap_or_else(|e| e.into_inner());
-                mask_hits += worker.node_mask_hits();
-                mask_misses += worker.node_mask_misses();
+            // The node-mask memos stay per chunk; their counters sum.
+            let (mut mask_hits, mut mask_misses) = (0, 0);
+            for scorer in &scorers {
+                let scorer = scorer.lock().unwrap_or_else(|e| e.into_inner());
+                mask_hits += scorer.node_mask_hits();
+                mask_misses += scorer.node_mask_misses();
             }
             metrics.observe("resilient_rod.hill_climb_seconds", climb_wall);
             metrics.add("resilient_rod.iterations", iterations);
@@ -351,7 +321,7 @@ impl ResilientRodPlanner {
             worst_alive: best.0,
             baseline_worst_alive: baseline_worst,
             healthy_alive: best.1,
-            num_points: scorer.num_points(),
+            num_points,
             moves,
         })
     }

@@ -79,11 +79,10 @@
 //! report, and a node is skipped only when its bound cannot beat the
 //! incumbent under the replacement rule (`s > best + 1e-15`). All three
 //! need the node's load cells, the operator's loads and any §6.1 point to
-//! be non-negative. Cells go negative only through unassign residues, so
-//! a node that has only received assigns qualifies; a node that does not
-//! ([`IncrementalPlanEval::admits_bounds`]) gets no bound and is probed,
-//! and an operator with a negative load runs the exhaustive scan for its
-//! step.
+//! be non-negative. The evaluator is assign-only, so no cell is ever
+//! negative ([`crate::eval`]); an operator with a negative or NaN load, or
+//! a §6.1 point with a negative component, runs the exhaustive scan for
+//! its step.
 //!
 //! Every skip is justified by an inequality on the exact floating-point
 //! values the full scan would have computed, on any ascending list of
@@ -498,10 +497,9 @@ impl Phase2Selector {
     ///    incumbent: a Class-I node competes with the Class-I incumbent,
     ///    and a Class-II node is out once Class I is non-empty.
     ///
-    /// A node that fails [`IncrementalPlanEval::admits_bounds`] gets no
-    /// bound (checks 1 and 3). An operator with a negative load
-    /// coefficient voids the prefilter and every bound, so its step runs
-    /// the exhaustive scan.
+    /// An operator with a negative or NaN load coefficient, or a §6.1
+    /// point with a negative component, voids the prefilter and every
+    /// bound, so its step runs the exhaustive scan.
     fn select_pruned(
         &mut self,
         eval: &IncrementalPlanEval<'_>,
@@ -577,8 +575,7 @@ impl Phase2Selector {
         let node = NodeId(i);
         let possibly_c1 = self.use_class_one && eval.max_weight_of(node) <= 1.0 + 1e-12;
         // With no incumbent yet, no bound can exclude the node.
-        if eval.admits_bounds(node) && (inc.class_one.best.is_some() || inc.fallback.best.is_some())
-        {
+        if inc.class_one.best.is_some() || inc.fallback.best.is_some() {
             self.counts.bounded += 1;
             if let Some((sumsq, c1)) = eval.candidate_bound_sumsq(op, node) {
                 let joins = if possibly_c1 && c1 {
@@ -1156,38 +1153,6 @@ mod tests {
         // 20 nodes are three blocks a step: two whole, one of 4.
         let blocks = metrics.counter("rod.blocks_skipped");
         assert!(blocks > 0 && blocks <= 3 * m.num_operators() as u64);
-    }
-
-    /// A node whose load cell went negative through unassign residues
-    /// gets no bound and is probed; the scan still places exactly like
-    /// the exhaustive one from the same state.
-    #[test]
-    fn a_node_with_a_negative_cell_is_probed_not_bounded() {
-        let mut b = GraphBuilder::new();
-        let i = b.add_input();
-        for (j, cost) in [1.0, 1e16, 3.0, 2.0, 2.5, 1.5, 0.5].into_iter().enumerate() {
-            b.add_operator(format!("f{j}"), OperatorKind::filter(cost, 1.0), &[i])
-                .unwrap();
-        }
-        let m = LoadModel::derive(&b.build().unwrap()).unwrap();
-        let cluster = Cluster::heterogeneous(vec![1.0, 2.0, 1.0]);
-        let mut eval = IncrementalPlanEval::new(&m, &cluster);
-        eval.assign(OperatorId(0), NodeId(0));
-        eval.assign(OperatorId(1), NodeId(0));
-        eval.unassign(OperatorId(1), NodeId(0));
-        eval.unassign(OperatorId(0), NodeId(0));
-        assert!(!eval.admits_bounds(NodeId(0)));
-        let order: Vec<OperatorId> = (2..7).map(OperatorId).collect();
-        for use_class_one in [true, false] {
-            let mut pruned = eval.clone();
-            let mut full = eval.clone();
-            let mut selector = Phase2Selector::new(use_class_one, false);
-            let classes = selector.place(&mut pruned, &order, 0..3, None);
-            let want =
-                Phase2Selector::new(use_class_one, true).place(&mut full, &order, 0..3, None);
-            assert_eq!(pruned.allocation(), full.allocation());
-            assert_eq!(classes, want);
-        }
     }
 
     /// A negative §6.1 point voids every bound: each step runs the

@@ -271,38 +271,44 @@ proptest! {
     fn incremental_eval_matches_from_scratch_rebuild(
         spec in graph_spec(),
         nodes in 1usize..5,
-        moves in prop::collection::vec((0usize..64, 0usize..8, 0u8..2), 1..32),
+        moves in prop::collection::vec((0usize..64, 0usize..8), 1..32),
     ) {
         use rod_core::allocation::WeightMatrix;
         use rod_core::eval::IncrementalPlanEval;
-        // Drive the incremental evaluator through a random interleaving
-        // of assigns and unassigns; after every move its weight rows and
-        // plane distances must match a WeightMatrix rebuilt from scratch
-        // off the allocation's own node-load matrix.
+        // Drive the incremental evaluator through random assigns; after
+        // every one no load cell is negative, each node's support is
+        // exactly its nonzero columns, and the weight rows and plane
+        // distances match a WeightMatrix rebuilt from scratch off the
+        // allocation's own node-load matrix.
         let graph = build(&spec);
         let model = LoadModel::derive(&graph).unwrap();
         let cluster = Cluster::homogeneous(nodes, 1.0);
         let mut eval = IncrementalPlanEval::new(&model, &cluster);
         let m = model.num_operators();
-        for (op_pick, node_pick, assign) in moves {
+        for (op_pick, node_pick) in moves {
             let op = OperatorId(op_pick % m);
             let node = NodeId(node_pick % nodes);
-            match (assign == 1, eval.allocation().node_of(op)) {
-                (true, None) => {
-                    // The committed distance must equal the quoted one.
-                    let quote = eval.score_candidate(op, node);
-                    eval.assign(op, node);
-                    let committed = eval.plane_distance(node);
-                    prop_assert!(
-                        quote.plane_distance == committed
-                            || (quote.plane_distance - committed).abs()
-                                <= 1e-9 * (1.0 + committed.abs()),
-                        "quote {} vs committed {committed}",
-                        quote.plane_distance
-                    );
-                }
-                (false, Some(current)) if current == node => eval.unassign(op, node),
-                _ => continue,
+            if eval.allocation().node_of(op).is_some() {
+                continue;
+            }
+            // The committed distance must equal the quoted one.
+            let quote = eval.score_candidate(op, node);
+            eval.assign(op, node);
+            let committed = eval.plane_distance(node);
+            prop_assert!(
+                quote.plane_distance == committed
+                    || (quote.plane_distance - committed).abs()
+                        <= 1e-9 * (1.0 + committed.abs()),
+                "quote {} vs committed {committed}",
+                quote.plane_distance
+            );
+            for i in 0..nodes {
+                let row = eval.node_load_row(NodeId(i));
+                prop_assert!(row.iter().all(|&c| c >= 0.0), "node {i}: cells {row:?}");
+                let nonzero: Vec<u32> = (0..row.len() as u32)
+                    .filter(|&k| row[k as usize] != 0.0)
+                    .collect();
+                prop_assert_eq!(eval.node_support(NodeId(i)), &nonzero[..], "node {}", i);
             }
             let reference = WeightMatrix::new(
                 &node_load_matrix(&model, eval.allocation()),

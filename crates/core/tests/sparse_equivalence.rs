@@ -6,8 +6,8 @@
 //! the large-instance fast paths ship without a tolerance anywhere.
 //!
 //! The pruned scan's O(1) and O(nnz) bounds are checked against the
-//! probe they stand in for at every (operator, node) pair of churned
-//! evaluator states.
+//! probe they stand in for at every (operator, node) pair of evaluator
+//! states built by random assigns.
 //!
 //! Survivor re-placement and clustered placement run ROD's shared
 //! Phase-2 selector; each is pinned to the private greedy loop it used
@@ -158,17 +158,16 @@ fn survivor_moves_oracle(
     alloc: &Allocation,
     scenario: &FailureScenario,
 ) -> Vec<(OperatorId, NodeId)> {
-    let mut eval = IncrementalPlanEval::from_allocation(model, cluster, alloc);
+    let mut kept = alloc.clone();
     let mut orphans: Vec<OperatorId> = Vec::new();
     for j in 0..model.num_operators() {
         let op = OperatorId(j);
-        if let Some(host) = alloc.node_of(op) {
-            if scenario.kills(host) {
-                eval.unassign(op, host);
-                orphans.push(op);
-            }
+        if alloc.node_of(op).is_some_and(|host| scenario.kills(host)) {
+            kept.unassign(op);
+            orphans.push(op);
         }
     }
+    let mut eval = IncrementalPlanEval::from_allocation(model, cluster, &kept);
     orphans.sort_by(|&a, &b| {
         model
             .operator_norm(b)
@@ -366,63 +365,45 @@ fn check_bounds(eval: &IncrementalPlanEval<'_>, m: usize, n: usize) -> Result<()
         for i in 0..n {
             let node = NodeId(i);
             let probe = eval.score_candidate(op, node);
-            let negative = eval.node_load_row(node).iter().any(|&c| c < 0.0);
             let at = format!("op {j} node {i} probe {probe:?}");
-            if eval.admits_bounds(node) == negative {
-                return Err(format!(
-                    "{at}: admits_bounds with negative cells {negative}"
-                ));
+            let pre = eval.pre_bound(q, node);
+            if !at_least(pre, probe.plane_distance) {
+                return Err(format!("{at}: pre-bound {pre:e} below the probe"));
             }
-            match (eval.pre_bound(q, node), eval.candidate_bound(op, node)) {
-                (None, None) if negative => {}
-                (Some(pre), Some(bound)) if !negative => {
-                    if !at_least(pre, probe.plane_distance) {
-                        return Err(format!("{at}: pre-bound {pre:e} below the probe"));
-                    }
-                    if !at_least(bound.plane_distance, probe.plane_distance) {
-                        return Err(format!("{at}: delta bound {bound:?} below the probe"));
-                    }
-                    if bound.class_one != probe.class_one {
-                        return Err(format!("{at}: delta bound's class {bound:?}"));
-                    }
-                }
-                (pre, bound) => {
-                    return Err(format!(
-                        "{at}: negative {negative}, bounds {pre:?} {bound:?}"
-                    ))
-                }
+            let bound = eval
+                .candidate_bound(op, node)
+                .ok_or(format!("{at}: no delta bound"))?;
+            if !at_least(bound.plane_distance, probe.plane_distance) {
+                return Err(format!("{at}: delta bound {bound:?} below the probe"));
+            }
+            if bound.class_one != probe.class_one {
+                return Err(format!("{at}: delta bound's class {bound:?}"));
             }
         }
     }
     Ok(())
 }
 
-/// A load cell that went negative through unassign residues — assign
-/// `1.0` and then `1e16` to one cell, unassign the `1e16` operator, then
-/// the `1.0` one — leaves its node without a bound while every other
-/// node keeps sound bounds, until an assign lifts the cell back.
-#[test]
-fn a_negative_cell_gets_no_bound() {
-    let mut b = GraphBuilder::new();
-    let input = b.add_input();
-    for (j, cost) in [1.0, 1e16, 3.0, 2.0].into_iter().enumerate() {
-        b.add_operator(format!("f{j}"), OperatorKind::filter(cost, 1.0), &[input])
-            .unwrap();
+/// No load cell of the first `n` nodes is negative, and each node's
+/// support is exactly its nonzero columns; `Err` names the first node
+/// that breaks either.
+fn check_cells(eval: &IncrementalPlanEval<'_>, n: usize) -> Result<(), String> {
+    for i in 0..n {
+        let row = eval.node_load_row(NodeId(i));
+        if !row.iter().all(|&c| c >= 0.0) {
+            return Err(format!("node {i}: cells {row:?}"));
+        }
+        let nonzero: Vec<u32> = (0..row.len() as u32)
+            .filter(|&k| row[k as usize] != 0.0)
+            .collect();
+        if eval.node_support(NodeId(i)) != nonzero {
+            return Err(format!(
+                "node {i}: support {:?}, cells {row:?}",
+                eval.node_support(NodeId(i))
+            ));
+        }
     }
-    let model = LoadModel::derive(&b.build().unwrap()).unwrap();
-    let cluster = Cluster::homogeneous(3, 1.0);
-    let mut eval = IncrementalPlanEval::new(&model, &cluster);
-    eval.assign(OperatorId(0), NodeId(0));
-    eval.assign(OperatorId(1), NodeId(0));
-    eval.assign(OperatorId(2), NodeId(1));
-    eval.unassign(OperatorId(1), NodeId(0));
-    eval.unassign(OperatorId(0), NodeId(0));
-    assert_eq!(eval.node_load_row(NodeId(0)), &[-1.0]);
-    assert!(!eval.admits_bounds(NodeId(0)));
-    assert_eq!(check_bounds(&eval, 4, 3), Ok(()));
-    eval.assign(OperatorId(3), NodeId(0));
-    assert!(eval.admits_bounds(NodeId(0)));
-    assert_eq!(check_bounds(&eval, 4, 3), Ok(()));
+    Ok(())
 }
 
 /// The scorer's healthy count, then its count under every scenario.
@@ -440,27 +421,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The sparse evaluator's maintained plane distances equal the dense
-    /// reference bit for bit at every step of a random assign/unassign
-    /// churn — on every node, not just the touched one.
+    /// reference bit for bit after every one of random assigns — on every
+    /// node, not just the touched one — and every node's cells stay
+    /// non-negative with the nonzero ones as its support.
     #[test]
     fn sparse_plane_distances_match_dense_reference_bitwise(
         spec in sparse_spec(),
         nodes in 1usize..5,
-        moves in prop::collection::vec((0usize..64, 0usize..8, 0u8..3), 1..40),
+        moves in prop::collection::vec((0usize..64, 0usize..8), 1..40),
     ) {
         let graph = build(&spec);
         let model = LoadModel::derive(&graph).unwrap();
         let cluster = Cluster::homogeneous(nodes, 1.0);
         let mut eval = IncrementalPlanEval::new(&model, &cluster);
         let m = model.num_operators();
-        for (op_pick, node_pick, action) in moves {
+        for (op_pick, node_pick) in moves {
             let op = OperatorId(op_pick % m);
-            let node = NodeId(node_pick % nodes);
-            match (action, eval.allocation().node_of(op)) {
-                (0 | 1, None) => eval.assign(op, node),
-                (2, Some(host)) => eval.unassign(op, host),
-                _ => continue,
+            if eval.allocation().node_of(op).is_some() {
+                continue;
             }
+            eval.assign(op, NodeId(node_pick % nodes));
+            prop_assert_eq!(check_cells(&eval, nodes), Ok(()));
             for i in 0..nodes {
                 let node = NodeId(i);
                 let dense = dense_plane_distance(eval.weight_row(node));
@@ -570,17 +551,16 @@ proptest! {
     }
 
     /// The pruned scan's bounds against the probe they stand in for, at
-    /// every (operator, node) pair of fresh, partly assigned and churned
-    /// evaluator states, with and without a §6.1 lower bound: neither
-    /// bound falls below `score_candidate`'s plane distance, the delta
-    /// bound's Class-I verdict is the probe's, and exactly the nodes
-    /// holding a negative load cell get no bound.
+    /// every (operator, node) pair of a fresh state and after every one of
+    /// random assigns, with and without a §6.1 lower bound: both bounds
+    /// hold, neither falls below `score_candidate`'s plane distance, and
+    /// the delta bound's Class-I verdict is the probe's.
     #[test]
     fn phase2_bounds_never_undercut_the_probe(
         spec in sparse_spec(),
         caps_pick in 0usize..3,
         lower_bound in 0u8..2,
-        moves in prop::collection::vec((0usize..64, 0usize..8, 0u8..3), 0..40),
+        moves in prop::collection::vec((0usize..64, 0usize..8), 0..40),
     ) {
         let model = LoadModel::derive(&build(&spec)).unwrap();
         let cluster = cluster_for(caps_pick);
@@ -590,13 +570,12 @@ proptest! {
             eval.set_lower_bound(&model.variable_point(&vec![0.05; model.num_inputs()]));
         }
         prop_assert_eq!(check_bounds(&eval, m, n), Ok(()));
-        for (op_pick, node_pick, action) in moves {
+        for (op_pick, node_pick) in moves {
             let op = OperatorId(op_pick % m);
-            match (action, eval.allocation().node_of(op)) {
-                (0 | 1, None) => eval.assign(op, NodeId(node_pick % n)),
-                (2, Some(host)) => eval.unassign(op, host),
-                _ => continue,
+            if eval.allocation().node_of(op).is_some() {
+                continue;
             }
+            eval.assign(op, NodeId(node_pick % n));
             prop_assert_eq!(check_bounds(&eval, m, n), Ok(()));
         }
     }

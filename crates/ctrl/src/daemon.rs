@@ -38,7 +38,9 @@ use rod_sim::MigrationConfig;
 
 use crate::drift::{DriftConfig, DriftDetector, DriftVerdict};
 use crate::executor::{apply_plan, MigrationExecutor, ReliableExecutor, RetryPolicy, StepOutcome};
-use crate::guard::{GuardedPlanner, PlanMode, PlanRequest, PlanStrategy, RodStrategy};
+use crate::guard::{
+    budget_limit, GuardedPlanner, PlanMode, PlanRequest, PlanStrategy, RodStrategy,
+};
 use crate::ladder::{DegradationLadder, DegradationLevel, LadderConfig};
 use crate::telemetry::{Ingested, RejectReason, SampleBatch, TelemetryConfig, TelemetryIngest};
 
@@ -152,8 +154,9 @@ pub struct ControlConfig {
     pub min_headroom_gain: f64,
     /// Maximum predicted downtime a routine replan may cost, seconds.
     pub max_predicted_downtime: f64,
-    /// Optional wall-clock planner budget, seconds. `None` = inline,
-    /// deterministic — required for bit-identical replays.
+    /// Optional wall-clock planner budget, seconds: finite, positive and
+    /// below 2⁶⁴ ([`budget_limit`]). `None` = inline, deterministic —
+    /// required for bit-identical replays.
     pub plan_budget: Option<f64>,
 }
 
@@ -268,6 +271,9 @@ impl ControlLoop {
             ));
         }
         cfg.drift.validate()?;
+        if let Some(budget) = cfg.plan_budget {
+            budget_limit(budget)?;
+        }
         let telemetry = TelemetryConfig {
             num_inputs: model.num_inputs(),
             num_nodes: cluster.num_nodes(),
@@ -814,6 +820,71 @@ mod tests {
         for i in 0..n {
             loop_.observe_sample(t0 + i as f64, &[0.5, 0.5], rates);
         }
+    }
+
+    /// `ControlLoop::new` rejects a `plan_budget` no deadline can hold
+    /// with an error naming it, and the guard, handed that budget
+    /// directly, plans without a panic: with no deadline when the budget
+    /// is too large, with no time (a timeout, or a result that was
+    /// already in) otherwise.
+    fn assert_budget_rejected(budget: f64) {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let cluster = Cluster::homogeneous(2, 1.0);
+        let initial = rod_core::rod::RodPlanner::new()
+            .place(&model, &cluster)
+            .unwrap()
+            .allocation;
+        let cfg = ControlConfig {
+            plan_budget: Some(budget),
+            ..ControlConfig::default()
+        };
+        let err = ControlLoop::new(model.clone(), cluster.clone(), initial.clone(), cfg)
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            format!(
+                "plan budget {budget:?} s is not a finite, positive number of seconds below 2^64"
+            )
+        );
+        let guard =
+            GuardedPlanner::with_budget(Box::new(RodStrategy::new(model.clone(), cluster)), budget);
+        let req = PlanRequest {
+            rates: vec![0.05; model.num_inputs()],
+            current: initial,
+            mode: PlanMode::Full,
+            now: 0.0,
+        };
+        match guard.plan(req) {
+            Ok(plan) => assert!(plan.is_complete()),
+            Err(PlanFault::Timeout { .. }) if budget.is_nan() || budget <= 0.0 => {}
+            Err(fault) => panic!("budget {budget}: {fault}"),
+        }
+    }
+
+    #[test]
+    fn an_infinite_plan_budget_is_rejected() {
+        assert_budget_rejected(f64::INFINITY);
+    }
+
+    #[test]
+    fn a_plan_budget_too_large_for_a_duration_is_rejected() {
+        assert_budget_rejected(1e30);
+    }
+
+    #[test]
+    fn a_nan_plan_budget_is_rejected() {
+        assert_budget_rejected(f64::NAN);
+    }
+
+    #[test]
+    fn a_negative_plan_budget_is_rejected() {
+        assert_budget_rejected(-1.0);
+    }
+
+    #[test]
+    fn a_zero_plan_budget_is_rejected() {
+        assert_budget_rejected(0.0);
     }
 
     #[test]

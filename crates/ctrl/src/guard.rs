@@ -169,6 +169,18 @@ impl PlanStrategy for RodStrategy {
     }
 }
 
+/// The wall-clock limit of a planner budget of `budget` seconds, or an
+/// error naming the budget unless it is finite, positive and below the
+/// 2⁶⁴ s a [`Duration`] holds.
+pub fn budget_limit(budget: f64) -> Result<Duration, String> {
+    match Duration::try_from_secs_f64(budget) {
+        Ok(limit) if budget > 0.0 => Ok(limit),
+        _ => Err(format!(
+            "plan budget {budget:?} s is not a finite, positive number of seconds below 2^64"
+        )),
+    }
+}
+
 /// Wraps a strategy with panic isolation and an optional deadline.
 pub struct GuardedPlanner {
     strategy: Arc<Mutex<Box<dyn PlanStrategy>>>,
@@ -185,7 +197,10 @@ impl GuardedPlanner {
         }
     }
 
-    /// Guards `strategy` with a wall-clock deadline in seconds.
+    /// Guards `strategy` with a wall-clock deadline in seconds. A budget
+    /// that [`budget_limit`] rejects still plans without a panic: a NaN,
+    /// zero or negative one allows no time, and one too large for a
+    /// [`Duration`] sets no deadline.
     pub fn with_budget(strategy: Box<dyn PlanStrategy>, budget: f64) -> GuardedPlanner {
         GuardedPlanner {
             strategy: Arc::new(Mutex::new(strategy)),
@@ -206,7 +221,12 @@ impl GuardedPlanner {
                     // send only means nobody is listening any more.
                     let _ = tx.send(run_caught(&strategy, &req));
                 });
-                match rx.recv_timeout(Duration::from_secs_f64(budget.max(0.0))) {
+                let limit = budget_limit(budget).unwrap_or(if budget > 0.0 {
+                    Duration::MAX
+                } else {
+                    Duration::ZERO
+                });
+                match rx.recv_timeout(limit) {
                     Ok(result) => result,
                     Err(_) => Err(PlanFault::Timeout { budget }),
                 }

@@ -46,12 +46,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -143,11 +137,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 }
 

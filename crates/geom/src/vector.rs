@@ -46,11 +46,6 @@ impl Vector {
         &self.0
     }
 
-    /// Mutable component slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Dot product. Panics if dimensions differ.
     pub fn dot(&self, other: &Vector) -> f64 {
         assert_eq!(

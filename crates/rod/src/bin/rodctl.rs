@@ -114,6 +114,7 @@ fn usage() -> String {
      \u{20}        [--trace-out FILE] [--metrics-interval T] [--threads N]\n\
      \u{20}        (--fault-tolerance is an alias for --failover)\n\
      trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]\n\
+     \u{20}        (2^N bins, N at most 24)\n\
      daemon   --graph FILE --nodes N --trace-in FILE [--capacity C]\n\
      \u{20}        [--plan FILE] [--plan-out FILE] [--log-out FILE] [--budget SECONDS]"
         .to_string()
@@ -129,14 +130,28 @@ fn parse_rates(spec: &str, expected: usize) -> Result<Vec<f64>, String> {
         ));
     }
     for &rate in &rates {
-        if !rate.is_finite() {
-            return Err(format!("--rates: rate {rate} is not finite"));
-        }
-        if rate < 0.0 {
-            return Err(format!("--rates: rate {rate} is negative"));
-        }
+        check_rate("rates", rate)?;
     }
     Ok(rates)
+}
+
+/// Rejects a rate given by `--flag` that is not finite or is negative.
+fn check_rate(flag: &str, rate: f64) -> Result<f64, String> {
+    if !rate.is_finite() {
+        return Err(format!("--{flag}: rate {rate} is not finite"));
+    }
+    if rate < 0.0 {
+        return Err(format!("--{flag}: rate {rate} is negative"));
+    }
+    Ok(rate)
+}
+
+/// Parses a count flag that must be at least 1.
+fn parse_count(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
+    match flags.parse_num(name, default)? {
+        0 => Err(format!("--{name}: must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn load_graph(flags: &Flags) -> Result<rod::core::QueryGraph, String> {
@@ -227,10 +242,10 @@ fn load_plan_to_evaluate(
 
 fn cmd_generate(flags: &Flags) -> Result<String, String> {
     let seed: u64 = flags.parse_num("seed", 0)?;
-    let inputs: usize = flags.parse_num("inputs", 3)?;
+    let inputs = parse_count(flags, "inputs", 3)?;
     let graph = match flags.get_or("kind", "tree") {
         "tree" => {
-            let ops: usize = flags.parse_num("ops-per-tree", 12)?;
+            let ops = parse_count(flags, "ops-per-tree", 12)?;
             RandomTreeGenerator::paper_default(inputs, ops).generate(seed)
         }
         "traffic" => traffic_monitoring(&TrafficConfig {
@@ -278,13 +293,9 @@ fn parse_threads(flags: &Flags) -> Result<usize, String> {
 
 /// Parses `--samples`: how many QMC points a feasible-set ratio is
 /// estimated from (default 20,000). A ratio over zero points is 0/0, so
-/// zero gets a specific error.
+/// zero is rejected.
 fn parse_samples(flags: &Flags) -> Result<usize, String> {
-    let n: usize = flags.parse_num("samples", 20_000)?;
-    if n == 0 {
-        return Err("--samples: must be at least 1 (a ratio over zero points is undefined)".into());
-    }
-    Ok(n)
+    parse_count(flags, "samples", 20_000)
 }
 
 /// Parses `--racks "0,1;2,3"` into rack member lists for the
@@ -420,9 +431,16 @@ fn cmd_explain(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<String, String> {
+    use rod::traces::selfsimilar::MAX_LEVELS;
     use rod::traces::PaperTrace;
     let bins_log2: u32 = flags.parse_num("bins-log2", 10)?;
-    let mean: f64 = flags.parse_num("mean", 1.0)?;
+    // The b-model and fGn generators' cap, shared by every kind.
+    if bins_log2 > MAX_LEVELS {
+        return Err(format!(
+            "--bins-log2: {bins_log2} is above the cap of {MAX_LEVELS}"
+        ));
+    }
+    let mean = check_rate("mean", flags.parse_num("mean", 1.0)?)?;
     let seed: u64 = flags.parse_num("seed", 0)?;
     let trace = match flags.get_or("kind", "pkt") {
         "pkt" => PaperTrace::Pkt.generate(bins_log2, seed).with_mean(mean),
@@ -756,7 +774,9 @@ fn cmd_daemon(flags: &Flags) -> Result<String, String> {
 
     let mut cfg = rod::ctrl::ControlConfig::default();
     if flags.has("budget") {
-        cfg.plan_budget = Some(flags.parse_num("budget", 0.0)?);
+        let budget = flags.parse_num("budget", 0.0)?;
+        rod::ctrl::guard::budget_limit(budget).map_err(|e| format!("--budget: {e}"))?;
+        cfg.plan_budget = Some(budget);
     }
 
     let mut loop_ = if flags.has("plan") {
@@ -1846,6 +1866,119 @@ mod tests {
         }
         let f = Flags::parse(&strings(&["--kind", "nope"])).unwrap();
         assert!(cmd_trace(&f).is_err());
+    }
+
+    /// Runs `command` on `args`, expecting exactly the error `want`.
+    fn assert_rejected(command: fn(&Flags) -> Result<String, String>, args: &[&str], want: &str) {
+        let f = Flags::parse(&strings(args)).unwrap();
+        assert_eq!(command(&f).unwrap_err(), want, "{args:?}");
+    }
+
+    #[test]
+    fn generate_rejects_zero_inputs_for_every_kind() {
+        for kind in ["tree", "traffic", "financial", "joins"] {
+            assert_rejected(
+                cmd_generate,
+                &["--kind", kind, "--inputs", "0"],
+                "--inputs: must be at least 1",
+            );
+        }
+    }
+
+    #[test]
+    fn generate_rejects_zero_ops_per_tree() {
+        assert_rejected(
+            cmd_generate,
+            &["--kind", "tree", "--ops-per-tree", "0"],
+            "--ops-per-tree: must be at least 1",
+        );
+    }
+
+    /// 2^24 bins is the cap of every kind; nothing larger is generated.
+    #[test]
+    fn trace_caps_bins_log2_at_24_for_every_kind() {
+        for (kind, bins_log2) in [
+            ("pkt", "25"),
+            ("tcp", "25"),
+            ("http", "25"),
+            ("poisson", "25"),
+            ("poisson", "63"),
+            ("poisson", "64"),
+        ] {
+            assert_rejected(
+                cmd_trace,
+                &["--kind", kind, "--bins-log2", bins_log2],
+                &format!("--bins-log2: {bins_log2} is above the cap of 24"),
+            );
+        }
+    }
+
+    #[test]
+    fn trace_rejects_a_negative_mean() {
+        for kind in ["pkt", "poisson"] {
+            assert_rejected(
+                cmd_trace,
+                &["--kind", kind, "--mean", "-1"],
+                "--mean: rate -1 is negative",
+            );
+        }
+    }
+
+    #[test]
+    fn trace_rejects_a_nan_mean() {
+        for kind in ["pkt", "poisson"] {
+            assert_rejected(
+                cmd_trace,
+                &["--kind", kind, "--mean", "NaN"],
+                "--mean: rate NaN is not finite",
+            );
+        }
+    }
+
+    #[test]
+    fn trace_rejects_an_infinite_mean() {
+        for kind in ["pkt", "poisson"] {
+            assert_rejected(
+                cmd_trace,
+                &["--kind", kind, "--mean", "inf"],
+                "--mean: rate inf is not finite",
+            );
+        }
+    }
+
+    /// A `--budget` that no deadline can hold is refused before the
+    /// loop starts.
+    #[test]
+    fn daemon_rejects_a_budget_no_deadline_holds() {
+        let (dir, graph_path, plan_path) = graph_and_plan("budget");
+        for (budget, shown) in [
+            ("inf", "inf"),
+            ("1e30", "1e30"),
+            ("NaN", "NaN"),
+            ("-1", "-1.0"),
+            ("0", "0.0"),
+        ] {
+            assert_rejected(
+                cmd_daemon,
+                &[
+                    "--graph",
+                    &graph_path,
+                    "--plan",
+                    &plan_path,
+                    "--nodes",
+                    "2",
+                    "--trace-in",
+                    "unused.jsonl",
+                    "--budget",
+                    budget,
+                ],
+                &format!(
+                    "--budget: plan budget {shown} s is not a finite, positive number of \
+                     seconds below 2^64"
+                ),
+            );
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

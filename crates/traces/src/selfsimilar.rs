@@ -18,6 +18,9 @@ use rod_geom::rng::{seeded_rng, Rng};
 
 use crate::trace::Trace;
 
+/// The most dyadic levels either generator builds: `2^24` bins.
+pub const MAX_LEVELS: u32 = 24;
+
 /// Conservative multiplicative cascade ("b-model").
 #[derive(Clone, Debug)]
 pub struct BModel {
@@ -36,7 +39,7 @@ impl BModel {
     /// A cascade with the given bias and size.
     pub fn new(bias: f64, levels: u32, mean_rate: f64, dt: f64) -> Self {
         assert!((0.5..1.0).contains(&bias), "bias must be in [0.5, 1)");
-        assert!(levels <= 24, "2^{levels} bins is unreasonable");
+        assert!(levels <= MAX_LEVELS, "2^{levels} bins is unreasonable");
         BModel {
             bias,
             levels,
@@ -90,7 +93,7 @@ impl FgnMidpoint {
     /// A generator with the given Hurst exponent and spread.
     pub fn new(hurst: f64, levels: u32, mean_rate: f64, cov: f64, dt: f64) -> Self {
         assert!((0.0..1.0).contains(&hurst) && hurst > 0.0, "H in (0,1)");
-        assert!(levels <= 24);
+        assert!(levels <= MAX_LEVELS);
         FgnMidpoint {
             hurst,
             levels,
